@@ -134,7 +134,7 @@ def _cmd_simulate(args) -> int:
         cfg = _config_from_file(args, "tables34", TABLES34_GRID)
         rows = run_tables34(cfg)
     else:
-        cfg = _config_from_file(args, "ols-tail", TABLES34_GRID)
+        cfg = _config_from_file(args, "ols-tail", ())   # run_ols_tail has no grid
         rows = run_ols_tail(cfg)
     if cfg.out:
         write_csv(rows, cfg.out)

@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import lsq_linear
+from scipy import sparse
+from scipy.optimize import linprog, lsq_linear
 
 from . import _admm
 from .errors import (DomainError, NonConvergence, ShapeMismatch,
@@ -184,20 +185,26 @@ class Fit:
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """tol bounds every certificate; the ADMM fields apply to the problems
+    without an exact solver (quantile + weighted-l2, squared + l1)."""
+
     tol: float = 1e-6
     max_iter: int = 50_000
     rho: float = 1.0
     alpha: float = 1.7       # over-relaxation
     first_sweep: int = 300
-    polish: bool = True
 
 
 def fit_penalized_qr(data, tau: float, pen: PenaltySpec = NO_PENALTY,
                      opts: SolverOptions = SolverOptions()) -> Fit:
-    """Penalized quantile regression via consensus ADMM with vertex polish.
+    """Penalized quantile regression with a certified optimality residual.
 
-    Optimality is certified by the subgradient set-distance; the solver
-    keeps sweeping (up to opts.max_iter) until it is <= opts.tol.
+    Unpenalized and l1 fits run one ADMM sweep and finish with the exact
+    simplex pivot (`method == "simplex"`), the l1 penalty on data augmented
+    with the rows +-n lam e_j; when the pivot stalls, the HiGHS LP solves
+    the same problem (`"lp"`).  Weighted-l2 fits run ADMM (`"admm"`) until
+    the subgradient set-distance is <= opts.tol, up to opts.max_iter
+    sweeps.  An uncertified fit raises NonConvergence.
     """
     X = np.asarray(data[0], dtype=float)
     if X.ndim == 1:
@@ -205,18 +212,20 @@ def fit_penalized_qr(data, tau: float, pen: PenaltySpec = NO_PENALTY,
     y = np.asarray(data[1], dtype=float)
     if not (0.0 < tau < 1.0):
         raise DomainError("tau must lie in (0, 1)")
-    theta, iters, residual = _solve_single(X, y, "quantile", tau, pen, opts)
+    theta, iters, residual, method = _solve_single(X, y, "quantile", tau, pen,
+                                                   opts)
     obj = empirical_criterion(quantile_loss(tau), pen, (X, y), theta)
     return Fit(theta=theta, objective=obj, optimality_residual=residual,
-               iterations=iters, method="admm+polish" if opts.polish else "admm")
+               iterations=iters, method=method)
 
 
 def fit_penalized(data, loss: LossSpec, pen: PenaltySpec = NO_PENALTY,
                   opts: SolverOptions = SolverOptions()) -> Fit:
-    """General penalized M-fit on the shared ADMM path.
+    """General penalized M-fit.
 
-    The squared-loss branch is the ridge surrogate path; its certificate
-    is the plain gradient norm.
+    Quantile losses go to fit_penalized_qr.  Squared loss with no penalty
+    or weighted-l2 is solved in closed form (`method == "closed_form"`),
+    squared + l1 by ADMM; the certificate is the plain gradient norm.
     """
     if loss.kind in ("quantile", "abs_half"):
         return fit_penalized_qr(data, loss.effective_tau, pen, opts)
@@ -224,45 +233,100 @@ def fit_penalized(data, loss: LossSpec, pen: PenaltySpec = NO_PENALTY,
     if X.ndim == 1:
         X = X[:, None]
     y = np.asarray(data[1], dtype=float)
-    theta, iters, residual = _solve_single(X, y, "squared", 0.5, pen, opts)
+    theta, iters, residual, method = _solve_single(X, y, "squared", 0.5, pen,
+                                                   opts)
     obj = empirical_criterion(loss, pen, (X, y), theta)
     return Fit(theta=theta, objective=obj, optimality_residual=residual,
-               iterations=iters, method="admm")
+               iterations=iters, method=method)
 
 
 def _solve_single(X, y, loss_kind, tau, pen, opts):
+    """(theta, ADMM sweeps, certificate, method) of one certified fit."""
+    n, d = X.shape
+    kind = pen.kind if pen.lam > 0 else "none"
+    pw = pen.weights(d)
+    if loss_kind == "squared" and kind != "l1":
+        if kind == "none":
+            theta = np.linalg.lstsq(X, y, rcond=None)[0]
+        else:
+            theta = np.linalg.solve(X.T @ X / n + pen.lam * np.diag(pw),
+                                    X.T @ y / n)
+        return _certified(X, y, theta, loss_kind, tau, pen, opts, 0,
+                          "closed_form")
     Xb = X[None, ...]
     yb = y[None, ...]
-    pw = pen.weights(X.shape[1])
+    if loss_kind == "quantile" and kind != "weighted_l2":
+        # the first ADMM sweep is the warm start of the exact pivot
+        state = _admm.admm_batch(Xb, yb, tau=tau, pen_kind=kind, lam=pen.lam,
+                                 rho=opts.rho, alpha=opts.alpha,
+                                 iters=opts.first_sweep)
+        return _finish_exact(X, y, tau, pen, kind, state.theta[0], opts,
+                             opts.first_sweep)
     state = None
     iters = 0
     sweep = opts.first_sweep
     best = None
     while iters < opts.max_iter:
         state = _admm.admm_batch(Xb, yb, loss_kind=loss_kind, tau=tau,
-                                 pen_kind=pen.kind, lam=pen.lam, pweights=pw,
+                                 pen_kind=kind, lam=pen.lam, pweights=pw,
                                  rho=opts.rho, alpha=opts.alpha, iters=sweep,
                                  state=state)
         iters += sweep
         cand = state.theta[0]
-        if loss_kind != "squared" and opts.polish and pen.kind == "none":
-            polished, _ = _admm.polish_vertex_batch(
-                Xb, yb, state.theta, loss_kind, tau, pen.kind, pen.lam, pw)
-            cand = polished[0]
-        if loss_kind == "squared":
-            residual = gradient_residual_squared(X, y, cand, pen)
-        else:
-            residual = subgradient_residual(X, y, cand, tau, pen)
+        residual = _certificate(X, y, cand, loss_kind, tau, pen)
         if best is None or residual < best[1]:
             best = (cand.copy(), residual)
         if residual <= opts.tol:
-            return cand, iters, residual
+            return cand, iters, residual, "admm"
         sweep = min(2 * sweep, opts.max_iter - iters) or 1
-    cand, residual = best
+    return _certified(X, y, best[0], loss_kind, tau, pen, opts, iters, "admm")
+
+
+def _finish_exact(X, y, tau, pen, kind, theta0, opts, iters):
+    """Exact quantile fit from a warm start: the simplex pivot, then the LP
+    when the pivot stalls or is not certified."""
+    Xs, ys = X, y
+    if kind == "l1":
+        # rho_tau(c) + rho_tau(-c) = |c|: rows +-n lam e_j with response 0
+        # add n lam |theta_j| to the summed loss
+        rows = X.shape[0] * pen.lam * np.eye(X.shape[1])
+        Xs, ys = np.vstack([X, rows, -rows]), np.r_[y, np.zeros(2 * X.shape[1])]
+    theta = _admm.simplex_polish(Xs, ys, theta0, tau)
+    if theta is not None:
+        residual = subgradient_residual(X, y, theta, tau, pen)
+        if residual <= opts.tol:
+            return theta, iters, residual, "simplex"
+    return _certified(X, y, quantile_lp(Xs, ys, tau), "quantile", tau, pen,
+                      opts, iters, "lp")
+
+
+def _certificate(X, y, theta, loss_kind, tau, pen):
+    if loss_kind == "squared":
+        return gradient_residual_squared(X, y, theta, pen)
+    return subgradient_residual(X, y, theta, tau, pen)
+
+
+def _certified(X, y, theta, loss_kind, tau, pen, opts, iters, method):
+    residual = _certificate(X, y, theta, loss_kind, tau, pen)
     if residual > opts.tol:
-        raise NonConvergence(
-            f"residual {residual:.3e} > tol {opts.tol:.1e} after {iters} sweeps")
-    return cand, iters, residual
+        raise NonConvergence(f"{method} fit: residual {residual:.3e} > tol "
+                             f"{opts.tol:.1e} ({iters} ADMM sweeps)")
+    return theta, iters, residual, method
+
+
+def quantile_lp(X, y, tau=0.5):
+    """Exact unpenalized quantile regression as a linear program (HiGHS):
+    X theta + u+ - u- = y with u+, u- >= 0."""
+    n, d = X.shape
+    c = np.r_[np.zeros(d), np.full(n, tau / n), np.full(n, (1.0 - tau) / n)]
+    A = sparse.hstack([sparse.csr_matrix(X), sparse.eye(n), -sparse.eye(n)],
+                      format="csc")
+    res = linprog(c, A_eq=A, b_eq=y,
+                  bounds=[(None, None)] * d + [(0, None)] * (2 * n),
+                  method="highs")
+    if not res.success:
+        raise NonConvergence(f"LP fallback failed: {res.message}")
+    return res.x[:d]
 
 
 def fit_ols(data) -> Fit:

@@ -20,7 +20,7 @@ from . import _admm
 from .complexity import UniversalConstants
 from .datagen import STREAM_VARIANCE, np_target, substream
 from .errors import DomainError, NonConvergence
-from .estimators import PenaltySpec, subgradient_residual
+from .estimators import PenaltySpec, quantile_lp, subgradient_residual
 from .lattice import build_lattice
 from .mixing import BetaMixingModel, effective_n
 from .sieves import SieveMomentOracle
@@ -51,7 +51,6 @@ class ExperimentConfig:
     basis_kinds: tuple = ("polynomial", "pspline")
     test_multiplier: float = TABLES34_TEST_MULTIPLIER
     solver_tol: float = 1e-6
-    solver_max_iter: int = 50_000
     chunk_size: int = 250
     workers: int = 1
     tail_u: tuple = (4.0, 8.0, 16.0)
@@ -114,10 +113,11 @@ def write_csv(rows, path) -> None:
 
 def write_manifest(config: ExperimentConfig, path) -> None:
     import scipy
+    from . import __version__
     payload = {
         "config": dataclasses.asdict(config),
         "master_seed": config.master_seed,
-        "versions": {"mixconc": "0.1.0", "numpy": np.__version__,
+        "versions": {"mixconc": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__,
                      "python": sys.version.split()[0]},
     }
@@ -216,55 +216,31 @@ def _median_residuals_batch(X, y, theta, tau=0.5, active_tol=1e-7):
     return out
 
 
-def _median_lp(X, y, tau=0.5):
-    """Exact quantile regression as a linear program (HiGHS)."""
-    from scipy import sparse
-    from scipy.optimize import linprog
-    n, d = X.shape
-    c = np.r_[np.zeros(d), np.full(n, tau / n), np.full(n, (1.0 - tau) / n)]
-    A = sparse.hstack([sparse.csr_matrix(X), sparse.eye(n), -sparse.eye(n)],
-                      format="csc")
-    res = linprog(c, A_eq=A, b_eq=y,
-                  bounds=[(None, None)] * d + [(0, None)] * (2 * n),
-                  method="highs")
-    if not res.success:
-        raise NonConvergence(f"LP fallback failed: {res.message}")
-    return res.x[:d]
-
-
-def _fit_median_batch(X, y, tol, max_iter):
+def _fit_median_batch(X, y, theta0, tol):
     """Certified median-regression fits for a replication batch.
 
-    Pipeline: a short ADMM run on the orthonormal QR factor of each
-    design (block dependence makes raw designs badly conditioned), a
-    vertex polish, then exact simplex pivoting from the polished vertex.
-    Replications that still fail certification fall back to the LP.
+    Each replication pivots to an exact vertex from its warm start `theta0`
+    (the least-squares fit); replications the pivot does not certify fall
+    back to the LP.
     """
-    R, n, d = X.shape
-    Qf, Rf = np.linalg.qr(X)
-    sweeps = min(300, max_iter)
-    state = _admm.admm_batch(Qf, y, loss_kind="quantile", tau=0.5,
-                             iters=sweeps)
-    polished, _ = _admm.polish_vertex_batch(Qf, y, state.theta, "quantile",
-                                            0.5, "none", 0.0)
-    best = np.linalg.solve(Rf, polished[..., None])[..., 0]
-    for r in range(R):
-        refined = _admm.simplex_polish(X[r], y[r], best[r])
+    best = theta0.copy()
+    for r in range(X.shape[0]):
+        refined = _admm.simplex_polish(X[r], y[r], theta0[r])
         if refined is not None:
             best[r] = refined
     resid = _median_residuals_batch(X, y, best)
     for idx in np.where(resid > tol)[0]:
-        theta = _median_lp(X[idx], y[idx])
+        theta = quantile_lp(X[idx], y[idx])
         rr = float(_median_residuals_batch(X[idx][None], y[idx][None],
                                            theta[None])[0])
         if rr < resid[idx]:
             best[idx] = theta
             resid[idx] = rr
-    return best, resid, sweeps
+    return best, resid
 
 
 def _tables12_chunk(args):
-    (n, m, d, seed, rep_range, tol, max_iter) = args
+    (n, m, d, seed, rep_range, tol) = args
     mat = _gen_block_matrix(n, m, d + 1, seed, rep_range)
     X = mat[:, :, :d]
     U = mat[:, :, d]
@@ -275,8 +251,8 @@ def _tables12_chunk(args):
     b = np.einsum("rij,ri->rj", X, y)
     theta_mean = np.linalg.solve(G, b[..., None])[..., 0]
     delta_mean = _delta_mean(theta_mean - truth)
-    # median regression: certified ADMM
-    theta_med, resid, _ = _fit_median_batch(X, y, tol, max_iter)
+    # median regression: exact pivot from the least-squares fit
+    theta_med, resid = _fit_median_batch(X, y, theta_mean, tol)
     ok = resid <= tol
     delta_med = _delta_median(theta_med - truth)
     return {
@@ -299,7 +275,7 @@ def run_tables12(config: ExperimentConfig) -> list[ReportRow]:
         if n % m:
             raise DomainError(f"m={m} does not divide (snapped) n={n}")
         args = [(n, m, config.d, config.master_seed + 1000 * hash_cell(n, m),
-                 rr, config.solver_tol, config.solver_max_iter)
+                 rr, config.solver_tol)
                 for rr in _chunks(config.mc_reps, config.chunk_size)]
         parts = _run_chunks(_tables12_chunk, args, config.workers)
         agg = {k: sum(p[k] for p in parts) for k in parts[0]}

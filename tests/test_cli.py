@@ -2,8 +2,9 @@ import json
 
 import numpy as np
 
+import mixconc
 from mixconc.cli import main, parse_config
-from mixconc.datagen import make_np_design
+from mixconc.datagen import make_linear_design, make_np_design
 
 
 def test_parse_config(tmp_path):
@@ -51,6 +52,17 @@ def test_cli_simulate_and_outputs(tmp_path, capsys):
     assert len(lines) == 3   # header + 2 methods x 1 cell
 
 
+def test_cli_simulate_ols_tail_manifest(tmp_path, capsys):
+    out = tmp_path / "tail.csv"
+    assert main(["simulate", "ols-tail", "--reps", "50", "--out", str(out)]) == 0
+    payload = json.loads((tmp_path / "tail.csv.manifest.json").read_text())
+    assert payload["versions"]["mixconc"] == mixconc.__version__
+    assert payload["config"]["experiment"] == "ols-tail"
+    assert payload["config"]["grid"] == []      # the tail check has no grid
+    assert payload["config"]["tail_mu0"] == [1, 4]
+    assert len(out.read_text().splitlines()) == 1 + 2 * 3
+
+
 def test_cli_tune(tmp_path, capsys):
     ds = make_np_design(500, 1, seed=3)
     path = tmp_path / "data.csv"
@@ -82,3 +94,16 @@ def test_cli_tune_lambda_grid(tmp_path, capsys):
     assert out["penalty"] == "l1"
     assert out["k_feasible"] in (0.5, 0.2, 0.05, 0.01)
     assert len(out["coefficients"]) == 3
+
+
+def test_cli_tune_l1_quantile_baseline(tmp_path, capsys):
+    # d = 10 l1 quantile fits at three lambdas (the path that used to
+    # exhaust the ADMM sweep budget)
+    ds = make_linear_design(500, 1, d=10, seed=20240901, rep=48)
+    path = tmp_path / "lin.csv"
+    ds.to_csv(path)
+    assert main(["tune", "--data", str(path), "--lambdas", "0.5", "0.2",
+                 "0.05"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["k_feasible"] in (0.5, 0.2, 0.05)
+    assert len(out["coefficients"]) == 10

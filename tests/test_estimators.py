@@ -1,15 +1,19 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.optimize import linprog
 
 from mixconc import (ABS_HALF, NO_PENALTY, SQUARED, DomainError, LossSpec,
                      PenaltySpec, PopulationDesign, ShapeMismatch,
                      SieveMomentOracle, SingularDesign, SolverOptions,
                      bias_term, delta_p, delta_p_mc, empirical_criterion,
                      fit_ols, fit_penalized, fit_penalized_qr, fit_sieve_ls,
-                     np_target, polynomial_basis, pspline_basis,
-                     quantile_loss, subgradient_residual)
+                     make_linear_design, np_target, polynomial_basis,
+                     pspline_basis, quantile_loss, subgradient_residual)
+from mixconc import _admm
 
 
 # -- criterion ------------------------------------------------------------------
@@ -88,6 +92,18 @@ def test_ridge_path_matches_normal_equations():
     assert np.linalg.norm(fit.theta - oracle) <= 1e-8
 
 
+def test_ridge_closed_form_matches_admm():
+    ds = make_linear_design(400, 4, d=5, seed=12)
+    pen = PenaltySpec("weighted_l2", lam=0.05, m=2.0)
+    fit = fit_penalized((ds.X, ds.y), SQUARED, pen)
+    assert fit.method == "closed_form" and fit.iterations == 0
+    assert fit.optimality_residual <= 1e-10
+    state = _admm.admm_batch(ds.X[None], ds.y[None], loss_kind="squared",
+                             pen_kind="weighted_l2", lam=pen.lam,
+                             pweights=pen.weights(5), iters=2000)
+    assert np.linalg.norm(state.theta[0] - fit.theta) <= 1e-8
+
+
 def test_penalized_qr_near_minimizer_contract():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((50, 3))
@@ -119,6 +135,88 @@ def test_quantile_tau_off_center():
     y = np.sort(rng.standard_normal(201))
     fit = fit_penalized_qr((X, y), 0.25)
     assert fit.theta[0] == pytest.approx(np.quantile(y, 0.25), abs=1e-6)
+
+
+def test_fit_method_names_the_path_taken(monkeypatch):
+    rng = np.random.default_rng(13)
+    X = rng.standard_normal((80, 3))
+    y = X @ np.array([1.0, -0.5, 0.2]) + rng.standard_normal(80)
+    assert fit_penalized_qr((X, y), 0.5).method == "simplex"
+    assert fit_penalized_qr((X, y), 0.5, PenaltySpec("l1", lam=0.05)).method \
+        == "simplex"
+    assert fit_penalized_qr((X, y), 0.5, PenaltySpec("weighted_l2", lam=0.05,
+                                                     m=1.0)).method == "admm"
+    assert fit_penalized((X, y), SQUARED).method == "closed_form"
+    assert fit_penalized((X, y), SQUARED, PenaltySpec("l1", lam=0.05)).method \
+        == "admm"
+    exact = fit_penalized_qr((X, y), 0.3, PenaltySpec("l1", lam=0.05))
+    # a stalled pivot hands the problem to the LP
+    monkeypatch.setattr(_admm, "simplex_polish", lambda *args, **kw: None)
+    fit = fit_penalized_qr((X, y), 0.3, PenaltySpec("l1", lam=0.05))
+    assert fit.method == "lp" and fit.optimality_residual <= 1e-6
+    assert fit.objective == pytest.approx(exact.objective, rel=1e-12)
+
+
+# -- exact solver against an independent LP oracle -------------------------------
+
+
+def _lp_objective(X, y, tau, lam):
+    """Optimal (1/n) sum rho_tau(y - X b) + lam ||b||_1 by HiGHS, with
+    b = b+ - b- and residual u+ - u-, all parts nonnegative."""
+    n, d = X.shape
+    c = np.r_[np.full(2 * d, lam), np.full(n, tau / n),
+              np.full(n, (1.0 - tau) / n)]
+    Xs = sparse.csr_matrix(X)
+    A = sparse.hstack([Xs, -Xs, sparse.eye(n), -sparse.eye(n)], format="csc")
+    res = linprog(c, A_eq=A, b_eq=y, bounds=(0, None), method="highs")
+    assert res.success, res.message
+    return float(res.fun)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_quantile_fit_matches_lp_oracle(seed):
+    # m-block designs (m up to 100: rows of a block nearly coincide), an
+    # intercept column, and responses rounded to ties
+    rng = np.random.default_rng(seed)
+    m = int(rng.choice([1, 2, 5, 10, 20, 50, 100]))
+    n = m * int(rng.integers(max(2, 8 // m + 1), max(3, 600 // m)))
+    d = int(rng.integers(1, 7))
+    tau = float(rng.choice([0.3, 0.5, 0.7]))
+    lam = float(rng.choice([0.0, 0.002, 0.02, 0.2]))
+    ds = make_linear_design(n, m, d, seed=seed, rep=1)
+    X, y = ds.X, ds.y
+    if seed % 3 == 0:
+        X = np.column_stack([np.ones(n), X[:, 1:]])
+    if seed % 2 == 0:
+        y = np.round(y, 1)
+    pen = PenaltySpec("l1", lam=lam) if lam else NO_PENALTY
+    fit = fit_penalized_qr((X, y), tau, pen)
+    lp = _lp_objective(X, y, tau, lam)
+    assert fit.objective <= lp + 1e-9 * (1.0 + abs(lp))
+    assert fit.optimality_residual <= 1e-6
+    assert fit.method == "simplex"      # degenerate vertices do not stall
+    assert subgradient_residual(X, y, fit.theta, tau, pen) <= 1e-6
+
+
+def test_unpenalized_d8_certifies_within_a_second():
+    ds = make_linear_design(2000, 1, d=8, seed=20240901, rep=83)
+    start = time.perf_counter()
+    fit = fit_penalized_qr((ds.X, ds.y), 0.5)
+    assert time.perf_counter() - start < 1.0
+    assert fit.method == "simplex" and fit.optimality_residual <= 1e-6
+
+
+@pytest.mark.parametrize("n, d, tau, lam, rep", [(500, 10, 0.3, 0.02, 21),
+                                                 (1000, 20, 0.5, 0.01, 22),
+                                                 (10_000, 50, 0.5, 0.01, 0)])
+def test_l1_quantile_fits_certify(n, d, tau, lam, rep):
+    ds = make_linear_design(n, 1, d=d, seed=20240901, rep=rep)
+    X, y = ds.X, ds.y
+    fit = fit_penalized_qr((X, y), tau, PenaltySpec("l1", lam=lam))
+    assert fit.method == "simplex" and fit.optimality_residual <= 1e-6
+    if n <= 1000:
+        lp = _lp_objective(X, y, tau, lam)
+        assert fit.objective <= lp + 1e-9 * (1.0 + abs(lp))
 
 
 # -- least squares ------------------------------------------------------------
