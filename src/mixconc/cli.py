@@ -60,7 +60,7 @@ def parse_config(path: str) -> dict:
                 continue
             key, _, raw = line.partition("=")
             if not _:
-                raise ValueError(f"bad config line: {line!r}")
+                raise MixconcError(f"bad config line: {line!r}")
             out[key.strip()] = _parse_value(raw)
     return out
 
@@ -107,12 +107,16 @@ def _config_from_file(args, experiment, default_grid) -> ExperimentConfig:
     known = {f.name for f in cfg.__dataclass_fields__.values()}
     unknown = set(overrides) - known
     if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        raise MixconcError(f"unknown config keys: {sorted(unknown)}")
     fields = {}
     for key, value in overrides.items():
+        default = getattr(cfg, key)
         # single-element lists parse as scalars; restore tuple-typed fields
-        if isinstance(getattr(cfg, key), tuple) and not isinstance(value, tuple):
+        if isinstance(default, tuple) and not isinstance(value, tuple):
             value = (value,)
+        elif isinstance(default, (int, float)) \
+                and not isinstance(value, (int, float)):
+            raise MixconcError(f"config key {key!r} needs a number, got {value!r}")
         fields[key] = value
     cfg = cfg.replace(**fields)
     if args.seed is not None:
@@ -146,21 +150,33 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _column(data, name: str) -> np.ndarray:
+    """One column of a `tune` CSV; a missing column or a cell that does not
+    parse as a finite number is an input error."""
+    if name not in (data.dtype.names or ()):
+        raise MixconcError(f"tune: the CSV has no {name!r} column")
+    col = np.atleast_1d(np.asarray(data[name], dtype=float))   # one data row: 0-d
+    bad = np.flatnonzero(~np.isfinite(col))
+    if bad.size:
+        raise MixconcError(f"tune: column {name!r} has {bad.size} empty or "
+                           f"non-numeric cells (first in data row {bad[0] + 1})")
+    return col
+
+
 def _cmd_tune(args) -> int:
     data = np.genfromtxt(args.data, delimiter=",", names=True)
     names = data.dtype.names or ()
-    y = np.asarray(data["y"], dtype=float)
+    y = _column(data, "y")
     n = y.size
     if n % args.m:
         raise MixconcError("block length m must divide the sample size")
     nbeta = n // args.m
     s = args.s if args.s is not None else default_s(n, args.m)
     if "w" in names:
-        result, extra = _tune_sieve(args, y, np.asarray(data["w"], dtype=float),
-                                    nbeta, s)
+        result, extra = _tune_sieve(args, y, _column(data, "w"), nbeta, s)
     elif "x1" in names:
         xcols = [c for c in names if c.startswith("x")]
-        X = np.column_stack([np.asarray(data[c], dtype=float) for c in xcols])
+        X = np.column_stack([_column(data, c) for c in xcols])
         result, extra = _tune_lambda(args, X, y, nbeta, s)
     else:
         raise MixconcError("tune expects a CSV with columns y,w or y,x1..xd")

@@ -118,7 +118,9 @@ def subgradient_residual(X, y, theta, tau: float, pen: PenaltySpec,
     Observations with |residual| <= active_tol contribute a free
     subgradient in [tau-1, tau]; under the l1 penalty, coefficients with
     |theta_j| <= zero_tol contribute a free sign in [-1, 1].  The distance
-    is a box-constrained linear least-squares problem.
+    is a box-constrained linear least-squares problem.  At a vertex (exactly
+    d free columns) it is first tried as the square system; when that
+    solution lies in the box it is the minimizer, otherwise bvls decides.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -130,26 +132,28 @@ def subgradient_residual(X, y, theta, tau: float, pen: PenaltySpec,
     sgn = tau - (res <= 0).astype(float)
     base = -(X[~act].T @ sgn[~act]) / n
 
-    cols = []
-    lo, hi = [], []
-    if np.any(act):
-        cols.append(-X[act].T / n)           # free s_i in [tau-1, tau]
-        lo += [tau - 1.0] * int(act.sum())
-        hi += [tau] * int(act.sum())
+    A = -X[act].T / n                        # free s_i in [tau-1, tau]
+    lo = np.full(A.shape[1], tau - 1.0)
+    hi = np.full(A.shape[1], tau)
     if pen.kind == "l1" and pen.lam > 0:
         zero = np.abs(theta) <= zero_tol
         base = base + pen.lam * np.sign(theta) * (~zero)
-        if np.any(zero):
-            cols.append(pen.lam * np.eye(d)[:, zero])
-            lo += [-1.0] * int(zero.sum())
-            hi += [1.0] * int(zero.sum())
+        A = np.hstack([A, pen.lam * np.eye(d)[:, zero]])   # free signs
+        lo = np.r_[lo, np.full(zero.sum(), -1.0)]             # in [-1, 1]
+        hi = np.r_[hi, np.full(zero.sum(), 1.0)]
     elif pen.kind == "weighted_l2" and pen.lam > 0:
         base = base + pen.lam * 2.0 * pen.weights(d) * theta
 
-    if not cols:
+    if A.shape[1] == 0:
         return float(np.linalg.norm(base))
-    A = np.hstack(cols)
-    sol = lsq_linear(A, -base, bounds=(np.array(lo), np.array(hi)),
+    if A.shape[1] == d:
+        try:
+            s = np.linalg.solve(A, -base)
+        except np.linalg.LinAlgError:
+            s = None
+        if s is not None and np.all(s >= lo - 1e-12) and np.all(s <= hi + 1e-12):
+            return float(np.linalg.norm(A @ s + base))
+    sol = lsq_linear(A, -base, bounds=(lo, hi),
                      method="bvls" if A.shape[1] <= 200 else "trf")
     return float(np.linalg.norm(A @ sol.x + base))
 
@@ -392,19 +396,24 @@ def delta_p(design: PopulationDesign, loss: LossSpec, theta_hat,
     Half-absolute loss: via E|N(0, s^2)| = s sqrt(2/pi), so
     delta^2 = 0.5 sqrt(2/pi) (s(theta) - s(theta*)) with
     s(theta)^2 = D' sigma_x D + noise_var.
+
+    `theta_hat` may carry leading replication axes, (R, d) for R fits; the
+    result is then an array of that leading shape instead of a float.
     """
     D = np.asarray(theta_hat, dtype=float) - np.asarray(theta_star, dtype=float)
-    quad = float(D @ design.sigma_x @ D)
+    quad = np.maximum(np.einsum("...i,ij,...j->...", D, design.sigma_x, D), 0.0)
     if loss.kind == "squared":
-        return math.sqrt(max(quad, 0.0))
-    if loss.kind == "abs_half" or (loss.kind == "quantile" and loss.tau == 0.5):
+        out = np.sqrt(quad)
+    elif loss.kind == "abs_half" or (loss.kind == "quantile" and loss.tau == 0.5):
         if not design.gaussian:
             raise UnsupportedDesign("analytic path requires Gaussian errors")
-        s_hat = math.sqrt(quad + design.noise_var)
+        s_hat = np.sqrt(quad + design.noise_var)
         s_star = math.sqrt(design.noise_var)
-        return math.sqrt(0.5 * math.sqrt(2.0 / math.pi) * (s_hat - s_star))
-    raise UnsupportedDesign(f"no analytic population formula for {loss.kind}"
-                            f" at tau={getattr(loss, 'tau', None)}")
+        out = np.sqrt(0.5 * math.sqrt(2.0 / math.pi) * (s_hat - s_star))
+    else:
+        raise UnsupportedDesign(f"no analytic population formula for {loss.kind}"
+                                f" at tau={getattr(loss, 'tau', None)}")
+    return float(out) if out.ndim == 0 else out
 
 
 def delta_p_mc(sampler, loss: LossSpec, theta_hat, theta_star,

@@ -1,9 +1,12 @@
 """Monte Carlo harness: the two simulation studies, the least-squares tail
 check, and the concentration-bound evaluators.
 
-Replications are split into fixed-size chunks; each chunk derives its own
-substreams from (master_seed, global replication index), so reports are
-bit-identical for any worker count and chunks can be mapped in parallel.
+The studies draw their data with `datagen`, fit and certify with
+`estimators`, and choose sieve dimensions with `tuning`.  Replications are
+split into fixed-size chunks; each chunk derives its own substreams from
+(master_seed, global replication index), so reports are bit-identical for
+any worker count.  A study maps the chunks of all its cells through one
+process pool.
 """
 
 import csv
@@ -16,15 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _admm
 from .complexity import UniversalConstants
-from .datagen import STREAM_VARIANCE, np_target, substream
+from .datagen import (STREAM_VARIANCE, gen_block_gaussian, make_np_design,
+                      np_target, substream)
 from .errors import DomainError, NonConvergence
-from .estimators import PenaltySpec, quantile_lp, subgradient_residual
+from .estimators import (ABS_HALF, NO_PENALTY, SQUARED, PopulationDesign,
+                         SolverOptions, _finish_exact, delta_p)
 from .lattice import build_lattice
 from .mixing import BetaMixingModel, effective_n
-from .sieves import SieveMomentOracle
-from .tuning import sieve_grid, variance_proxy, ideal_k
+from .sieves import SieveBasis, SieveMomentOracle
+from .tuning import (default_s, feasible_k, ideal_k, sieve_grid,
+                     variance_proxy)
 
 TABLES12_GRID = ((50, 1), (50, 2),
                  (100, 1), (100, 2), (100, 4),
@@ -149,112 +154,53 @@ def _chunks(total: int, size: int):
     return out
 
 
-def _run_chunks(fn, args_list, workers: int):
+def _run_cells(fn, cell_tasks, workers: int) -> list[list]:
+    """Map every cell's chunk tasks through one process pool (none for one
+    worker) and hand the results back grouped by cell, in task order."""
+    flat = [task for tasks in cell_tasks for task in tasks]
     if workers <= 1:
-        return [fn(a) for a in args_list]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, args_list))
+        results = [fn(task) for task in flat]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(fn, flat))
+    grouped, start = [], 0
+    for tasks in cell_tasks:
+        grouped.append(results[start:start + len(tasks)])
+        start += len(tasks)
+    return grouped
 
 
 # ---------------------------------------------------------------------------
 # tables 1-2: location regressions under m-block dependence
 
 
-def _gen_block_matrix(n, m, count, seed, rep_range):
-    """Streams for a replication range, stacked (reps, n, count)."""
-    reps = rep_range[1] - rep_range[0]
-    q = n // m
-    out = np.empty((reps, n, count))
-    for r_off in range(reps):
-        rep = rep_range[0] + r_off
-        for s in range(count):
-            rng = substream(seed, rep, s)
-            v1 = rng.standard_normal(q)
-            v2 = rng.standard_normal(n)
-            out[r_off, :, s] = np.repeat(v1, m) + 0.01 * v2
-    return out
-
-
-def _delta_mean(D):
-    return np.sqrt(np.sum(D * D, axis=1) * STREAM_VARIANCE)
-
-
-def _delta_median(D):
-    noise_var = 0.25 * STREAM_VARIANCE
-    s_hat = np.sqrt(np.sum(D * D, axis=1) * STREAM_VARIANCE + noise_var)
-    return np.sqrt(0.5 * math.sqrt(2.0 / math.pi) * (s_hat - math.sqrt(noise_var)))
-
-
-def _median_residuals_batch(X, y, theta, tau=0.5, active_tol=1e-7):
-    """Subgradient set-distances for a batch of unpenalized median fits.
-
-    Fast path: with exactly d interpolated points the free subgradients
-    solve a d x d system; inside the box the residual is zero.  Anything
-    else falls back to the generic certificate.
-    """
-    R, n, d = X.shape
-    res = y - np.einsum("rij,rj->ri", X, theta)
-    scale = active_tol * (1.0 + np.abs(y).max(axis=1))
-    out = np.empty(R)
-    pen = PenaltySpec("none")
-    for r in range(R):
-        act = np.abs(res[r]) <= scale[r]
-        if act.sum() == d:
-            sgn = tau - (res[r] <= 0)
-            base = -(X[r][~act].T @ sgn[~act]) / n
-            A = -X[r][act].T / n
-            try:
-                s = np.linalg.solve(A, -base)
-            except np.linalg.LinAlgError:
-                s = None
-            if s is not None and np.all(s >= tau - 1.0 - 1e-12) \
-                    and np.all(s <= tau + 1e-12):
-                out[r] = float(np.linalg.norm(A @ s + base))
-                continue
-        out[r] = subgradient_residual(X[r], y[r], theta[r], tau, pen,
-                                      active_tol=active_tol)
-    return out
-
-
-def _fit_median_batch(X, y, theta0, tol):
-    """Certified median-regression fits for a replication batch.
-
-    Each replication pivots to an exact vertex from its warm start `theta0`
-    (the least-squares fit); replications the pivot does not certify fall
-    back to the LP.
-    """
-    best = theta0.copy()
-    for r in range(X.shape[0]):
-        refined = _admm.simplex_polish(X[r], y[r], theta0[r])
-        if refined is not None:
-            best[r] = refined
-    resid = _median_residuals_batch(X, y, best)
-    for idx in np.where(resid > tol)[0]:
-        theta = quantile_lp(X[idx], y[idx])
-        rr = float(_median_residuals_batch(X[idx][None], y[idx][None],
-                                           theta[None])[0])
-        if rr < resid[idx]:
-            best[idx] = theta
-            resid[idx] = rr
-    return best, resid
-
-
 def _tables12_chunk(args):
     (n, m, d, seed, rep_range, tol) = args
-    mat = _gen_block_matrix(n, m, d + 1, seed, rep_range)
+    mat = np.stack([np.stack(gen_block_gaussian(n, m, d + 1, seed, rep=rep),
+                             axis=1) for rep in range(*rep_range)])
     X = mat[:, :, :d]
     U = mat[:, :, d]
     truth = np.arange(1, d + 1, dtype=float) ** -0.5
     y = X @ truth + 0.5 * U
+    design = PopulationDesign(sigma_x=STREAM_VARIANCE * np.eye(d),
+                              noise_var=0.25 * STREAM_VARIANCE)
     # mean regression: closed form
     G = np.einsum("rij,rik->rjk", X, X)
     b = np.einsum("rij,ri->rj", X, y)
     theta_mean = np.linalg.solve(G, b[..., None])[..., 0]
-    delta_mean = _delta_mean(theta_mean - truth)
-    # median regression: exact pivot from the least-squares fit
-    theta_med, resid = _fit_median_batch(X, y, theta_mean, tol)
+    delta_mean = delta_p(design, SQUARED, theta_mean, truth)
+    # median regression: exact pivot from the least-squares fit, LP fallback
+    opts = SolverOptions(tol=tol)
+    theta_med = theta_mean.copy()
+    resid = np.full(len(y), np.inf)
+    for r in range(len(y)):
+        try:
+            theta_med[r], _, resid[r], _ = _finish_exact(
+                X[r], y[r], 0.5, NO_PENALTY, "none", theta_mean[r], opts, 0)
+        except NonConvergence:
+            pass                     # counted as uncertified
     ok = resid <= tol
-    delta_med = _delta_median(theta_med - truth)
+    delta_med = delta_p(design, ABS_HALF, theta_med, truth)
     return {
         "mean_sum": float(delta_mean.sum()),
         "mean_sumsq": float((delta_mean ** 2).sum()),
@@ -269,15 +215,17 @@ def _tables12_chunk(args):
 def run_tables12(config: ExperimentConfig) -> list[ReportRow]:
     """Reproduce the location-regression tables: MC averages of the
     population criterion distance, x100, with sqrt(m)-scaled predictions."""
-    cells: dict[tuple, dict] = {}
     grid = [(snap_admissible(n, config.upsilon), m) for (n, m) in config.grid]
     for (n, m) in grid:
         if n % m:
             raise DomainError(f"m={m} does not divide (snapped) n={n}")
-        args = [(n, m, config.d, config.master_seed + 1000 * hash_cell(n, m),
-                 rr, config.solver_tol)
-                for rr in _chunks(config.mc_reps, config.chunk_size)]
-        parts = _run_chunks(_tables12_chunk, args, config.workers)
+    tasks = [[(n, m, config.d, config.master_seed + 1000 * hash_cell(n, m),
+               rr, config.solver_tol)
+              for rr in _chunks(config.mc_reps, config.chunk_size)]
+             for (n, m) in grid]
+    cells: dict[tuple, dict] = {}
+    for (n, m), parts in zip(grid, _run_cells(_tables12_chunk, tasks,
+                                              config.workers)):
         agg = {k: sum(p[k] for p in parts) for k in parts[0]}
         agg["worst_resid"] = max(p["worst_resid"] for p in parts)
         n_failed = agg["reps"] - agg["med_ok"]
@@ -331,50 +279,21 @@ def build_sieve_oracle(kind: str, max_k: int = 8,
 
 
 def _tables34_chunk(args):
-    (kind, n, m, seed, rep_range, mult, grams, cross_c, t2, k_ideal_val, s_n) = args
-    ks = SIEVE_KS
-    reps = rep_range[1] - rep_range[0]
-    nb = n // m
-    proxy = {k: math.sqrt(k / nb) for k in ks}
-    from .sieves import SieveBasis
-    bases = {k: SieveBasis(kind, k) for k in ks}
-    kF = np.empty(reps, dtype=int)
-    rn = np.empty(reps)
-    for r_off in range(reps):
-        rep = rep_range[0] + r_off
-        rngx = substream(seed, rep, 0)
-        rngu = substream(seed, rep, 1)
-        q = n // m
-        x = np.repeat(rngx.standard_normal(q), m) + 0.01 * rngx.standard_normal(n)
-        u = np.repeat(rngu.standard_normal(q), m) + 0.01 * rngu.standard_normal(n)
-        w = 6.0 * x / (1.0 + np.abs(x))
-        y = np_target(w) + 0.5 * u
-        fits = {}
-        for k in ks:
-            Q = bases[k].design(w)
-            fits[k] = np.linalg.lstsq(Q, y, rcond=None)[0]
-        chosen = ks[-1]
-        for k in ks:
-            ok = True
-            for kp in ks:
-                if kp < k:
-                    continue
-                padded = np.zeros(kp)
-                padded[:k] = fits[k]
-                diff = padded - fits[kp]
-                dist = math.sqrt(max(float(diff @ grams[kp] @ diff), 0.0))
-                if dist > mult * s_n * proxy[kp]:
-                    ok = False
-                    break
-            if ok:
-                chosen = k
-                break
-        kF[r_off] = chosen
-        v = fits[chosen]
-        l2sq = float(v @ grams[chosen] @ v) - 2.0 * float(v @ cross_c[chosen]) + t2
-        rn[r_off] = math.sqrt(n) * math.sqrt(max(l2sq, 0.0)) \
-            / (math.sqrt(m * k_ideal_val) * s_n)
-    return {"kF": kF, "rn": rn}
+    """Feasible dimension and its fit per replication.  The oracle stays in
+    the parent, which turns the fits into r_n."""
+    (kind, n, m, seed, rep_range, mult, grams, s_n) = args
+    grid = sieve_grid(SIEVE_KS)
+    proxy = variance_proxy(grid, n // m)
+    bases = [SieveBasis(kind, k) for k in SIEVE_KS]
+    kF, chosen = [], []
+    for rep in range(*rep_range):
+        data = make_np_design(n, m, seed, rep=rep)
+        fits = [np.linalg.lstsq(basis.design(data.w), data.y, rcond=None)[0]
+                for basis in bases]
+        k = feasible_k(grid, fits, proxy, s_n, grams, multiplier=mult).k_feasible
+        kF.append(k)
+        chosen.append(fits[SIEVE_KS.index(k)])
+    return kF, chosen
 
 
 def run_tables34(config: ExperimentConfig,
@@ -385,41 +304,44 @@ def run_tables34(config: ExperimentConfig,
     deterministic; the feasible dimension and the normalized error r_n
     are Monte Carlo aggregates.
     """
-    rows = []
-    oracles = oracles or {}
+    cells, tasks = [], []
+    grid = sieve_grid(SIEVE_KS)
     for kind in config.basis_kinds:
-        oracle = oracles.get(kind) or build_sieve_oracle(kind)
-        grams = {k: oracle.moments(k)[0] for k in SIEVE_KS}
-        cross_c = {k: oracle.moments(k)[1] for k in SIEVE_KS}
+        oracle = (oracles or {}).get(kind) or build_sieve_oracle(kind)
+        grams = [oracle.moments(k)[0] for k in SIEVE_KS]
         bias = np.array([oracle.bias(k) for k in SIEVE_KS])
-        grid = sieve_grid(SIEVE_KS)
         for (n, m) in config.grid:
             n = snap_admissible(n, config.upsilon)
             if n % m:
                 raise DomainError(f"m={m} does not divide (snapped) n={n}")
-            nb = n // m
-            proxy = variance_proxy(grid, nb)
-            kI = ideal_k(grid, proxy, bias)
-            s_n = 0.5 * math.log(nb)
+            kI = ideal_k(grid, variance_proxy(grid, n // m), bias)
+            s_n = default_s(n, m)
             seed = config.master_seed + 97 * hash_cell(n, m) + 7 * (kind == "pspline")
-            args = [(kind, n, m, seed, rr, config.test_multiplier, grams,
-                     cross_c, oracle.t2, kI, s_n)
-                    for rr in _chunks(config.mc_reps, config.chunk_size)]
-            parts = _run_chunks(_tables34_chunk, args, config.workers)
-            kF = np.concatenate([p["kF"] for p in parts])
-            rn = np.concatenate([p["rn"] for p in parts])
-            labels, counts = np.unique(kF, return_counts=True)
-            mode = int(labels[np.argmax(counts)])
-            freq = float(counts.max() / kF.size)
-            q10, q50, q90 = np.quantile(rn, [0.1, 0.5, 0.9])
-            rows.append(ReportRow(
-                experiment="tables34", n=n, m=m, method=kind, n_beta=nb,
-                r_q10=float(q10), r_q50=float(q50), r_q90=float(q90),
-                k_ideal=kI, k_ideal_freq=1.0,
-                k_feasible=mode, k_feasible_freq=freq,
-                v_ideal=math.sqrt(kI / nb), v_feasible=math.sqrt(mode / nb),
-                mc_std_error=float(rn.std(ddof=1) / math.sqrt(rn.size)),
-                n_reps=int(rn.size)))
+            cells.append((kind, oracle, n, m, kI, s_n))
+            tasks.append([(kind, n, m, seed, rr, config.test_multiplier,
+                           grams, s_n)
+                          for rr in _chunks(config.mc_reps, config.chunk_size)])
+
+    rows = []
+    for (kind, oracle, n, m, kI, s_n), parts in zip(
+            cells, _run_cells(_tables34_chunk, tasks, config.workers)):
+        nb = n // m
+        kF = np.array([k for part in parts for k in part[0]])
+        rn = np.array([math.sqrt(n) * oracle.l2_error(k, fit)
+                       / (math.sqrt(m * kI) * s_n)
+                       for part in parts for k, fit in zip(*part)])
+        labels, counts = np.unique(kF, return_counts=True)
+        mode = int(labels[np.argmax(counts)])
+        freq = float(counts.max() / kF.size)
+        q10, q50, q90 = np.quantile(rn, [0.1, 0.5, 0.9])
+        rows.append(ReportRow(
+            experiment="tables34", n=n, m=m, method=kind, n_beta=nb,
+            r_q10=float(q10), r_q50=float(q50), r_q90=float(q90),
+            k_ideal=kI, k_ideal_freq=1.0,
+            k_feasible=mode, k_feasible_freq=freq,
+            v_ideal=math.sqrt(kI / nb), v_feasible=math.sqrt(mode / nb),
+            mc_std_error=float(rn.std(ddof=1) / math.sqrt(rn.size)),
+            n_reps=int(rn.size)))
     return rows
 
 
@@ -428,6 +350,9 @@ def run_tables34(config: ExperimentConfig,
 
 
 def _whitened_design(n, mu0, d, seed, rep):
+    """Whitened mu0-block design and its noise stream.  The d covariate
+    columns are drawn in turn from the one substream 0, not one stream per
+    column as `gen_block_gaussian` draws them."""
     rng = substream(seed, rep, 0)
     q = n // mu0
     X = np.empty((n, d))
@@ -437,8 +362,7 @@ def _whitened_design(n, mu0, d, seed, rep):
     S = X.T @ X / n
     evals, evecs = np.linalg.eigh(S)
     X = X @ evecs @ np.diag(evals ** -0.5) @ evecs.T
-    rngu = substream(seed, rep, 1)
-    U = np.repeat(rngu.standard_normal(q), mu0) + 0.01 * rngu.standard_normal(n)
+    (U,) = gen_block_gaussian(n, mu0, 1, seed, rep=rep, stream_offset=1)
     return X, U
 
 

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 import mixconc
 from mixconc.cli import main, parse_config
@@ -107,3 +108,35 @@ def test_cli_tune_l1_quantile_baseline(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["k_feasible"] in (0.5, 0.2, 0.05)
     assert len(out["coefficients"]) == 10
+
+
+@pytest.mark.parametrize("line,key", [("mc_repz = 40", "mc_repz"),
+                                      ("mc_reps = abc", "mc_reps"),
+                                      ("mc_reps 40", "mc_reps")],
+                         ids=["unknown", "non-numeric", "no-equals"])
+def test_cli_simulate_bad_config_key(tmp_path, capsys, line, key):
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(f"grid = 50:1\n{line}\n")
+    assert main(["simulate", "tables12", "--config", str(cfg)]) == 2
+    assert key in capsys.readouterr().err
+
+
+def _np_csv(path, edit=None):
+    make_np_design(60, 1, seed=3).to_csv(path)
+    lines = path.read_text().splitlines()
+    if edit:
+        lines = edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda ls: ["resp,w"] + ls[1:], "no 'y' column"),
+    (lambda ls: ls[:5] + [ls[5].split(",")[0] + ",abc"] + ls[6:],
+     "column 'w' has 1 empty or non-numeric cells (first in data row 5)"),
+    (lambda ls: ls[:2], "sample size"),
+], ids=["no-y", "non-numeric", "one-row"])
+def test_cli_tune_bad_csv(tmp_path, capsys, edit, message):
+    path = tmp_path / "data.csv"
+    _np_csv(path, edit)
+    assert main(["tune", "--data", str(path)]) == 2
+    assert message in capsys.readouterr().err

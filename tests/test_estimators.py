@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import linprog, lsq_linear
 
 from mixconc import (ABS_HALF, NO_PENALTY, SQUARED, DomainError, LossSpec,
                      PenaltySpec, PopulationDesign, ShapeMismatch,
@@ -127,6 +127,73 @@ def test_subgradient_residual_detects_suboptimal():
     good = subgradient_residual(X, y, fit.theta, 0.5, NO_PENALTY)
     bad = subgradient_residual(X, y, fit.theta + 0.3, 0.5, NO_PENALTY)
     assert good <= 1e-6 < bad
+
+
+def _bvls_certificate(X, y, theta, tau, lam=0.0):
+    """The certificate's box problem restated and handed to bvls."""
+    n, d = X.shape
+    res = y - X @ theta
+    act = np.abs(res) <= 1e-7 * (1.0 + np.abs(y).max())
+    base = -(X[~act].T @ (tau - (res[~act] <= 0))) / n
+    cols = [-X[act].T / n]
+    lo = [tau - 1.0] * int(act.sum())
+    hi = [tau] * int(act.sum())
+    if lam > 0:
+        zero = np.abs(theta) <= 1e-9
+        base = base + lam * np.sign(theta) * (~zero)
+        cols.append(lam * np.eye(d)[:, zero])
+        lo += [-1.0] * int(zero.sum())
+        hi += [1.0] * int(zero.sum())
+    A = np.hstack(cols)
+    sol = lsq_linear(A, -base, bounds=(lo, hi), method="bvls")
+    return float(np.linalg.norm(A @ sol.x + base)), A.shape[1]
+
+
+@pytest.fixture
+def box_solves(monkeypatch):
+    """Counts the certificate's bvls calls."""
+    import mixconc.estimators as est
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return lsq_linear(*args, **kwargs)
+    monkeypatch.setattr(est, "lsq_linear", counting)
+    return calls
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.05])
+def test_certificate_vertex_shortcut_matches_bvls(lam, box_solves):
+    # at a pivot vertex the d free subgradients (active rows, and zero
+    # coefficients under l1) solve a square system inside the box
+    rng = np.random.default_rng(41)
+    X = rng.standard_normal((200, 5))
+    y = X @ np.array([1.0, -0.6, 0.0, 0.0, 0.3]) + rng.standard_normal(200)
+    pen = PenaltySpec("l1", lam=lam) if lam else NO_PENALTY
+    fit = fit_penalized_qr((X, y), 0.3, pen)
+    assert fit.method == "simplex"
+    if lam:
+        assert 0 < np.sum(np.abs(fit.theta) <= 1e-9) < 5
+    expected, free = _bvls_certificate(X, y, fit.theta, 0.3, lam)
+    assert free == 5
+    box_solves.clear()
+    got = subgradient_residual(X, y, fit.theta, 0.3, pen)
+    assert not box_solves                        # answered by the shortcut
+    assert got <= 1e-12 and abs(got - expected) <= 1e-12
+
+
+def test_certificate_out_of_box_vertex_falls_back_to_bvls(box_solves):
+    # interpolating the three largest responses is a vertex, not the median
+    rng = np.random.default_rng(42)
+    X = rng.standard_normal((60, 3))
+    y = rng.standard_normal(60)
+    top = np.argsort(y)[-3:]
+    theta = np.linalg.solve(X[top], y[top])
+    expected, free = _bvls_certificate(X, y, theta, 0.5)
+    assert free == 3
+    got = subgradient_residual(X, y, theta, 0.5, NO_PENALTY)
+    assert len(box_solves) == 1
+    assert got > 1e-3 and got == pytest.approx(expected, rel=1e-9)
 
 
 def test_quantile_tau_off_center():
@@ -328,6 +395,20 @@ def test_delta_p_median_matches_mc_oracle():
                         seed=56)
     # compare criterion differences (deltas squared) within 3 MC ses
     assert analytic ** 2 == pytest.approx(mc ** 2, abs=3 * se)
+
+
+def test_delta_p_broadcasts_over_replications():
+    rng = np.random.default_rng(43)
+    L = rng.standard_normal((4, 4))
+    design = PopulationDesign(sigma_x=L @ L.T + np.eye(4), noise_var=0.3)
+    truth = rng.standard_normal(4)
+    thetas = truth + 0.1 * rng.standard_normal((25, 4))
+    for loss in (SQUARED, ABS_HALF):
+        batch = delta_p(design, loss, thetas, truth)
+        assert batch.shape == (25,)
+        rows = np.array([delta_p(design, loss, t, truth) for t in thetas])
+        assert np.all(np.abs(batch - rows) <= 1e-15 * np.abs(rows))
+    assert isinstance(delta_p(design, SQUARED, thetas[0], truth), float)
 
 
 def test_bias_term_sieve():

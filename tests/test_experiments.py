@@ -48,6 +48,35 @@ def test_tables34_deterministic_across_workers():
     assert r1[0].k_feasible == r2[0].k_feasible
 
 
+def test_one_process_pool_per_study(monkeypatch):
+    from mixconc import experiments
+    starts = []
+
+    class CountingPool(experiments.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            starts.append(1)
+            super().__init__(*args, **kwargs)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    run_tables12(ExperimentConfig(grid=((50, 1), (50, 2)), mc_reps=20,
+                                  chunk_size=10, workers=2))
+    assert len(starts) == 1
+    run_tables34(ExperimentConfig(experiment="tables34", grid=((100, 1),),
+                                  mc_reps=20, chunk_size=10, workers=2,
+                                  basis_kinds=("polynomial", "pspline")))
+    assert len(starts) == 2
+
+
+def test_uncertified_median_fits_fail_the_cell(monkeypatch):
+    from mixconc import NonConvergence, experiments
+
+    def uncertified(*args):
+        raise NonConvergence("lp fit: residual above tol")
+    monkeypatch.setattr(experiments, "_finish_exact", uncertified)
+    with pytest.raises(NonConvergence, match=r"20 uncertified .*n=50, m=1"):
+        run_tables12(ExperimentConfig(grid=((50, 1),), mc_reps=20,
+                                      chunk_size=10))
+
+
 def test_ols_tail_rows():
     cfg = ExperimentConfig(experiment="ols-tail", mc_reps=400,
                            tail_mu0=(1, 4), tail_u=(0.5, 4.0, 16.0))
