@@ -15,9 +15,8 @@ from .complexity import (MaxVariant, UniversalConstants, VarianceInputs,
                          gauss_max_bound, gauss_max_lower, gauss_sup_lower,
                          gauss_sup_oracle, variance_term,
                          variance_term_fixed_point)
-from .datagen import (BlockDesign, Dataset, gen_block_gaussian, gen_ma,
-                      make_linear_design, make_np_design, np_target,
-                      substream)
+from .datagen import (Dataset, gen_block_gaussian, gen_ma, make_linear_design,
+                      make_np_design, np_target, substream)
 from .errors import (DomainError, EmptyIdealSet, EmptyTestSet, InadmissibleN,
                      MixconcError, MonotonicityViolation, NoSolution,
                      NonConvergence, NonFinite, OracleVariance, ShapeMismatch,

@@ -164,7 +164,10 @@ def _column(data, name: str) -> np.ndarray:
 
 
 def _cmd_tune(args) -> int:
-    data = np.genfromtxt(args.data, delimiter=",", names=True)
+    try:
+        data = np.genfromtxt(args.data, delimiter=",", names=True)
+    except OSError as exc:
+        raise MixconcError(f"tune: cannot read {args.data}: {exc}") from exc
     names = data.dtype.names or ()
     y = _column(data, "y")
     n = y.size

@@ -17,30 +17,14 @@ from scipy.special import ndtr, ndtri
 from .errors import DomainError
 from .estimators import PopulationDesign
 
-STREAM_VARIANCE = 1.0 + 0.01 ** 2   # Var(block shock + 0.01 * idiosyncratic)
+_NOISE_MIX = 0.01                   # weight of the idiosyncratic shock
+STREAM_VARIANCE = 1.0 + _NOISE_MIX ** 2   # Var(block shock + mix * idiosyncratic)
 
 
 def substream(seed: int, rep: int, stream: int) -> np.random.Generator:
     """Counter-based generator for (master seed, replication, stream)."""
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(seed, spawn_key=(rep, stream))))
-
-
-@dataclass(frozen=True)
-class BlockDesign:
-    n: int
-    m: int
-    d: int = 3
-    noise_mix: float = 0.01
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n % self.m:
-            raise DomainError("m must divide n")
-        if self.d < 1:
-            raise DomainError("d must be >= 1")
-        if self.noise_mix < 0:
-            raise DomainError("noise_mix must be >= 0")
 
 
 @dataclass
@@ -63,12 +47,12 @@ class Dataset:
 
 
 def gen_block_gaussian(n: int, m: int, count: int, seed: int,
-                       rep: int = 0, noise_mix: float = 0.01,
+                       rep: int = 0,
                        stream_offset: int = 0) -> list[np.ndarray]:
     """`count` independent m-block-dependent standard-Gaussian streams.
 
-    Each stream is V1 repeated over blocks of length m plus noise_mix
-    times a per-observation V2, giving variance 1 + noise_mix^2,
+    Each stream is V1 repeated over blocks of length m plus 0.01 times a
+    per-observation V2, giving variance STREAM_VARIANCE = 1 + 0.01^2,
     within-block covariance 1 and zero covariance across blocks.
     """
     if n % m:
@@ -79,7 +63,7 @@ def gen_block_gaussian(n: int, m: int, count: int, seed: int,
         rng = substream(seed, rep, stream_offset + s)
         v1 = rng.standard_normal(q)
         v2 = rng.standard_normal(n)
-        out.append(np.repeat(v1, m) + noise_mix * v2)
+        out.append(np.repeat(v1, m) + _NOISE_MIX * v2)
     return out
 
 

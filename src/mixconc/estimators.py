@@ -189,14 +189,16 @@ class Fit:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """tol bounds every certificate; the ADMM fields apply to the problems
-    without an exact solver (quantile + weighted-l2, squared + l1)."""
+    """tol bounds every certificate."""
 
     tol: float = 1e-6
-    max_iter: int = 50_000
-    rho: float = 1.0
-    alpha: float = 1.7       # over-relaxation
-    first_sweep: int = 300
+
+
+#: ADMM sweeps of the first round (the exact pivot's warm start), doubled
+#: each round on the problems without an exact solver (quantile +
+#: weighted-l2, squared + l1) up to _MAX_SWEEPS in total.
+_FIRST_SWEEP = 300
+_MAX_SWEEPS = 50_000
 
 
 def fit_penalized_qr(data, tau: float, pen: PenaltySpec = NO_PENALTY,
@@ -207,8 +209,8 @@ def fit_penalized_qr(data, tau: float, pen: PenaltySpec = NO_PENALTY,
     simplex pivot (`method == "simplex"`), the l1 penalty on data augmented
     with the rows +-n lam e_j; when the pivot stalls, the HiGHS LP solves
     the same problem (`"lp"`).  Weighted-l2 fits run ADMM (`"admm"`) until
-    the subgradient set-distance is <= opts.tol, up to opts.max_iter
-    sweeps.  An uncertified fit raises NonConvergence.
+    the subgradient set-distance is <= opts.tol, up to 50 000 sweeps.  An
+    uncertified fit raises NonConvergence.
     """
     X = np.asarray(data[0], dtype=float)
     if X.ndim == 1:
@@ -262,28 +264,25 @@ def _solve_single(X, y, loss_kind, tau, pen, opts):
     if loss_kind == "quantile" and kind != "weighted_l2":
         # the first ADMM sweep is the warm start of the exact pivot
         state = _admm.admm_batch(Xb, yb, tau=tau, pen_kind=kind, lam=pen.lam,
-                                 rho=opts.rho, alpha=opts.alpha,
-                                 iters=opts.first_sweep)
+                                 iters=_FIRST_SWEEP)
         return _finish_exact(X, y, tau, pen, kind, state.theta[0], opts,
-                             opts.first_sweep)
+                             _FIRST_SWEEP)
     state = None
     iters = 0
-    sweep = opts.first_sweep
-    best = None
-    while iters < opts.max_iter:
+    sweep = _FIRST_SWEEP
+    best = math.inf
+    while iters < _MAX_SWEEPS:
         state = _admm.admm_batch(Xb, yb, loss_kind=loss_kind, tau=tau,
                                  pen_kind=kind, lam=pen.lam, pweights=pw,
-                                 rho=opts.rho, alpha=opts.alpha, iters=sweep,
-                                 state=state)
+                                 iters=sweep, state=state)
         iters += sweep
-        cand = state.theta[0]
-        residual = _certificate(X, y, cand, loss_kind, tau, pen)
-        if best is None or residual < best[1]:
-            best = (cand.copy(), residual)
+        residual = _certificate(X, y, state.theta[0], loss_kind, tau, pen)
         if residual <= opts.tol:
-            return cand, iters, residual, "admm"
-        sweep = min(2 * sweep, opts.max_iter - iters) or 1
-    return _certified(X, y, best[0], loss_kind, tau, pen, opts, iters, "admm")
+            return state.theta[0], iters, residual, "admm"
+        best = min(best, residual)
+        sweep = min(2 * sweep, _MAX_SWEEPS - iters)
+    raise NonConvergence(f"admm fit: residual {best:.3e} > tol "
+                         f"{opts.tol:.1e} ({iters} ADMM sweeps)")
 
 
 def _finish_exact(X, y, tau, pen, kind, theta0, opts, iters):
@@ -350,21 +349,15 @@ def fit_ols(data) -> Fit:
 
 
 def fit_sieve_ls(basis: SieveBasis, w, y) -> Fit:
-    """Least squares on the first k basis functions (normal equations form)."""
+    """Least squares on the first k basis functions: `fit_ols` on the
+    basis design."""
     w = np.asarray(w, dtype=float)
     y = np.asarray(y, dtype=float)
     if w.shape[0] != y.shape[0]:
         raise ShapeMismatch("w and y lengths differ")
     if basis.k > w.shape[0]:
         raise DomainError("k must not exceed the sample size")
-    Q = basis.design(w)
-    theta, _, rank, _ = np.linalg.lstsq(Q, y, rcond=None)
-    if rank < basis.k:
-        raise SingularDesign(f"sieve design rank {rank} < {basis.k}")
-    obj = float(((y - Q @ theta) ** 2).mean())
-    grad = np.linalg.norm(Q.T @ (Q @ theta - y)) / max(np.linalg.norm(Q.T @ y), 1e-300)
-    return Fit(theta=theta, objective=obj, optimality_residual=float(grad),
-               iterations=1, method="qr")
+    return fit_ols((basis.design(w), y))
 
 
 # ---------------------------------------------------------------------------

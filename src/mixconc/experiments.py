@@ -20,11 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexity import UniversalConstants
-from .datagen import (STREAM_VARIANCE, gen_block_gaussian, make_np_design,
-                      np_target, substream)
+from .datagen import (_NOISE_MIX, STREAM_VARIANCE, gen_block_gaussian,
+                      make_linear_design, make_np_design, np_target,
+                      substream)
 from .errors import DomainError, NonConvergence
-from .estimators import (ABS_HALF, NO_PENALTY, SQUARED, PopulationDesign,
-                         SolverOptions, _finish_exact, delta_p)
+from .estimators import (ABS_HALF, NO_PENALTY, SQUARED, SolverOptions,
+                         _finish_exact, delta_p)
 from .lattice import build_lattice
 from .mixing import BetaMixingModel, effective_n
 from .sieves import SieveBasis, SieveMomentOracle
@@ -176,14 +177,11 @@ def _run_cells(fn, cell_tasks, workers: int) -> list[list]:
 
 def _tables12_chunk(args):
     (n, m, d, seed, rep_range, tol) = args
-    mat = np.stack([np.stack(gen_block_gaussian(n, m, d + 1, seed, rep=rep),
-                             axis=1) for rep in range(*rep_range)])
-    X = mat[:, :, :d]
-    U = mat[:, :, d]
-    truth = np.arange(1, d + 1, dtype=float) ** -0.5
-    y = X @ truth + 0.5 * U
-    design = PopulationDesign(sigma_x=STREAM_VARIANCE * np.eye(d),
-                              noise_var=0.25 * STREAM_VARIANCE)
+    draws = [make_linear_design(n, m, d, seed, rep=rep)
+             for rep in range(*rep_range)]
+    X = np.stack([data.X for data in draws])
+    y = np.stack([data.y for data in draws])
+    truth, design = draws[0].truth, draws[0].meta["design"]
     # mean regression: closed form
     G = np.einsum("rij,rik->rjk", X, X)
     b = np.einsum("rij,ri->rj", X, y)
@@ -358,7 +356,7 @@ def _whitened_design(n, mu0, d, seed, rep):
     X = np.empty((n, d))
     for j in range(d):
         X[:, j] = np.repeat(rng.standard_normal(q), mu0) \
-            + 0.01 * rng.standard_normal(n)
+            + _NOISE_MIX * rng.standard_normal(n)
     S = X.T @ X / n
     evals, evecs = np.linalg.eigh(S)
     X = X @ evecs @ np.diag(evals ** -0.5) @ evecs.T
@@ -444,6 +442,17 @@ def l1_envelope(rho: float, D: float, g0: float) -> tuple[float, float]:
 
 def eval_bound(params: BoundParams) -> dict:
     """Numeric right-hand side of the concentration bound, with components."""
+    if params.d < 1:
+        raise DomainError("d must be >= 1")
+    if params.lam < 0 or (params.lam == 0 and params.penalty == "l2p"):
+        raise DomainError("lam must be >= 0, and > 0 under the l2p penalty")
+    for name in ("theta_norm", "trWinv", "M_over_lambda"):
+        if getattr(params, name) < 0:
+            raise DomainError(f"{name} must be >= 0")
+    if params.emin_W <= 0:
+        raise DomainError("emin_W must be > 0")
+    if params.u <= 0:
+        raise DomainError("u must be > 0")
     lattice = build_lattice(params.n, params.upsilon)
     consts = UniversalConstants(p_upsilon=lattice.p_max, L_talagrand=params.L)
     nbeta = effective_n(params.model, lattice, params.pi0).value

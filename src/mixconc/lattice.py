@@ -8,13 +8,13 @@ which is what the block constructions downstream rely on.
 
 from dataclasses import dataclass, field
 
-from .errors import InadmissibleN
+from .errors import DomainError, InadmissibleN
 
 
 def first_primes(count: int) -> tuple[int, ...]:
     """Return the first `count` primes by trial division."""
     if count < 1:
-        raise ValueError("count must be >= 1")
+        raise DomainError("count must be >= 1")
     primes: list[int] = []
     cand = 2
     while len(primes) < count:
@@ -67,7 +67,7 @@ def build_lattice(n: int, upsilon: int) -> SampleLattice:
     Raises InadmissibleN when n has a prime factor larger than p_upsilon.
     """
     if n < 1 or upsilon < 1:
-        raise ValueError("n and upsilon must be positive")
+        raise DomainError("n and upsilon must be positive")
     primes = first_primes(upsilon)
     rem = n
     for p in primes:

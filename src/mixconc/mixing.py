@@ -46,13 +46,13 @@ class BetaMixingModel:
 
     def __post_init__(self):
         if self.kind not in ("indicator", "polynomial", "iid"):
-            raise ValueError(f"unknown kind {self.kind!r}")
+            raise DomainError(f"unknown kind {self.kind!r}")
         if self.kind == "indicator" and (self.M is None or self.M < 1):
-            raise ValueError("indicator model needs a positive integer M")
+            raise DomainError("indicator model needs a positive integer M")
         if self.kind == "polynomial" and (self.m0 is None or self.m0 <= 0):
-            raise ValueError("polynomial model needs m0 > 0")
+            raise DomainError("polynomial model needs m0 > 0")
         if self.beta0 not in (1.0, 2.0):
-            raise ValueError("beta0 must be 1 or 2")
+            raise DomainError("beta0 must be 1 or 2")
 
     @staticmethod
     def indicator(M: int, beta0: float = 1.0) -> "BetaMixingModel":

@@ -19,6 +19,10 @@ from scipy.interpolate import BSpline
 from .errors import DomainError, OracleVariance
 
 SUPPORT = (-6.0, 6.0)
+#: Gauss-Legendre nodes per panel and panels across the +-12 sd x-range
+#: of the moment oracle's quadrature.
+_GL_ORDER = 24
+_PANELS = 64
 
 
 @dataclass(frozen=True)
@@ -90,15 +94,12 @@ class SieveMomentOracle:
 
     def __init__(self, kind: str, target, x_var: float = 1.0001,
                  max_k: int = 8, method: str = "quadrature",
-                 mc_draws: int = 1_000_000, seed: int = 20240901,
-                 gl_order: int = 24, panels: int = 64):
+                 mc_draws: int = 1_000_000, seed: int = 20240901):
         self.kind = kind
         self.target = target
         self.x_var = x_var
         self.max_k = max_k
         self.method = method
-        self.gl_order = gl_order
-        self.panels = panels
         self._cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         if method == "mc":
             rng = np.random.default_rng(seed)
@@ -127,9 +128,9 @@ class SieveMomentOracle:
         edges = np.sort(np.fromiter(edges, dtype=float))
         fine = []
         for a, b in zip(edges[:-1], edges[1:]):
-            fine.append(np.linspace(a, b, max(2, int(self.panels * (b - a) / (2 * lim)) + 2)))
+            fine.append(np.linspace(a, b, max(2, int(_PANELS * (b - a) / (2 * lim)) + 2)))
         grid = np.unique(np.concatenate(fine))
-        gx, gw = np.polynomial.legendre.leggauss(self.gl_order)
+        gx, gw = np.polynomial.legendre.leggauss(_GL_ORDER)
         a = grid[:-1]
         h = np.diff(grid)
         x = (a[:, None] + 0.5 * h[:, None] * (gx + 1.0)).ravel()

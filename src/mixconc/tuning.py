@@ -8,7 +8,7 @@ computations over a finite grid.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +57,6 @@ def lambda_grid(lams) -> TuningGrid:
 @dataclass(frozen=True)
 class VarianceProxy:
     values: np.ndarray
-    V_const: float = 1.0
     monotonized: bool = False
 
     def __getitem__(self, i):
@@ -66,8 +65,7 @@ class VarianceProxy:
 
 def variance_proxy(grid: TuningGrid, nbeta: float, *, penalty: str = "none",
                    m: float = 1.0, d: int | None = None,
-                   mean_loss_at_zero: float | None = None,
-                   V_const: float = 1.0) -> VarianceProxy:
+                   mean_loss_at_zero: float | None = None) -> VarianceProxy:
     """The proxy matching the regularization scheme, per grid point.
 
     sieve grids:      V_k       = sqrt(k / nbeta)
@@ -97,8 +95,7 @@ def variance_proxy(grid: TuningGrid, nbeta: float, *, penalty: str = "none",
         else:
             raise DomainError("penalty grids need penalty 'l1' or 'weighted_l2'")
     monotone = np.maximum.accumulate(raw)
-    return VarianceProxy(values=monotone, V_const=V_const,
-                         monotonized=bool(np.any(monotone > raw)))
+    return VarianceProxy(values=monotone, monotonized=bool(np.any(monotone > raw)))
 
 
 @dataclass(frozen=True)
@@ -109,7 +106,6 @@ class SelectionResult:
     k_ideal: object | None = None
     proxy_feasible: float = math.nan
     proxy_ideal: float = math.nan
-    diagnostics: dict = field(default_factory=dict)
 
 
 def ideal_k(grid: TuningGrid, proxy: VarianceProxy, bias):

@@ -449,7 +449,7 @@ def test_solver_certification(tables12_rows):
     yr = rng.standard_normal(80)
     pen = PenaltySpec("weighted_l2", lam=0.2, m=1.0)
     fit = fit_penalized((Xr, yr), SQUARED, pen,
-                        SolverOptions(tol=1e-10, first_sweep=500))
+                        SolverOptions(tol=1e-10))
     target = np.linalg.solve(Xr.T @ Xr / 80 + pen.lam * np.diag(pen.weights(5)),
                              Xr.T @ yr / 80)
     err = np.linalg.norm(fit.theta - target)

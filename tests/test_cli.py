@@ -140,3 +140,39 @@ def test_cli_tune_bad_csv(tmp_path, capsys, edit, message):
     _np_csv(path, edit)
     assert main(["tune", "--data", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--n", "0"], "n and upsilon must be positive"),
+    (["--n", "64", "--upsilon", "0"], "n and upsilon must be positive"),
+    (["--n", "64", "--model", "indicator", "--M", "0"], "positive integer M"),
+    (["--n", "64", "--model", "polynomial", "--m0", "-1"], "m0 > 0"),
+    (["--n", "64", "--beta0", "3"], "beta0 must be 1 or 2"),
+], ids=["n", "upsilon", "M", "m0", "beta0"])
+def test_cli_effn_bad_input(capsys, argv, message):
+    assert main(["effn"] + argv) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--d", "0"], "d must be >= 1"),
+    (["--lam", "-0.1"], "lam must be >= 0"),
+    (["--trWinv", "-1"], "trWinv must be >= 0"),
+    (["--penalty", "l2p", "--lam", "0"], "> 0 under the l2p penalty"),
+    (["--theta-norm", "-1"], "theta_norm must be >= 0"),
+    (["--M-over-lambda", "-1"], "M_over_lambda must be >= 0"),
+    (["--penalty", "l2p", "--emin-W", "0"], "emin_W must be > 0"),
+    (["--u", "0"], "u must be > 0"),
+], ids=["d", "lam", "trWinv", "l2p-lam", "theta-norm", "M-over-lambda",
+        "emin-W", "u"])
+def test_cli_bound_bad_input(capsys, argv, message):
+    base = ["bound", "--d", "3", "--n", "64", "--upsilon", "2", "--lam", "0.1",
+            "--theta-norm", "2.0"]
+    assert main(base + argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cli_tune_missing_file(tmp_path, capsys):
+    path = tmp_path / "absent.csv"
+    assert main(["tune", "--data", str(path)]) == 2
+    assert f"cannot read {path}" in capsys.readouterr().err

@@ -7,13 +7,16 @@ from scipy import sparse
 from scipy.optimize import linprog, lsq_linear
 
 from mixconc import (ABS_HALF, NO_PENALTY, SQUARED, DomainError, LossSpec,
-                     PenaltySpec, PopulationDesign, ShapeMismatch,
-                     SieveMomentOracle, SingularDesign, SolverOptions,
-                     bias_term, delta_p, delta_p_mc, empirical_criterion,
-                     fit_ols, fit_penalized, fit_penalized_qr, fit_sieve_ls,
-                     make_linear_design, np_target, polynomial_basis,
-                     pspline_basis, quantile_loss, subgradient_residual)
+                     NonConvergence, PenaltySpec, PopulationDesign,
+                     ShapeMismatch, SieveMomentOracle, SingularDesign,
+                     SolverOptions, bias_term, delta_p, delta_p_mc,
+                     empirical_criterion, fit_ols, fit_penalized,
+                     fit_penalized_qr, fit_sieve_ls, make_linear_design,
+                     np_target, polynomial_basis, pspline_basis,
+                     quantile_loss, subgradient_residual)
 from mixconc import _admm
+from mixconc import estimators as est
+from mixconc.estimators import gradient_residual_squared
 
 
 # -- criterion ------------------------------------------------------------------
@@ -86,7 +89,7 @@ def test_ridge_path_matches_normal_equations():
     y = rng.standard_normal(60)
     pen = PenaltySpec("weighted_l2", lam=0.3, m=0.0)
     fit = fit_penalized((X, y), SQUARED, pen,
-                        SolverOptions(tol=1e-10, first_sweep=500))
+                        SolverOptions(tol=1e-10))
     n = X.shape[0]
     oracle = np.linalg.solve(X.T @ X / n + pen.lam * np.eye(4), X.T @ y / n)
     assert np.linalg.norm(fit.theta - oracle) <= 1e-8
@@ -152,7 +155,6 @@ def _bvls_certificate(X, y, theta, tau, lam=0.0):
 @pytest.fixture
 def box_solves(monkeypatch):
     """Counts the certificate's bvls calls."""
-    import mixconc.estimators as est
     calls = []
 
     def counting(*args, **kwargs):
@@ -202,6 +204,18 @@ def test_quantile_tau_off_center():
     y = np.sort(rng.standard_normal(201))
     fit = fit_penalized_qr((X, y), 0.25)
     assert fit.theta[0] == pytest.approx(np.quantile(y, 0.25), abs=1e-6)
+
+
+def test_admm_nonconvergence_names_the_sweep_count(monkeypatch):
+    # a quantile + weighted-l2 fit whose certificate never passes
+    monkeypatch.setattr(est, "_MAX_SWEEPS", 700)
+    monkeypatch.setattr(est, "_certificate", lambda *args: 1.0)
+    ds = make_linear_design(60, 1, d=3, seed=4)
+    with pytest.raises(NonConvergence,
+                       match=r"admm fit: residual 1\.000e\+00 > tol 1\.0e-06 "
+                             r"\(700 ADMM sweeps\)"):
+        fit_penalized_qr((ds.X, ds.y), 0.5,
+                         PenaltySpec("weighted_l2", lam=0.05, m=2.0))
 
 
 def test_fit_method_names_the_path_taken(monkeypatch):
@@ -351,6 +365,16 @@ def test_sieve_pspline_partition_of_unity():
         assert np.allclose(basis.design(w).sum(axis=1), 1.0, atol=1e-12)
         fit = fit_sieve_ls(basis, w, np.full(100, 4.2))
         assert np.allclose(basis.design(w) @ fit.theta, 4.2, atol=1e-8)
+
+
+def test_sieve_certificate_is_the_least_squares_gradient():
+    rng = np.random.default_rng(12)
+    w = rng.uniform(-6, 6, 150)
+    y = np_target(w) + rng.standard_normal(150)
+    for basis in (polynomial_basis(5), pspline_basis(7)):
+        fit = fit_sieve_ls(basis, w, y)
+        assert fit.optimality_residual == gradient_residual_squared(
+            basis.design(w), y, fit.theta, NO_PENALTY)
 
 
 def test_sieve_normal_equations_residual():
