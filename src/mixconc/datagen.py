@@ -18,7 +18,7 @@ from .errors import DomainError
 from .estimators import PopulationDesign
 
 _NOISE_MIX = 0.01                   # weight of the idiosyncratic shock
-STREAM_VARIANCE = 1.0 + _NOISE_MIX ** 2   # Var(block shock + mix * idiosyncratic)
+STREAM_VARIANCE = 1.0 + _NOISE_MIX ** 2   # Var(block + mix * idiosyncratic)
 
 
 def substream(seed: int, rep: int, stream: int) -> np.random.Generator:
