@@ -5,7 +5,7 @@ one simulated dataset.
 import numpy as np
 
 from mixconc import (PenaltySpec, build_sieve_oracle, default_s, feasible_k,
-                     fit_penalized_qr, fit_sieve_ls, ideal_k,
+                     fit_ols, fit_penalized_qr, ideal_k,
                      make_linear_design, make_np_design, polynomial_basis,
                      sieve_grid, variance_proxy)
 
@@ -25,9 +25,8 @@ ks = range(3, 9)
 grid = sieve_grid(ks)
 fits, grams = [], []
 for k in ks:
-    fit = fit_sieve_ls(polynomial_basis(k), ds.w, ds.y)
-    fits.append(fit.theta)
     Q = polynomial_basis(k).design(ds.w)
+    fits.append(fit_ols((Q, ds.y)).theta)
     grams.append(Q.T @ Q / n)
 
 proxy = variance_proxy(grid, n // m)

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .errors import MixconcError
-from .estimators import fit_sieve_ls
+from .estimators import fit_ols
 from .experiments import (BoundParams, ExperimentConfig, TABLES12_GRID,
                           TABLES34_GRID, eval_bound, run_ols_tail,
                           run_tables12, run_tables34, write_csv,
@@ -193,14 +193,15 @@ def _cmd_tune(args) -> int:
 
 
 def _tune_sieve(args, y, w, nbeta, s):
+    if args.kmax > y.size:
+        raise MixconcError("k must not exceed the sample size")
     ks = tuple(range(args.kmin, args.kmax + 1))
     grid = sieve_grid(ks)
     proxy = variance_proxy(grid, nbeta)
     fits, grams = [], []
     for k in ks:
-        basis = SieveBasis(args.basis, k)
-        fits.append(fit_sieve_ls(basis, w, y).theta)
-        Q = basis.design(w)
+        Q = SieveBasis(args.basis, k).design(w)
+        fits.append(fit_ols((Q, y)).theta)
         grams.append(Q.T @ Q / y.size)
     result = feasible_k(grid, fits, proxy, s, grams,
                         multiplier=args.multiplier)

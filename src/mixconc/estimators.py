@@ -109,15 +109,19 @@ def empirical_criterion(loss: LossSpec, pen: PenaltySpec, data, theta) -> float:
 # ---------------------------------------------------------------------------
 # optimality certificates
 
+#: An observation with |residual| <= _ACTIVE_TOL * (1 + max|y|) is
+#: interpolated; a coefficient with |theta_j| <= _ZERO_TOL is a zero of the
+#: l1 penalty.
+_ACTIVE_TOL = 1e-7
+_ZERO_TOL = 1e-9
 
-def subgradient_residual(X, y, theta, tau: float, pen: PenaltySpec,
-                         active_tol: float = 1e-7,
-                         zero_tol: float = 1e-9) -> float:
+
+def subgradient_residual(X, y, theta, tau: float, pen: PenaltySpec) -> float:
     """Set-distance from 0 to the subdifferential of the quantile objective.
 
-    Observations with |residual| <= active_tol contribute a free
-    subgradient in [tau-1, tau]; under the l1 penalty, coefficients with
-    |theta_j| <= zero_tol contribute a free sign in [-1, 1].  The distance
+    Interpolated observations (see _ACTIVE_TOL) contribute a free
+    subgradient in [tau-1, tau]; under the l1 penalty, zero coefficients
+    (see _ZERO_TOL) contribute a free sign in [-1, 1].  The distance
     is a box-constrained linear least-squares problem.  At a vertex (exactly
     d free columns) it is first tried as the square system; when that
     solution lies in the box it is the minimizer, otherwise bvls decides.
@@ -127,7 +131,7 @@ def subgradient_residual(X, y, theta, tau: float, pen: PenaltySpec,
     theta = np.asarray(theta, dtype=float)
     n, d = X.shape
     res = y - X @ theta
-    scale = active_tol * (1.0 + float(np.abs(y).max(initial=0.0)))
+    scale = _ACTIVE_TOL * (1.0 + float(np.abs(y).max(initial=0.0)))
     act = np.abs(res) <= scale
     sgn = tau - (res <= 0).astype(float)
     base = -(X[~act].T @ sgn[~act]) / n
@@ -136,7 +140,7 @@ def subgradient_residual(X, y, theta, tau: float, pen: PenaltySpec,
     lo = np.full(A.shape[1], tau - 1.0)
     hi = np.full(A.shape[1], tau)
     if pen.kind == "l1" and pen.lam > 0:
-        zero = np.abs(theta) <= zero_tol
+        zero = np.abs(theta) <= _ZERO_TOL
         base = base + pen.lam * np.sign(theta) * (~zero)
         A = np.hstack([A, pen.lam * np.eye(d)[:, zero]])   # free signs
         lo = np.r_[lo, np.full(zero.sum(), -1.0)]             # in [-1, 1]
@@ -168,10 +172,16 @@ def gradient_residual_squared(X, y, theta, pen: PenaltySpec) -> float:
         g = g + 2.0 * pen.lam * pen.weights(d) * theta
     elif pen.kind == "l1" and pen.lam > 0:
         # distance to -lam * subdifferential of the l1 norm
-        zero = np.abs(theta) <= 1e-9
+        zero = np.abs(theta) <= _ZERO_TOL
         g = g + pen.lam * np.sign(theta) * (~zero)
         g[zero] = np.maximum(np.abs(g[zero]) - pen.lam, 0.0) * np.sign(g[zero])
     return float(np.linalg.norm(g))
+
+
+def _certificate(X, y, theta, loss: LossSpec, pen: PenaltySpec) -> float:
+    if loss.kind == "squared":
+        return gradient_residual_squared(X, y, theta, pen)
+    return subgradient_residual(X, y, theta, loss.effective_tau, pen)
 
 
 # ---------------------------------------------------------------------------
@@ -180,11 +190,13 @@ def gradient_residual_squared(X, y, theta, pen: PenaltySpec) -> float:
 
 @dataclass(frozen=True)
 class Fit:
+    """A certified fit: optimality_residual <= the solver tol, and method
+    names the path taken: "simplex", "lp", "closed_form" or "admm"."""
+
     theta: np.ndarray
     objective: float
     optimality_residual: float
-    iterations: int
-    method: str = ""
+    method: str
 
 
 @dataclass(frozen=True)
@@ -201,95 +213,88 @@ _FIRST_SWEEP = 300
 _MAX_SWEEPS = 50_000
 
 
-def fit_penalized_qr(data, tau: float, pen: PenaltySpec = NO_PENALTY,
-                     opts: SolverOptions = SolverOptions()) -> Fit:
-    """Penalized quantile regression with a certified optimality residual.
-
-    Unpenalized and l1 fits run one ADMM sweep and finish with the exact
-    simplex pivot (`method == "simplex"`), the l1 penalty on data augmented
-    with the rows +-n lam e_j; when the pivot stalls, the HiGHS LP solves
-    the same problem (`"lp"`).  Weighted-l2 fits run ADMM (`"admm"`) until
-    the subgradient set-distance is <= opts.tol, up to 50 000 sweeps.  An
-    uncertified fit raises NonConvergence.
-    """
-    X = np.asarray(data[0], dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    y = np.asarray(data[1], dtype=float)
-    if not (0.0 < tau < 1.0):
-        raise DomainError("tau must lie in (0, 1)")
-    theta, iters, residual, method = _solve_single(X, y, "quantile", tau, pen,
-                                                   opts)
-    obj = empirical_criterion(quantile_loss(tau), pen, (X, y), theta)
-    return Fit(theta=theta, objective=obj, optimality_residual=residual,
-               iterations=iters, method=method)
-
-
 def fit_penalized(data, loss: LossSpec, pen: PenaltySpec = NO_PENALTY,
                   opts: SolverOptions = SolverOptions()) -> Fit:
-    """General penalized M-fit.
+    """Penalized M-fit with a certified optimality residual; every public
+    fit goes through here.
 
-    Quantile losses go to fit_penalized_qr.  Squared loss with no penalty
-    or weighted-l2 is solved in closed form (`method == "closed_form"`),
-    squared + l1 by ADMM; the certificate is the plain gradient norm.
+    - quantile loss, no penalty or l1: one ADMM sweep warm-starts the exact
+      simplex pivot (`method == "simplex"`), the l1 penalty as data
+      augmented with the rows +-n lam e_j; when the pivot stalls, the HiGHS
+      LP solves the same problem (`"lp"`);
+    - squared loss, no penalty or weighted-l2: closed form
+      (`"closed_form"`); an unpenalized rank-deficient design raises
+      SingularDesign;
+    - quantile + weighted-l2 and squared + l1: ADMM (`"admm"`), up to
+      50 000 sweeps.
+
+    The certificate is the subgradient set-distance (quantile loss) or the
+    gradient norm (squared loss); above opts.tol it raises NonConvergence.
     """
-    if loss.kind in ("quantile", "abs_half"):
-        return fit_penalized_qr(data, loss.effective_tau, pen, opts)
     X = np.asarray(data[0], dtype=float)
     if X.ndim == 1:
         X = X[:, None]
     y = np.asarray(data[1], dtype=float)
-    theta, iters, residual, method = _solve_single(X, y, "squared", 0.5, pen,
-                                                   opts)
+    theta, residual, method = _certified(*_solve(X, y, loss, pen, opts.tol),
+                                         opts.tol)
     obj = empirical_criterion(loss, pen, (X, y), theta)
     return Fit(theta=theta, objective=obj, optimality_residual=residual,
-               iterations=iters, method=method)
+               method=method)
 
 
-def _solve_single(X, y, loss_kind, tau, pen, opts):
-    """(theta, ADMM sweeps, certificate, method) of one certified fit."""
+def fit_penalized_qr(data, tau: float, pen: PenaltySpec = NO_PENALTY,
+                     opts: SolverOptions = SolverOptions()) -> Fit:
+    """Penalized quantile regression: `fit_penalized` with the quantile
+    loss at tau."""
+    return fit_penalized(data, quantile_loss(tau), pen, opts)
+
+
+def fit_ols(data) -> Fit:
+    """Least squares: `fit_penalized` with the squared loss and no
+    penalty (`lstsq`; a rank-deficient design raises SingularDesign)."""
+    return fit_penalized(data, SQUARED)
+
+
+def _solve(X, y, loss, pen, tol):
+    """(theta, certificate, method) of one fit, not yet certified."""
     n, d = X.shape
     kind = pen.kind if pen.lam > 0 else "none"
-    pw = pen.weights(d)
-    if loss_kind == "squared" and kind != "l1":
+    if loss.kind == "squared" and kind != "l1":
         if kind == "none":
-            theta = np.linalg.lstsq(X, y, rcond=None)[0]
+            theta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
+            if rank < d:
+                raise SingularDesign(f"design rank {rank} < {d}")
         else:
-            theta = np.linalg.solve(X.T @ X / n + pen.lam * np.diag(pw),
-                                    X.T @ y / n)
-        return _certified(X, y, theta, loss_kind, tau, pen, opts, 0,
-                          "closed_form")
-    Xb = X[None, ...]
-    yb = y[None, ...]
-    if loss_kind == "quantile" and kind != "weighted_l2":
+            P = np.diag(pen.weights(d))
+            theta = np.linalg.solve(X.T @ X / n + pen.lam * P, X.T @ y / n)
+        return theta, gradient_residual_squared(X, y, theta, pen), "closed_form"
+    tau = loss.effective_tau
+    if loss.kind != "squared" and kind != "weighted_l2":
         # the first ADMM sweep is the warm start of the exact pivot
-        state = _admm.admm_batch(Xb, yb, tau=tau, pen_kind=kind, lam=pen.lam,
-                                 iters=_FIRST_SWEEP)
-        return _finish_exact(X, y, tau, pen, kind, state.theta[0], opts,
-                             _FIRST_SWEEP)
-    state = None
-    iters = 0
-    sweep = _FIRST_SWEEP
-    best = math.inf
+        state = _admm.admm_batch(X[None], y[None], tau=tau, pen_kind=kind,
+                                 lam=pen.lam, iters=_FIRST_SWEEP)
+        return _finish_exact(X, y, tau, pen, state.theta[0], tol)
+    loss_kind = "squared" if loss.kind == "squared" else "quantile"
+    state, iters, sweep = None, 0, _FIRST_SWEEP
     while iters < _MAX_SWEEPS:
-        state = _admm.admm_batch(Xb, yb, loss_kind=loss_kind, tau=tau,
-                                 pen_kind=kind, lam=pen.lam, pweights=pw,
-                                 iters=sweep, state=state)
+        state = _admm.admm_batch(X[None], y[None], loss_kind=loss_kind,
+                                 tau=tau, pen_kind=kind, lam=pen.lam,
+                                 pweights=pen.weights(d), iters=sweep,
+                                 state=state)
         iters += sweep
-        residual = _certificate(X, y, state.theta[0], loss_kind, tau, pen)
-        if residual <= opts.tol:
-            return state.theta[0], iters, residual, "admm"
-        best = min(best, residual)
+        residual = _certificate(X, y, state.theta[0], loss, pen)
+        if residual <= tol:
+            break
         sweep = min(2 * sweep, _MAX_SWEEPS - iters)
-    raise NonConvergence(f"admm fit: residual {best:.3e} > tol "
-                         f"{opts.tol:.1e} ({iters} ADMM sweeps)")
+    return state.theta[0], residual, "admm"
 
 
-def _finish_exact(X, y, tau, pen, kind, theta0, opts, iters):
-    """Exact quantile fit from a warm start: the simplex pivot, then the LP
-    when the pivot stalls or is not certified."""
+def _finish_exact(X, y, tau, pen, theta0, tol):
+    """(theta, certificate, method) of an exact quantile fit from a warm
+    start: the simplex pivot, then the LP when the pivot stalls or its
+    certificate exceeds tol."""
     Xs, ys = X, y
-    if kind == "l1":
+    if pen.kind == "l1" and pen.lam > 0:
         # rho_tau(c) + rho_tau(-c) = |c|: rows +-n lam e_j with response 0
         # add n lam |theta_j| to the summed loss
         rows = X.shape[0] * pen.lam * np.eye(X.shape[1])
@@ -297,24 +302,20 @@ def _finish_exact(X, y, tau, pen, kind, theta0, opts, iters):
     theta = _admm.simplex_polish(Xs, ys, theta0, tau)
     if theta is not None:
         residual = subgradient_residual(X, y, theta, tau, pen)
-        if residual <= opts.tol:
-            return theta, iters, residual, "simplex"
-    return _certified(X, y, quantile_lp(Xs, ys, tau), "quantile", tau, pen,
-                      opts, iters, "lp")
+        if residual <= tol:
+            return theta, residual, "simplex"
+    theta = quantile_lp(Xs, ys, tau)
+    return theta, subgradient_residual(X, y, theta, tau, pen), "lp"
 
 
-def _certificate(X, y, theta, loss_kind, tau, pen):
-    if loss_kind == "squared":
-        return gradient_residual_squared(X, y, theta, pen)
-    return subgradient_residual(X, y, theta, tau, pen)
-
-
-def _certified(X, y, theta, loss_kind, tau, pen, opts, iters, method):
-    residual = _certificate(X, y, theta, loss_kind, tau, pen)
-    if residual > opts.tol:
+def _certified(theta, residual, method, tol):
+    """The one certification of a fit: NonConvergence unless residual <= tol.
+    An uncertified ADMM fit has spent all _MAX_SWEEPS."""
+    if not residual <= tol:
+        sweeps = f" ({_MAX_SWEEPS} ADMM sweeps)" if method == "admm" else ""
         raise NonConvergence(f"{method} fit: residual {residual:.3e} > tol "
-                             f"{opts.tol:.1e} ({iters} ADMM sweeps)")
-    return theta, iters, residual, method
+                             f"{tol:.1e}{sweeps}")
+    return theta, residual, method
 
 
 def quantile_lp(X, y, tau=0.5):
@@ -330,22 +331,6 @@ def quantile_lp(X, y, tau=0.5):
     if not res.success:
         raise NonConvergence(f"LP fallback failed: {res.message}")
     return res.x[:d]
-
-
-def fit_ols(data) -> Fit:
-    """Exact least squares by QR; residual is the gradient norm."""
-    X = np.asarray(data[0], dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    y = np.asarray(data[1], dtype=float)
-    n, d = X.shape
-    theta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
-    if rank < d:
-        raise SingularDesign(f"design rank {rank} < {d}")
-    obj = empirical_criterion(SQUARED, NO_PENALTY, (X, y), theta)
-    residual = gradient_residual_squared(X, y, theta, NO_PENALTY)
-    return Fit(theta=theta, objective=obj, optimality_residual=residual,
-               iterations=1, method="qr")
 
 
 def fit_sieve_ls(basis: SieveBasis, w, y) -> Fit:

@@ -24,8 +24,7 @@ from .datagen import (_NOISE_MIX, STREAM_VARIANCE, gen_block_gaussian,
                       make_linear_design, make_np_design, np_target,
                       substream)
 from .errors import DomainError, NonConvergence
-from .estimators import (ABS_HALF, NO_PENALTY, SQUARED, SolverOptions,
-                         _finish_exact, delta_p)
+from .estimators import ABS_HALF, NO_PENALTY, SQUARED, _finish_exact, delta_p
 from .lattice import build_lattice
 from .mixing import BetaMixingModel, effective_n
 from .sieves import SieveBasis, SieveMomentOracle
@@ -188,13 +187,12 @@ def _tables12_chunk(args):
     theta_mean = np.linalg.solve(G, b[..., None])[..., 0]
     delta_mean = delta_p(design, SQUARED, theta_mean, truth)
     # median regression: exact pivot from the least-squares fit, LP fallback
-    opts = SolverOptions(tol=tol)
     theta_med = theta_mean.copy()
     resid = np.full(len(y), np.inf)
     for r in range(len(y)):
         try:
-            theta_med[r], _, resid[r], _ = _finish_exact(
-                X[r], y[r], 0.5, NO_PENALTY, "none", theta_mean[r], opts, 0)
+            theta_med[r], resid[r], _ = _finish_exact(
+                X[r], y[r], 0.5, NO_PENALTY, theta_mean[r], tol)
         except NonConvergence:
             pass                     # counted as uncertified
     ok = resid <= tol
@@ -444,9 +442,13 @@ def eval_bound(params: BoundParams) -> dict:
     """Numeric right-hand side of the concentration bound, with components."""
     if params.d < 1:
         raise DomainError("d must be >= 1")
+    if not 0.0 < params.tau < 1.0:
+        raise DomainError("tau must lie in (0, 1)")
     if params.lam < 0 or (params.lam == 0 and params.penalty == "l2p"):
         raise DomainError("lam must be >= 0, and > 0 under the l2p penalty")
-    for name in ("theta_norm", "trWinv", "M_over_lambda"):
+    if params.penalty == "l2p" and params.m < 0:
+        raise DomainError("m must be >= 0")
+    for name in ("theta_norm", "trWinv", "M_over_lambda", "E_pi0"):
         if getattr(params, name) < 0:
             raise DomainError(f"{name} must be >= 0")
     if params.emin_W <= 0:

@@ -76,6 +76,20 @@ def test_cli_tune(tmp_path, capsys):
     assert len(out["coefficients"]) == out["k_feasible"]
 
 
+def test_cli_tune_evaluates_each_design_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    design = mixconc.SieveBasis.design
+
+    def counted(self, w):
+        calls.append(self.k)
+        return design(self, w)
+    monkeypatch.setattr(mixconc.SieveBasis, "design", counted)
+    path = tmp_path / "data.csv"
+    make_np_design(500, 1, seed=3).to_csv(path)
+    assert main(["tune", "--data", str(path), "--basis", "pspline"]) == 0
+    assert sorted(calls) == [3, 4, 5, 6, 7, 8]
+
+
 def test_cli_error_paths(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     np.savetxt(path, np.ones((4, 2)), delimiter=",", header="y,z", comments="")
@@ -163,8 +177,12 @@ def test_cli_effn_bad_input(capsys, argv, message):
     (["--M-over-lambda", "-1"], "M_over_lambda must be >= 0"),
     (["--penalty", "l2p", "--emin-W", "0"], "emin_W must be > 0"),
     (["--u", "0"], "u must be > 0"),
+    (["--tau", "0"], "tau must lie in (0, 1)"),
+    (["--tau", "1.5"], "tau must lie in (0, 1)"),
+    (["--penalty", "l2p", "--m", "-1"], "m must be >= 0"),
+    (["--E-pi0", "-1"], "E_pi0 must be >= 0"),
 ], ids=["d", "lam", "trWinv", "l2p-lam", "theta-norm", "M-over-lambda",
-        "emin-W", "u"])
+        "emin-W", "u", "tau-0", "tau-1.5", "l2p-m", "E-pi0"])
 def test_cli_bound_bad_input(capsys, argv, message):
     base = ["bound", "--d", "3", "--n", "64", "--upsilon", "2", "--lam", "0.1",
             "--theta-norm", "2.0"]

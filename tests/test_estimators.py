@@ -99,7 +99,7 @@ def test_ridge_closed_form_matches_admm():
     ds = make_linear_design(400, 4, d=5, seed=12)
     pen = PenaltySpec("weighted_l2", lam=0.05, m=2.0)
     fit = fit_penalized((ds.X, ds.y), SQUARED, pen)
-    assert fit.method == "closed_form" and fit.iterations == 0
+    assert fit.method == "closed_form"
     assert fit.optimality_residual <= 1e-10
     state = _admm.admm_batch(ds.X[None], ds.y[None], loss_kind="squared",
                              pen_kind="weighted_l2", lam=pen.lam,
@@ -228,6 +228,7 @@ def test_fit_method_names_the_path_taken(monkeypatch):
     assert fit_penalized_qr((X, y), 0.5, PenaltySpec("weighted_l2", lam=0.05,
                                                      m=1.0)).method == "admm"
     assert fit_penalized((X, y), SQUARED).method == "closed_form"
+    assert fit_ols((X, y)).method == "closed_form"
     assert fit_penalized((X, y), SQUARED, PenaltySpec("l1", lam=0.05)).method \
         == "admm"
     exact = fit_penalized_qr((X, y), 0.3, PenaltySpec("l1", lam=0.05))
@@ -334,6 +335,14 @@ def test_ols_singular():
     X = np.ones((10, 2))
     with pytest.raises(SingularDesign):
         fit_ols((X, np.ones(10)))
+
+
+def test_unpenalized_least_squares_singular_through_fit_penalized():
+    # the one least-squares solve: fit_penalized refuses the minimum-norm
+    # solution of a rank-deficient design, as fit_ols does
+    X = np.column_stack([np.arange(10.0), 2.0 * np.arange(10.0)])
+    with pytest.raises(SingularDesign, match="design rank 1 < 2"):
+        fit_penalized((X, np.ones(10)), SQUARED)
 
 
 # -- sieve least squares --------------------------------------------------------
