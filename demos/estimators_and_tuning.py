@@ -4,10 +4,10 @@ one simulated dataset.
 
 import numpy as np
 
-from mixconc import (PenaltySpec, build_sieve_oracle, default_s, feasible_k,
-                     fit_ols, fit_penalized_qr, ideal_k,
-                     make_linear_design, make_np_design, polynomial_basis,
-                     sieve_grid, variance_proxy)
+from mixconc import (PenaltySpec, build_sieve_oracle, default_s,
+                     family_designs, feasible_k, fit_ols, fit_penalized_qr,
+                     ideal_k, make_linear_design, make_np_design, sieve_grid,
+                     variance_proxy)
 
 print("=== penalized median regression on 4-dependent data ===\n")
 ds = make_linear_design(240, 4, d=3, seed=5)
@@ -24,8 +24,7 @@ ds = make_np_design(n, m, seed=6)
 ks = range(3, 9)
 grid = sieve_grid(ks)
 fits, grams = [], []
-for k in ks:
-    Q = polynomial_basis(k).design(ds.w)
+for Q in family_designs("polynomial", ks, ds.w):
     fits.append(fit_ols((Q, ds.y)).theta)
     grams.append(Q.T @ Q / n)
 

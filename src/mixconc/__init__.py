@@ -34,8 +34,8 @@ from .lattice import SampleLattice, build_lattice, first_primes
 from .mixing import (BetaMixingModel, EffectiveN, QuantileFn, b_r_bounds,
                      b_r_factor, beta_coeff, beta_inverse, dep_norm,
                      effective_n, effective_n_bounds, mu_integral, mu_q, q_nk)
-from .sieves import (SieveBasis, SieveMomentOracle, polynomial_basis,
-                     pspline_basis)
+from .sieves import (SieveBasis, SieveMomentOracle, family_designs,
+                     polynomial_basis, pspline_basis)
 from .tuning import (SelectionResult, TuningGrid, VarianceProxy,
                      alpha_calibrated_s, default_s, feasible_k, ideal_k,
                      lambda_grid, sieve_grid, test_set, variance_proxy)

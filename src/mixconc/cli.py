@@ -24,7 +24,7 @@ from .experiments import (BoundParams, ExperimentConfig, TABLES12_GRID,
                           write_manifest)
 from .lattice import build_lattice
 from .mixing import BetaMixingModel, effective_n, effective_n_bounds
-from .sieves import SieveBasis
+from .sieves import family_designs
 from .tuning import default_s, feasible_k, lambda_grid, sieve_grid, \
     variance_proxy
 
@@ -199,8 +199,7 @@ def _tune_sieve(args, y, w, nbeta, s):
     grid = sieve_grid(ks)
     proxy = variance_proxy(grid, nbeta)
     fits, grams = [], []
-    for k in ks:
-        Q = SieveBasis(args.basis, k).design(w)
+    for Q in family_designs(args.basis, ks, w):
         fits.append(fit_ols((Q, y)).theta)
         grams.append(Q.T @ Q / y.size)
     result = feasible_k(grid, fits, proxy, s, grams,

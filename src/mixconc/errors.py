@@ -14,7 +14,7 @@ class DomainError(MixconcError):
 
 
 class NonFinite(MixconcError):
-    """A numerical integral diverged or produced a non-finite value."""
+    """An input or a numerical integral is not finite."""
 
 
 class UnsupportedModel(MixconcError):

@@ -16,8 +16,8 @@ from scipy import sparse
 from scipy.optimize import linprog, lsq_linear
 
 from . import _admm
-from .errors import (DomainError, NonConvergence, ShapeMismatch,
-                     SingularDesign, UnsupportedDesign)
+from .errors import (DomainError, NonConvergence, NonFinite,
+                     ShapeMismatch, SingularDesign, UnsupportedDesign)
 from .sieves import SieveBasis, SieveMomentOracle
 
 
@@ -230,11 +230,18 @@ def fit_penalized(data, loss: LossSpec, pen: PenaltySpec = NO_PENALTY,
 
     The certificate is the subgradient set-distance (quantile loss) or the
     gradient norm (squared loss); above opts.tol it raises NonConvergence.
+    Before any solver runs, X (a 1-D X is one column) and y must be 2-D
+    and 1-D with as many rows as entries (else ShapeMismatch) and finite
+    (else NonFinite).
     """
     X = np.asarray(data[0], dtype=float)
     if X.ndim == 1:
         X = X[:, None]
     y = np.asarray(data[1], dtype=float)
+    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
+        raise ShapeMismatch(f"X {X.shape}, y {y.shape}")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise NonFinite("fit input has a non-finite entry")
     theta, residual, method = _certified(*_solve(X, y, loss, pen, opts.tol),
                                          opts.tol)
     obj = empirical_criterion(loss, pen, (X, y), theta)

@@ -2,12 +2,13 @@
 
 Two families are provided.  The polynomial family is nested: the k-term
 basis consists of the monomials (w/6)^0 .. (w/6)^(k-1) (the 1/6 column
-scaling only improves conditioning; least squares is invariant to it).
-The spline family is built per k: degree min(3, k-1) B-splines with
-k - degree - 1 equally spaced interior knots, so every k spans the whole
-interval and each basis is a partition of unity.  Spline spaces for
-different k are not nested, which is why their bias in k need not be
-monotone.
+scaling only improves conditioning; least squares is invariant to it),
+built by cumulative products; `family_designs` evaluates it once for a
+whole range of k.  The spline family is built per k: degree min(3, k-1)
+B-splines with k - degree - 1 equally spaced interior knots, so every k
+spans the whole interval and each basis is a partition of unity.  Spline
+spaces for different k are not nested, which is why their bias in k need
+not be monotone.
 """
 
 import math
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import BSpline
 
-from .errors import DomainError, OracleVariance
+from .errors import DomainError, NonFinite, OracleVariance
 
 SUPPORT = (-6.0, 6.0)
 #: Gauss-Legendre nodes per panel and panels across the +-12 sd x-range
@@ -53,15 +54,23 @@ class SieveBasis:
         return np.linspace(*SUPPORT, n_interior + 2)[1:-1]
 
     def design(self, w: np.ndarray) -> np.ndarray:
+        """The basis evaluated at w, shape w.shape + (k,); NonFinite for a
+        non-finite w.  Spline arguments are clipped to the support."""
         w = np.asarray(w, dtype=float)
+        if not np.isfinite(w).all():
+            raise NonFinite("sieve design needs finite w")
         if self.kind == "polynomial":
-            return np.stack([(w / 6.0) ** j for j in range(self.k)], axis=-1)
+            Q = np.empty(w.shape + (self.k,))
+            Q[..., 0] = 1.0
+            u = w / 6.0
+            for j in range(1, self.k):
+                Q[..., j] = Q[..., j - 1] * u
+            return Q
         deg = self.degree
         interior = self.interior_knots()
         knots = np.r_[[SUPPORT[0]] * (deg + 1), interior, [SUPPORT[1]] * (deg + 1)]
-        wc = np.clip(w, *SUPPORT)
         spl = BSpline(knots, np.eye(self.k), deg, extrapolate=False)
-        return np.nan_to_num(spl(wc))
+        return spl(np.clip(w, *SUPPORT))
 
 
 def polynomial_basis(k: int) -> SieveBasis:
@@ -74,6 +83,20 @@ def pspline_basis(k: int) -> SieveBasis:
 
 def is_nested(kind: str) -> bool:
     return kind == "polynomial"
+
+
+def family_designs(kind: str, ks, w) -> list[np.ndarray]:
+    """The designs of the k-term bases of one family at w, for every k in
+    ks, in order.  The polynomial family is nested, so it is evaluated once
+    at max(ks) and its designs are column prefixes (views) of that one
+    array; each spline design is evaluated on its own."""
+    bases = [SieveBasis(kind, int(k)) for k in ks]
+    if not bases:
+        raise DomainError("ks must be nonempty")
+    if not is_nested(kind):
+        return [basis.design(w) for basis in bases]
+    Q = SieveBasis(kind, max(basis.k for basis in bases)).design(w)
+    return [Q[..., :basis.k] for basis in bases]
 
 
 def _w_to_x(w: np.ndarray) -> np.ndarray:

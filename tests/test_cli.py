@@ -90,6 +90,22 @@ def test_cli_tune_evaluates_each_design_once(tmp_path, capsys, monkeypatch):
     assert sorted(calls) == [3, 4, 5, 6, 7, 8]
 
 
+def test_cli_tune_polynomial_evaluates_one_design(tmp_path, capsys,
+                                                  monkeypatch):
+    # the polynomial family is nested: k = 3..8 are prefixes of k = 8
+    calls = []
+    design = mixconc.SieveBasis.design
+
+    def counted(self, w):
+        calls.append(self.k)
+        return design(self, w)
+    monkeypatch.setattr(mixconc.SieveBasis, "design", counted)
+    path = tmp_path / "data.csv"
+    make_np_design(500, 1, seed=3).to_csv(path)
+    assert main(["tune", "--data", str(path), "--basis", "polynomial"]) == 0
+    assert calls == [8]
+
+
 def test_cli_error_paths(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     np.savetxt(path, np.ones((4, 2)), delimiter=",", header="y,z", comments="")

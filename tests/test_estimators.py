@@ -7,7 +7,7 @@ from scipy import sparse
 from scipy.optimize import linprog, lsq_linear
 
 from mixconc import (ABS_HALF, NO_PENALTY, SQUARED, DomainError, LossSpec,
-                     NonConvergence, PenaltySpec, PopulationDesign,
+                     NonConvergence, NonFinite, PenaltySpec, PopulationDesign,
                      ShapeMismatch, SieveMomentOracle, SingularDesign,
                      SolverOptions, bias_term, delta_p, delta_p_mc,
                      empirical_criterion, fit_ols, fit_penalized,
@@ -345,7 +345,57 @@ def test_unpenalized_least_squares_singular_through_fit_penalized():
         fit_penalized((X, np.ones(10)), SQUARED)
 
 
+@pytest.fixture
+def draw200():
+    ds = make_linear_design(200, 1, 3, seed=1)
+    return ds.X.copy(), ds.y.copy()
+
+
+def test_infinite_response_is_rejected_before_the_solver(draw200):
+    X, y = draw200
+    y[3] = np.inf
+    with pytest.raises(NonFinite):
+        fit_penalized_qr((X, y), 0.5)
+
+
+@pytest.mark.parametrize("where", ["X", "y"])
+def test_nan_quantile_input_is_rejected(draw200, where):
+    X, y = draw200
+    (X[5] if where == "X" else y[5:6])[0] = np.nan
+    with pytest.raises(NonFinite):
+        fit_penalized_qr((X, y), 0.5)
+
+
+def test_nan_least_squares_design_is_rejected(draw200):
+    X, y = draw200
+    X[7, 1] = np.nan
+    with pytest.raises(NonFinite):
+        fit_ols((X, y))
+
+
+def test_short_response_is_a_shape_mismatch(draw200):
+    X, y = draw200
+    with pytest.raises(ShapeMismatch):
+        fit_penalized_qr((X, y[:-1]), 0.5)
+    with pytest.raises(ShapeMismatch):
+        fit_ols((X, y[:, None]))
+
+
 # -- sieve least squares --------------------------------------------------------
+
+
+@pytest.mark.parametrize("basis", [polynomial_basis(4), pspline_basis(5)],
+                         ids=["polynomial", "pspline"])
+def test_sieve_fit_rejects_non_finite_w(basis):
+    rng = np.random.default_rng(13)
+    w = rng.uniform(-6, 6, 60)
+    y = np_target(w) + rng.standard_normal(60)
+    w[4] = np.nan
+    with pytest.raises(NonFinite):
+        fit_sieve_ls(basis, w, y)
+    w[4] = -np.inf
+    with pytest.raises(NonFinite):
+        basis.design(w)
 
 
 def test_sieve_polynomial_line():

@@ -5,9 +5,13 @@ import numpy as np
 import pytest
 
 from mixconc import (BetaMixingModel, BoundParams, ExperimentConfig,
-                     eval_bound, l1_envelope, run_ols_tail, run_tables12,
-                     run_tables34, write_csv, write_manifest)
-from mixconc.experiments import (ReportRow, build_sieve_oracle, hash_cell,
+                     SieveBasis, SingularDesign, default_s, eval_bound,
+                     family_designs, feasible_k, l1_envelope, make_np_design,
+                     run_ols_tail, run_tables12, run_tables34, sieve_grid,
+                     variance_proxy, write_csv, write_manifest)
+from mixconc.experiments import (SIEVE_KS, TABLES34_TEST_MULTIPLIER,
+                                 ReportRow, _nested_fits, _tables34_chunk,
+                                 build_sieve_oracle, hash_cell,
                                  snap_admissible)
 
 
@@ -166,3 +170,46 @@ def test_sieve_oracle_cache_reuse():
     M5, c5 = oracle.moments(5)
     assert np.allclose(M8[:5, :5], M5)
     assert np.allclose(c8[:5], c5)
+
+
+# -- the sieve study's fits ------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [100, 3000])
+def test_nested_fits_match_per_k_lstsq(n):
+    data = make_np_design(n, 1, seed=8, rep=2)
+    fits = _nested_fits(family_designs("polynomial", SIEVE_KS, data.w), data.y)
+    for k, theta in zip(SIEVE_KS, fits):
+        ref = np.linalg.lstsq(SieveBasis("polynomial", k).design(data.w),
+                              data.y, rcond=None)[0]
+        assert np.linalg.norm(theta - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_nested_fits_refuse_a_zero_pivot():
+    # constant w: every monomial column is a multiple of the first
+    designs = family_designs("polynomial", SIEVE_KS, np.full(50, 0.3))
+    with pytest.raises(SingularDesign):
+        _nested_fits(designs, np.linspace(0.0, 1.0, 50))
+
+
+@pytest.mark.parametrize("kind", ["polynomial", "pspline"])
+def test_tables34_chunk_matches_per_k_lstsq(kind):
+    n, m, seed, reps = 100, 1, 12345, (0, 40)
+    oracle = build_sieve_oracle(kind)
+    grams = [oracle.moments(k)[0] for k in SIEVE_KS]
+    s_n = default_s(n, m)
+    kF, chosen = _tables34_chunk((kind, n, m, seed, reps,
+                                  TABLES34_TEST_MULTIPLIER, grams, s_n))
+    grid = sieve_grid(SIEVE_KS)
+    proxy = variance_proxy(grid, n // m)
+    ref_kF = []
+    for rep, theta in zip(range(*reps), chosen):
+        data = make_np_design(n, m, seed, rep=rep)
+        fits = [np.linalg.lstsq(SieveBasis(kind, k).design(data.w), data.y,
+                                rcond=None)[0] for k in SIEVE_KS]
+        k = feasible_k(grid, fits, proxy, s_n, grams,
+                       multiplier=TABLES34_TEST_MULTIPLIER).k_feasible
+        ref_kF.append(k)
+        ref = fits[SIEVE_KS.index(k)]
+        assert np.linalg.norm(theta - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert kF == ref_kF

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mixconc import SieveMomentOracle, np_target
-from mixconc.sieves import SieveBasis, is_nested
+from mixconc import DomainError, SieveMomentOracle, np_target
+from mixconc.sieves import SieveBasis, family_designs, is_nested
 
 
 def test_basis_shapes_and_kinds():
@@ -28,6 +28,25 @@ def test_polynomial_nesting():
     Q8 = SieveBasis("polynomial", 8).design(w)
     Q5 = SieveBasis("polynomial", 5).design(w)
     assert np.allclose(Q8[:, :5], Q5)
+
+
+@pytest.mark.parametrize("kind", ["polynomial", "pspline"])
+def test_family_designs_equal_the_per_k_designs(kind):
+    w = np.random.default_rng(4).uniform(-6.5, 6.5, 57)
+    ks = (3, 4, 5, 6, 7, 8)
+    designs = family_designs(kind, ks, w)
+    assert len(designs) == len(ks)
+    for k, Q in zip(ks, designs):
+        assert np.array_equal(Q, SieveBasis(kind, k).design(w))
+    with pytest.raises(DomainError):
+        family_designs(kind, (), w)
+
+
+def test_polynomial_design_is_the_monomial_table():
+    w = np.linspace(-6, 6, 13)
+    Q = SieveBasis("polynomial", 8).design(w)
+    assert np.allclose(Q, np.stack([(w / 6) ** j for j in range(8)], axis=-1),
+                       rtol=1e-15, atol=1e-16)
 
 
 FROZEN_POLY_BIAS = {3: 0.869135949, 4: 0.869135949, 5: 0.200890083,
