@@ -1,23 +1,25 @@
 """Paired benchmark runs of two commits, written to one JSON file.
 
     python3 bench/pairs.py --parent main --change HEAD --out BENCH.json
-    python3 bench/pairs.py --parent main --change HEAD --workload mc-sieve \\
-        --pairs 2 --out smoke.json
 
 Run it inside a git checkout.  Each side is extracted with `git archive`
 into a fresh temporary directory, and the command that `BENCHMARK.json`
 declares (`perfbench/run.py`) runs there untraced at the declared run
 length, so each side runs its own committed benchmark on its own sources.
-Pair i runs both sides at seed i + 1; even pairs run the parent first, odd
-pairs the change.  The script keeps what each run prints and the
+Every declared workload runs ten pairs; pair i runs both sides at seed
+i + 1, even pairs the parent first, odd pairs the change.  The script keeps what each run prints and the
 environment block that `run.py` records, and adds no timers of its own.
 
 The output holds both commits, every run's result and environment, and per
 workload and end-to-end metric: each side's median and quartiles, the
 change's relative difference, the pairs the change won (ties count for
-neither side), whether the change stays within the metric's bound, and
-whether it shows a gain (it wins at least nine pairs in ten and its median
-is better by more than the parent's interquartile range).
+neither side), whether the parent's runs spread too widely to tell
+(`unresolved`: their interquartile range is larger than the bound times
+their median), whether the change stays within the metric's bound, and
+whether it shows a gain.  A gain needs every change run correct, a share
+of failed operations no larger than the parent's, wins in at least nine
+of every ten pairs run, and a median better by more than the parent's
+interquartile range.
 """
 
 import argparse
@@ -30,6 +32,7 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 FIRST_SEED = 1
+PAIRS = 10
 #: a run that takes longer than this is a failed run, not a slow one.
 RUN_TIMEOUT_S = 1800
 
@@ -60,15 +63,19 @@ def quartiles(values) -> dict:
 
 
 def summarize(records: list[dict], declared: list[dict]) -> dict:
-    """Per declared end-to-end metric, over the pairs in which both runs
-    passed their correctness check."""
+    """Per declared end-to-end metric: quartiles over the pairs in which
+    both runs passed their correctness check, wins counted against every
+    pair run."""
     ok = [r for r in records if r["parent"].get("correct") and r["change"].get("correct")]
+    failed = {side: sum(r[side].get("failed", 0) for r in records) for side in SIDES}
+    attempted = {side: sum(r[side].get("attempted", 0) for r in records)
+                 for side in SIDES}
+    share = {side: failed[side] / attempted[side] if attempted[side] else 0.0
+             for side in SIDES}
+    change_holds = (all(r["change"].get("correct") for r in records)
+                    and share["change"] <= share["parent"])
     summary = {"pairs": len(records), "pairs_correct": len(ok),
-               "failed": {side: sum(r[side].get("failed", 0) for r in records)
-                          for side in SIDES},
-               "attempted": {side: sum(r[side].get("attempted", 0) for r in records)
-                             for side in SIDES},
-               "metrics": {}}
+               "failed": failed, "attempted": attempted, "metrics": {}}
     for metric in declared:
         name = metric["name"]
         values = [(r["parent"]["metrics"][name]["value"],
@@ -79,6 +86,8 @@ def summarize(records: list[dict], declared: list[dict]) -> dict:
         base = quartiles([p for p, _ in values])
         new = quartiles([c for _, c in values])
         gained = sign * (new["median"] - base["median"])
+        spread = base["q3"] - base["q1"]
+        allowed = metric["bound"] * abs(base["median"])
         wins = sum(sign * (c - p) > 0 for p, c in values)
         summary["metrics"][name] = {
             "unit": metric["unit"], "better": metric["better"],
@@ -87,8 +96,10 @@ def summarize(records: list[dict], declared: list[dict]) -> dict:
             "parent": base, "change": new,
             "change_vs_parent": (new["median"] / base["median"] - 1.0
                                  if base["median"] else None),
-            "within_bound": -gained <= metric["bound"] * abs(base["median"]),
-            "gain": wins >= 0.9 * len(values) and gained > base["q3"] - base["q1"],
+            "unresolved": spread > allowed,
+            "within_bound": spread <= allowed and -gained <= allowed,
+            "gain": (change_holds and wins >= 0.9 * len(records)
+                     and gained > spread),
         }
     return summary
 
@@ -137,9 +148,6 @@ def parse_args(argv):
     p.add_argument("--parent", required=True, help="git ref of the parent side")
     p.add_argument("--change", required=True, help="git ref of the change side")
     p.add_argument("--out", required=True, type=Path, help="JSON file to write")
-    p.add_argument("--workload", action="append",
-                   help="run only this workload (repeatable; default: all declared)")
-    p.add_argument("--pairs", type=int, default=10)
     return p.parse_args(argv)
 
 
@@ -154,16 +162,15 @@ def main(argv=None) -> int:
         dirs = {side: extract(root, commits[side], Path(tmp) / side)
                 for side in SIDES}
         benchmark = json.loads((dirs["change"] / "BENCHMARK.json").read_text())
-        names = args.workload or [w["name"] for w in benchmark["workloads"]]
         run = Runner(dirs, benchmark)
         out = {"commits": commits,
                "refs": {"parent": args.parent, "change": args.change},
                "benchmark": {"command": benchmark["command"],
                              "run_seconds": benchmark["run_seconds"],
-                             "first_seed": FIRST_SEED, "pairs": args.pairs},
+                             "first_seed": FIRST_SEED, "pairs": PAIRS},
                "workloads": {}}
-        for name in names:
-            records = run_pairs(name, args.pairs, run)
+        for name in (w["name"] for w in benchmark["workloads"]):
+            records = run_pairs(name, PAIRS, run)
             out["workloads"][name] = {
                 "summary": summarize(records, benchmark["end_to_end"]),
                 "pairs": records}

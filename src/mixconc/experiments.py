@@ -18,17 +18,16 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .complexity import UniversalConstants
 from .datagen import (_NOISE_MIX, STREAM_VARIANCE, gen_block_gaussian,
                       make_linear_design, make_np_design, np_target,
                       substream)
-from .errors import DomainError, NonConvergence, SingularDesign
+from .errors import DomainError, NonConvergence
 from .estimators import ABS_HALF, NO_PENALTY, SQUARED, _finish_exact, delta_p
 from .lattice import build_lattice
 from .mixing import BetaMixingModel, effective_n
-from .sieves import SieveMomentOracle, family_designs, is_nested
+from .sieves import SieveMomentOracle, family_designs
 from .tuning import (default_s, feasible_k, ideal_k, sieve_grid,
                      variance_proxy)
 
@@ -284,34 +283,12 @@ def _tables34_chunk(args):
     kF, chosen = [], []
     for rep in range(*rep_range):
         data = make_np_design(n, m, seed, rep=rep)
-        designs = family_designs(kind, SIEVE_KS, data.w)
-        if is_nested(kind):
-            fits = _nested_fits(designs, data.y)
-        else:
-            fits = [np.linalg.lstsq(Q, data.y, rcond=None)[0] for Q in designs]
+        fits = [np.linalg.lstsq(Q, data.y, rcond=None)[0]
+                for Q in family_designs(kind, SIEVE_KS, data.w)]
         k = feasible_k(grid, fits, proxy, s_n, grams, multiplier=mult).k_feasible
         kF.append(k)
         chosen.append(fits[SIEVE_KS.index(k)])
     return kF, chosen
-
-
-def _nested_fits(designs, y) -> list[np.ndarray]:
-    """Least-squares fits on nested designs, each a column prefix of the
-    last one, Q_K.  One Householder QR of [Q_K | y] gives R and Q'y; since
-    the first k columns of a QR factorization factor the first k columns
-    of the matrix, the fit on k columns solves R[:k, :k] theta = (Q'y)[:k].
-    A pivot of R at or below eps * max(n, K) times the largest one (the
-    default rcond of `lstsq`, applied to R's diagonal) raises
-    SingularDesign."""
-    n, K = designs[-1].shape
-    R = np.linalg.qr(np.column_stack([designs[-1], y]), mode="r")
-    pivots = np.abs(np.diag(R)[:K])
-    zero = np.finfo(float).eps * max(n, K) * pivots.max()
-    if pivots.size < K or not pivots.min() > zero:
-        raise SingularDesign(f"nested design: a pivot of R is numerically "
-                             f"zero (smallest {pivots.min():.3e})")
-    return [solve_triangular(R[:k, :k], R[:k, K], check_finite=False)
-            for k in (Q.shape[1] for Q in designs)]
 
 
 def run_tables34(config: ExperimentConfig,

@@ -58,16 +58,51 @@ def test_summary_medians_quartiles_and_wins():
     assert out["pairs"] == out["pairs_correct"] == 5
 
 
-def test_summary_gain_bound_and_failed_runs():
-    records = [{"seed": i + 1, "parent": _result(100.0 + i, 100.0),
-                "change": _result(150.0 + i, 115.0)} for i in range(10)]
-    records.append({"seed": 11, "parent": _result(100.0, 100.0),
-                    "change": {"correct": False, "attempted": 1, "failed": 1,
-                               "metrics": {}}})
+def _records(parent, change, rss=(100.0, 100.0)):
+    return [{"seed": i + 1, "parent": _result(p, rss[0]),
+             "change": _result(c, rss[1])} for i, (p, c) in enumerate(zip(parent, change))]
+
+
+def test_summary_gain_and_bound():
+    records = _records([100.0 + i for i in range(10)],
+                       [150.0 + i for i in range(10)], rss=(100.0, 115.0))
     out = pairs.summarize(records, DECLARED)
-    assert out["pairs"] == 11 and out["pairs_correct"] == 10
-    assert out["failed"] == {"parent": 0, "change": 1}
     reps = out["metrics"]["reps_per_s"]
-    assert reps["wins"] == 10 and reps["gain"]
+    assert reps["wins"] == 10 and reps["gain"] and not reps["unresolved"]
     # 15 % more memory is past the 10 % bound
-    assert not out["metrics"]["peak_rss_mb"]["within_bound"]
+    rss = out["metrics"]["peak_rss_mb"]
+    assert not rss["within_bound"] and not rss["unresolved"]
+
+
+@pytest.mark.parametrize("broken", ["failed", "incorrect"])
+def test_no_gain_when_a_change_run_fails(broken):
+    records = _records([100.0 + i for i in range(10)],
+                       [150.0 + i for i in range(10)])
+    change = {"correct": broken == "failed", "attempted": 10,
+              "failed": int(broken == "failed"),
+              "metrics": _result(160.0, 100.0)["metrics"]}
+    records.append({"seed": 11, "parent": _result(100.0, 100.0), "change": change})
+    out = pairs.summarize(records, DECLARED)
+    reps = out["metrics"]["reps_per_s"]
+    # 10 wins in 11 pairs would be a gain, but a change run did not hold
+    assert reps["wins"] >= 10 and not reps["gain"]
+    assert out["failed"] == {"parent": 0, "change": int(broken == "failed")}
+
+
+def test_wins_count_against_every_pair_run():
+    records = _records([100.0 + i for i in range(8)], [150.0 + i for i in range(8)])
+    for seed in (9, 10):
+        records.append({"seed": seed, "parent": {"correct": False, "metrics": {}},
+                        "change": _result(150.0, 100.0)})
+    out = pairs.summarize(records, DECLARED)
+    assert out["pairs"] == 10 and out["pairs_correct"] == 8
+    reps = out["metrics"]["reps_per_s"]
+    assert (reps["pairs"], reps["wins"]) == (8, 8) and not reps["gain"]
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved():
+    parent = [50.0, 60.0, 100.0, 140.0, 150.0] * 2    # IQR 80 > 0.25 * 100
+    records = _records(parent, [p + 1.0 for p in parent])
+    reps = pairs.summarize(records, DECLARED)["metrics"]["reps_per_s"]
+    assert reps["unresolved"]
+    assert not reps["within_bound"] and not reps["gain"]

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from mixconc import (BetaMixingModel, BoundParams, ExperimentConfig,
-                     SieveBasis, SingularDesign, default_s, eval_bound,
-                     family_designs, feasible_k, l1_envelope, make_np_design,
-                     run_ols_tail, run_tables12, run_tables34, sieve_grid,
-                     variance_proxy, write_csv, write_manifest)
+                     SieveBasis, default_s, eval_bound, feasible_k,
+                     l1_envelope, make_np_design, run_ols_tail, run_tables12,
+                     run_tables34, sieve_grid, variance_proxy, write_csv,
+                     write_manifest)
 from mixconc.experiments import (SIEVE_KS, TABLES34_TEST_MULTIPLIER,
-                                 ReportRow, _nested_fits, _tables34_chunk,
+                                 ReportRow, _tables34_chunk,
                                  build_sieve_oracle, hash_cell,
                                  snap_admissible)
 
@@ -173,23 +173,6 @@ def test_sieve_oracle_cache_reuse():
 
 
 # -- the sieve study's fits ------------------------------------------------------
-
-
-@pytest.mark.parametrize("n", [100, 3000])
-def test_nested_fits_match_per_k_lstsq(n):
-    data = make_np_design(n, 1, seed=8, rep=2)
-    fits = _nested_fits(family_designs("polynomial", SIEVE_KS, data.w), data.y)
-    for k, theta in zip(SIEVE_KS, fits):
-        ref = np.linalg.lstsq(SieveBasis("polynomial", k).design(data.w),
-                              data.y, rcond=None)[0]
-        assert np.linalg.norm(theta - ref) <= 1e-12 * np.linalg.norm(ref)
-
-
-def test_nested_fits_refuse_a_zero_pivot():
-    # constant w: every monomial column is a multiple of the first
-    designs = family_designs("polynomial", SIEVE_KS, np.full(50, 0.3))
-    with pytest.raises(SingularDesign):
-        _nested_fits(designs, np.linspace(0.0, 1.0, 50))
 
 
 @pytest.mark.parametrize("kind", ["polynomial", "pspline"])
