@@ -13,13 +13,13 @@ environment block that `run.py` records, and adds no timers of its own.
 The output holds both commits, every run's result and environment, and per
 workload and end-to-end metric: each side's median and quartiles, the
 change's relative difference, the pairs the change won (ties count for
-neither side), whether the parent's runs spread too widely to tell
-(`unresolved`: their interquartile range is larger than the bound times
-their median), whether the change stays within the metric's bound, and
-whether it shows a gain.  A gain needs every change run correct, a share
-of failed operations no larger than the parent's, wins in at least nine
-of every ten pairs run, and a median better by more than the parent's
-interquartile range.
+neither side), whether the runs spread too widely to tell (`unresolved`:
+the parent's interquartile range is larger than the bound times its
+median, and not every change run is better than every parent run),
+whether the change stays within the metric's bound, and whether it shows
+a gain.  A gain needs every change run correct, no more failed operations
+than the parent's runs, wins in at least nine of every ten pairs run, and
+a median better by more than the parent's interquartile range.
 """
 
 import argparse
@@ -70,10 +70,8 @@ def summarize(records: list[dict], declared: list[dict]) -> dict:
     failed = {side: sum(r[side].get("failed", 0) for r in records) for side in SIDES}
     attempted = {side: sum(r[side].get("attempted", 0) for r in records)
                  for side in SIDES}
-    share = {side: failed[side] / attempted[side] if attempted[side] else 0.0
-             for side in SIDES}
     change_holds = (all(r["change"].get("correct") for r in records)
-                    and share["change"] <= share["parent"])
+                    and failed["change"] <= failed["parent"])
     summary = {"pairs": len(records), "pairs_correct": len(ok),
                "failed": failed, "attempted": attempted, "metrics": {}}
     for metric in declared:
@@ -89,6 +87,8 @@ def summarize(records: list[dict], declared: list[dict]) -> dict:
         spread = base["q3"] - base["q1"]
         allowed = metric["bound"] * abs(base["median"])
         wins = sum(sign * (c - p) > 0 for p, c in values)
+        apart = (min(sign * c for _, c in values)
+                 > max(sign * p for p, _ in values))
         summary["metrics"][name] = {
             "unit": metric["unit"], "better": metric["better"],
             "bound": metric["bound"], "pairs": len(values), "wins": wins,
@@ -96,8 +96,8 @@ def summarize(records: list[dict], declared: list[dict]) -> dict:
             "parent": base, "change": new,
             "change_vs_parent": (new["median"] / base["median"] - 1.0
                                  if base["median"] else None),
-            "unresolved": spread > allowed,
-            "within_bound": spread <= allowed and -gained <= allowed,
+            "unresolved": spread > allowed and not apart,
+            "within_bound": (spread <= allowed or apart) and -gained <= allowed,
             "gain": (change_holds and wins >= 0.9 * len(records)
                      and gained > spread),
         }

@@ -106,3 +106,7 @@ def test_a_parent_spread_wider_than_the_bound_is_unresolved():
     reps = pairs.summarize(records, DECLARED)["metrics"]["reps_per_s"]
     assert reps["unresolved"]
     assert not reps["within_bound"] and not reps["gain"]
+    # unless every change run reads better than every parent run
+    records = _records(parent, [p + 200.0 for p in parent])
+    reps = pairs.summarize(records, DECLARED)["metrics"]["reps_per_s"]
+    assert not reps["unresolved"] and reps["within_bound"] and reps["gain"]
