@@ -11,6 +11,7 @@ spaces for different k are not nested, which is why their bias in k need
 not be monotone.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -66,11 +67,20 @@ class SieveBasis:
             for j in range(1, self.k):
                 Q[..., j] = Q[..., j - 1] * u
             return Q
-        deg = self.degree
-        interior = self.interior_knots()
-        knots = np.r_[[SUPPORT[0]] * (deg + 1), interior, [SUPPORT[1]] * (deg + 1)]
-        spl = BSpline(knots, np.eye(self.k), deg, extrapolate=False)
-        return spl(np.clip(w, *SUPPORT))
+        return _spline_basis(self.k)(np.clip(w, *SUPPORT))
+
+
+@functools.cache
+def _spline_basis(k: int) -> BSpline:
+    """The k-term spline basis as one BSpline with identity coefficients.
+    Its knots depend on k alone, and building it costs more than
+    evaluating it at a few hundred points, so each process builds it once
+    per k; every evaluation returns a new array."""
+    basis = SieveBasis("pspline", k)
+    deg = basis.degree
+    knots = np.r_[[SUPPORT[0]] * (deg + 1), basis.interior_knots(),
+                  [SUPPORT[1]] * (deg + 1)]
+    return BSpline(knots, np.eye(k), deg, extrapolate=False)
 
 
 def polynomial_basis(k: int) -> SieveBasis:
@@ -124,6 +134,7 @@ class SieveMomentOracle:
         self.max_k = max_k
         self.method = method
         self._cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._proj: dict[int, tuple[np.ndarray, float, float]] = {}
         if method == "mc":
             rng = np.random.default_rng(seed)
             xs = rng.standard_normal(mc_draws) * math.sqrt(x_var)
@@ -203,23 +214,39 @@ class SieveMomentOracle:
         w = 6.0 * x / (1.0 + np.abs(x))
         return (bk.design(w) * wd[:, None]).T @ bkp.design(w)
 
+    def _projection(self, k: int) -> tuple[np.ndarray, float, float]:
+        """(nu_k, B_k, standard error of B_k): the population least-squares
+        coefficients of theta* on the k-term basis and the squared L2(P)
+        distance of that projection to theta*.  B_k is the mean squared
+        residual on the nodes (or draws) that gave the moments, not
+        E theta*^2 - c_k'nu_k, a difference of O(1) terms that loses
+        about 1e-10 of B_k for the polynomial k = 8."""
+        if k not in self._proj:
+            M, c = self.moments(k)
+            nu = np.linalg.solve(M, c)
+            basis = SieveBasis(self.kind, k)
+            if self.method == "mc":
+                res = (basis.design(self._W) @ nu - self.target(self._W)) ** 2
+                b2, se = float(np.mean(res)), float(np.std(res) / math.sqrt(res.size))
+            else:
+                x, wd = self._nodes(basis.interior_knots())
+                w = 6.0 * x / (1.0 + np.abs(x))
+                res = (basis.design(w) @ nu - self.target(w)) ** 2
+                b2, se = float(np.sum(wd * res)), 0.0
+            self._proj[k] = (nu, b2, se)
+        return self._proj[k]
+
     def projection(self, k: int) -> np.ndarray:
         """Population least-squares coefficients of theta* on the k-term basis."""
-        M, c = self.moments(k)
-        return np.linalg.solve(M, c)
+        return self._projection(k)[0].copy()
 
     def bias(self, k: int) -> float:
         """L2(P) distance between theta* and its projection on the k-term space."""
-        M, c = self.moments(k)
-        nu = np.linalg.solve(M, c)
-        val = math.sqrt(max(self.t2 - float(c @ nu), 0.0))
-        if self.method == "mc" and val > 0:
-            basis = SieveBasis(self.kind, k)
-            res = (self.target(self._W) - basis.design(self._W) @ nu) ** 2
-            se_b = float(np.std(res) / math.sqrt(res.size))
-            # delta method: se of sqrt(B) is se(B) / (2 sqrt(B))
-            if se_b / (2.0 * val) > 0.01 * val:
-                raise OracleVariance(f"bias({k}) oracle std error above 1% of value")
+        nu, _, se_b = self._projection(k)
+        val = self.l2_error(k, nu)
+        # delta method: se of sqrt(B) is se(B) / (2 sqrt(B))
+        if self.method == "mc" and val > 0 and se_b / (2.0 * val) > 0.01 * val:
+            raise OracleVariance(f"bias({k}) oracle std error above 1% of value")
         return val
 
     def bias_curve(self, ks) -> tuple[np.ndarray, bool]:
@@ -233,7 +260,10 @@ class SieveMomentOracle:
         return vals, monotone
 
     def l2_error(self, k: int, theta_hat: np.ndarray) -> float:
-        """||theta_hat' q^k - theta*||_{L2(P)} via the cached moments."""
-        M, c = self.moments(k)
-        v = float(theta_hat @ M @ theta_hat) - 2.0 * float(theta_hat @ c) + self.t2
-        return math.sqrt(max(v, 0.0))
+        """||theta_hat' q^k - theta*||_{L2(P)}, by Pythagoras about the
+        projection: sqrt((theta_hat - nu_k)' M_k (theta_hat - nu_k) + B_k),
+        which has no cancellation when theta_hat is near nu_k."""
+        M, _ = self.moments(k)
+        nu, b2, _ = self._projection(k)
+        d = np.asarray(theta_hat, dtype=float) - nu
+        return math.sqrt(max(float(d @ M @ d), 0.0) + b2)
