@@ -6,9 +6,10 @@ scaling only improves conditioning; least squares is invariant to it),
 built by cumulative products; `family_designs` evaluates it once for a
 whole range of k.  The spline family is built per k: degree min(3, k-1)
 B-splines with k - degree - 1 equally spaced interior knots, so every k
-spans the whole interval and each basis is a partition of unity.  Spline
-spaces for different k are not nested, which is why their bias in k need
-not be monotone.
+spans the whole interval and each basis is a partition of unity; each
+process builds the spline basis of a k once.  Spline spaces for
+different k are not nested, which is why their bias in k need not be
+monotone.
 """
 
 import functools
