@@ -27,7 +27,7 @@ from .errors import DomainError, NonConvergence
 from .estimators import ABS_HALF, NO_PENALTY, SQUARED, _finish_exact, delta_p
 from .lattice import build_lattice
 from .mixing import BetaMixingModel, effective_n
-from .sieves import SieveMomentOracle, family_designs
+from .sieves import SieveMomentOracle, family_fits
 from .tuning import (default_s, feasible_k, ideal_k, sieve_grid,
                      variance_proxy)
 
@@ -283,8 +283,7 @@ def _tables34_chunk(args):
     kF, chosen = [], []
     for rep in range(*rep_range):
         data = make_np_design(n, m, seed, rep=rep)
-        fits = [np.linalg.lstsq(Q, data.y, rcond=None)[0]
-                for Q in family_designs(kind, SIEVE_KS, data.w)]
+        fits = family_fits(kind, SIEVE_KS, data.w, data.y)
         k = feasible_k(grid, fits, proxy, s_n, grams, multiplier=mult).k_feasible
         kF.append(k)
         chosen.append(fits[SIEVE_KS.index(k)])

@@ -4,12 +4,13 @@ Two families are provided.  The polynomial family is nested: the k-term
 basis consists of the monomials (w/6)^0 .. (w/6)^(k-1) (the 1/6 column
 scaling only improves conditioning; least squares is invariant to it),
 built by cumulative products; `family_designs` evaluates it once for a
-whole range of k.  The spline family is built per k: degree min(3, k-1)
-B-splines with k - degree - 1 equally spaced interior knots, so every k
-spans the whole interval and each basis is a partition of unity; each
-process builds the spline basis of a k once.  Spline spaces for
-different k are not nested, which is why their bias in k need not be
-monotone.
+whole range of k, and `family_fits` fits the whole range from one QR.
+The spline family is built per k: degree min(3, k-1) B-splines with
+k - degree - 1 equally spaced interior knots, so every k spans the whole
+interval and each basis is a partition of unity; each process builds the
+spline basis of a k once.  Spline spaces for different k are not nested,
+which is why their bias in k need not be monotone.  Only this module
+knows which family is nested.
 """
 
 import functools
@@ -18,8 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import BSpline
+from scipy.linalg import solve_triangular
 
-from .errors import DomainError, NonFinite, OracleVariance
+from .errors import (DomainError, NonFinite, OracleVariance, ShapeMismatch,
+                     SingularDesign)
 
 SUPPORT = (-6.0, 6.0)
 #: Gauss-Legendre nodes per panel and panels across the +-12 sd x-range
@@ -108,6 +111,36 @@ def family_designs(kind: str, ks, w) -> list[np.ndarray]:
         return [basis.design(w) for basis in bases]
     Q = SieveBasis(kind, max(basis.k for basis in bases)).design(w)
     return [Q[..., :basis.k] for basis in bases]
+
+
+def family_fits(kind: str, ks, w, y) -> list[np.ndarray]:
+    """Least-squares coefficients of y on the k-term basis of one family at
+    w, for every k in ks, in order.
+
+    The polynomial family is nested, so one Householder QR of [Q_K | y],
+    K = max(ks), serves every k: the R factor of the first k columns is the
+    leading k x k block of R, and the first k entries of its last column
+    are that factor's Q'y, so each fit is one triangular solve.  A diagonal
+    of R at most eps * max(n, K) * max|R_ii| (the rank rule of `fit_ols`)
+    raises SingularDesign.  Each spline design is fitted by its own
+    `lstsq`."""
+    y = np.asarray(y, dtype=float)
+    if np.ndim(w) != 1 or y.shape != np.shape(w):
+        raise ShapeMismatch("family_fits needs 1-D w and y of one length")
+    if not np.isfinite(y).all():
+        raise NonFinite("family_fits needs a finite y")
+    designs = family_designs(kind, ks, w)
+    if not is_nested(kind):
+        return [np.linalg.lstsq(Q, y, rcond=None)[0] for Q in designs]
+    widths = [Q.shape[1] for Q in designs]
+    K = max(widths)
+    R = np.linalg.qr(np.column_stack((designs[widths.index(K)], y)), mode="r")
+    pivots = np.abs(np.diag(R[:K, :K]))
+    if pivots.size < K or pivots.min() <= (np.finfo(float).eps * max(y.size, K)
+                                          * pivots.max()):
+        raise SingularDesign(f"polynomial design of {K} terms is rank deficient")
+    return [solve_triangular(R[:k, :k], R[:k, K], check_finite=False)
+            for k in widths]
 
 
 def _w_to_x(w: np.ndarray) -> np.ndarray:
