@@ -121,9 +121,9 @@ def family_fits(kind: str, ks, w, y) -> list[np.ndarray]:
     K = max(ks), serves every k: the R factor of the first k columns is the
     leading k x k block of R, and the first k entries of its last column
     are that factor's Q'y, so each fit is one triangular solve.  A diagonal
-    of R at most eps * max(n, K) * max|R_ii| (the rank rule of `fit_ols`)
-    raises SingularDesign.  Each spline design is fitted by its own
-    `lstsq`."""
+    of R at most eps * max(n, K) * max|R_ii| raises SingularDesign, the
+    kind of rank rule `lstsq` applies for `fit_ols`.  Each spline design
+    is fitted by its own `lstsq`."""
     y = np.asarray(y, dtype=float)
     if np.ndim(w) != 1 or y.shape != np.shape(w):
         raise ShapeMismatch("family_fits needs 1-D w and y of one length")
@@ -261,7 +261,8 @@ class SieveMomentOracle:
             basis = SieveBasis(self.kind, k)
             if self.method == "mc":
                 res = (basis.design(self._W) @ nu - self.target(self._W)) ** 2
-                b2, se = float(np.mean(res)), float(np.std(res) / math.sqrt(res.size))
+                se = float(np.std(res) / math.sqrt(res.size))
+                b2 = float(np.mean(res))
             else:
                 x, wd = self._nodes(basis.interior_knots())
                 w = 6.0 * x / (1.0 + np.abs(x))

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.interpolate import BSpline
 
-from mixconc import DomainError, SieveMomentOracle, np_target
-from mixconc.sieves import SieveBasis, family_designs, is_nested
+from mixconc import (DomainError, NonFinite, ShapeMismatch, SieveMomentOracle,
+                     SingularDesign, make_np_design, np_target)
+from mixconc.sieves import SieveBasis, family_designs, family_fits, is_nested
 
 
 def test_basis_shapes_and_kinds():
@@ -40,6 +44,69 @@ def test_family_designs_equal_the_per_k_designs(kind):
         assert np.array_equal(Q, SieveBasis(kind, k).design(w))
     with pytest.raises(DomainError):
         family_designs(kind, (), w)
+
+
+#: interior points, the ends of the support and points beyond it
+EDGE_W = np.array([-100.0, -7.0, -6.0, -5.999, -3.0, -0.1, 0.0, 1.5, 3.0,
+                   5.999, 6.0, 6.5, 1e6])
+
+
+def fresh_spline_design(k, w):
+    basis = SieveBasis("pspline", k)
+    deg = basis.degree
+    knots = np.r_[[-6.0] * (deg + 1), basis.interior_knots(), [6.0] * (deg + 1)]
+    return BSpline(knots, np.eye(k), deg, extrapolate=False)(np.clip(w, -6, 6))
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_spline_design_equals_a_freshly_built_bspline(k):
+    w = np.r_[EDGE_W, np.random.default_rng(k).uniform(-6, 6, 40)]
+    for _ in range(2):
+        assert np.array_equal(SieveBasis("pspline", k).design(w),
+                              fresh_spline_design(k, w))
+
+
+def test_spline_design_is_a_new_array_every_call():
+    basis = SieveBasis("pspline", 6)
+    Q = basis.design(EDGE_W)
+    Q[:] = 99.0
+    assert np.array_equal(basis.design(EDGE_W), fresh_spline_design(6, EDGE_W))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NonFinite):
+            basis.design(np.r_[EDGE_W, bad])
+
+
+def relative_gap(fits, refs):
+    return max(np.max(np.abs(f - r)) / np.max(np.abs(r)) for f, r in zip(fits, refs))
+
+
+@pytest.mark.parametrize("n", [100, 3000])
+@pytest.mark.parametrize("kind", ["polynomial", "pspline"])
+def test_family_fits_match_per_k_lstsq_in_the_order_of_ks(kind, n):
+    ks = (5, 3, 8)
+    for rep in range(3):
+        data = make_np_design(n, 1, seed=11, rep=rep)
+        fits = family_fits(kind, ks, data.w, data.y)
+        refs = [np.linalg.lstsq(SieveBasis(kind, k).design(data.w), data.y,
+                                rcond=None)[0] for k in ks]
+        assert [f.shape for f in fits] == [(k,) for k in ks]
+        assert relative_gap(fits, refs) <= 1e-12
+
+
+def test_family_fits_refuse_a_rank_deficient_polynomial_design():
+    rng = np.random.default_rng(2)
+    y = rng.standard_normal(60)
+    for values in (np.array([0.5]), np.linspace(-5, 5, 7)):
+        w = rng.choice(values, size=60)   # fewer distinct values than K = 8
+        with pytest.raises(SingularDesign):
+            family_fits("polynomial", (3, 8), w, y)
+    w = np.linspace(-5, 5, 60)
+    with pytest.raises(DomainError):
+        family_fits("polynomial", (), w, y)
+    with pytest.raises(ShapeMismatch):
+        family_fits("pspline", (3, 4), w, y[:-1])
+    with pytest.raises(NonFinite):
+        family_fits("polynomial", (3, 4), w, np.r_[y[:-1], np.nan])
 
 
 def test_polynomial_design_is_the_monomial_table():
@@ -80,10 +147,33 @@ def test_gram_positive_definite_and_cross():
 
 
 def test_l2_error_at_projection_is_bias():
-    oracle = SieveMomentOracle("polynomial", np_target)
-    for k in (3, 5, 7):
-        nu = oracle.projection(k)
-        assert oracle.l2_error(k, nu) == pytest.approx(oracle.bias(k), abs=1e-9)
+    for kind in ("polynomial", "pspline"):
+        oracle = SieveMomentOracle(kind, np_target)
+        for k in (3, 5, 7):
+            assert oracle.l2_error(k, oracle.projection(k)) == oracle.bias(k)
+
+
+def quadrature_l2_error(oracle, k, theta_hat):
+    """||theta_hat' q - theta*|| summed directly on the oracle's nodes."""
+    basis = SieveBasis(oracle.kind, k)
+    x, wd = oracle._nodes(basis.interior_knots())
+    w = 6.0 * x / (1.0 + np.abs(x))
+    res = basis.design(w) @ theta_hat - oracle.target(w)
+    return math.sqrt(float(np.sum(wd * res * res)))
+
+
+@pytest.mark.parametrize("kind", ["polynomial", "pspline"])
+def test_l2_error_near_the_projection_matches_direct_quadrature(kind):
+    # the expanded form theta'M theta - 2 theta'c + E theta*^2 is off by
+    # up to 8e-11 relative here (polynomial k = 7, 8)
+    oracle = SieveMomentOracle(kind, np_target)
+    rng = np.random.default_rng(5)
+    for k in range(3, 9):
+        for scale in (0.0, 1e-5, 1e-3):
+            theta_hat = oracle.projection(k) + scale * rng.standard_normal(k)
+            direct = quadrature_l2_error(oracle, k, theta_hat)
+            assert oracle.l2_error(k, theta_hat) == pytest.approx(
+                direct, rel=1e-12, abs=0)
 
 
 def test_quadrature_matches_dense_mc():
