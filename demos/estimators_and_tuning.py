@@ -5,9 +5,9 @@ one simulated dataset.
 import numpy as np
 
 from mixconc import (PenaltySpec, build_sieve_oracle, default_s,
-                     family_designs, feasible_k, fit_ols, fit_penalized_qr,
-                     ideal_k, make_linear_design, make_np_design, sieve_grid,
-                     variance_proxy)
+                     family_designs, family_fits, feasible_k,
+                     fit_penalized_qr, ideal_k, make_linear_design,
+                     make_np_design, sieve_grid, variance_proxy)
 
 print("=== penalized median regression on 4-dependent data ===\n")
 ds = make_linear_design(240, 4, d=3, seed=5)
@@ -23,10 +23,9 @@ n, m = 1000, 1
 ds = make_np_design(n, m, seed=6)
 ks = range(3, 9)
 grid = sieve_grid(ks)
-fits, grams = [], []
-for Q in family_designs("polynomial", ks, ds.w):
-    fits.append(fit_ols((Q, ds.y)).theta)
-    grams.append(Q.T @ Q / n)
+designs = family_designs("polynomial", ks, ds.w)
+fits = [fit.theta for fit in family_fits("polynomial", designs, ds.y)]
+grams = [Q.T @ Q / n for Q in designs]
 
 proxy = variance_proxy(grid, n // m)
 oracle = build_sieve_oracle("polynomial")

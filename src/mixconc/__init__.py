@@ -25,7 +25,7 @@ from .estimators import (ABS_HALF, NO_PENALTY, SQUARED, Fit, LossSpec,
                          PenaltySpec, PopulationDesign, SolverOptions,
                          bias_term, delta_p, delta_p_mc, empirical_criterion,
                          fit_ols, fit_penalized, fit_penalized_qr,
-                         fit_sieve_ls, quantile_loss, subgradient_residual)
+                         quantile_loss, subgradient_residual)
 from .experiments import (BoundParams, ExperimentConfig, ReportRow,
                           build_sieve_oracle, eval_bound, l1_envelope,
                           run_ols_tail, run_tables12, run_tables34,
@@ -35,7 +35,8 @@ from .mixing import (BetaMixingModel, EffectiveN, QuantileFn, b_r_bounds,
                      b_r_factor, beta_coeff, beta_inverse, dep_norm,
                      effective_n, effective_n_bounds, mu_integral, mu_q, q_nk)
 from .sieves import (SieveBasis, SieveMomentOracle, family_designs,
-                     family_fits, polynomial_basis, pspline_basis)
+                     family_fits, fit_sieve_ls, polynomial_basis,
+                     pspline_basis)
 from .tuning import (SelectionResult, TuningGrid, VarianceProxy,
                      alpha_calibrated_s, default_s, feasible_k, ideal_k,
                      lambda_grid, sieve_grid, test_set, variance_proxy)

@@ -17,14 +17,13 @@ import sys
 import numpy as np
 
 from .errors import MixconcError
-from .estimators import fit_ols
 from .experiments import (BoundParams, ExperimentConfig, TABLES12_GRID,
                           TABLES34_GRID, eval_bound, run_ols_tail,
                           run_tables12, run_tables34, write_csv,
                           write_manifest)
 from .lattice import build_lattice
 from .mixing import BetaMixingModel, effective_n, effective_n_bounds
-from .sieves import family_designs
+from .sieves import family_designs, family_fits
 from .tuning import default_s, feasible_k, lambda_grid, sieve_grid, \
     variance_proxy
 
@@ -193,15 +192,12 @@ def _cmd_tune(args) -> int:
 
 
 def _tune_sieve(args, y, w, nbeta, s):
-    if args.kmax > y.size:
-        raise MixconcError("k must not exceed the sample size")
     ks = tuple(range(args.kmin, args.kmax + 1))
     grid = sieve_grid(ks)
     proxy = variance_proxy(grid, nbeta)
-    fits, grams = [], []
-    for Q in family_designs(args.basis, ks, w):
-        fits.append(fit_ols((Q, y)).theta)
-        grams.append(Q.T @ Q / y.size)
+    designs = family_designs(args.basis, ks, w)
+    fits = [fit.theta for fit in family_fits(args.basis, designs, y)]
+    grams = [Q.T @ Q / y.size for Q in designs]
     result = feasible_k(grid, fits, proxy, s, grams,
                         multiplier=args.multiplier)
     coefs = fits[ks.index(result.k_feasible)]

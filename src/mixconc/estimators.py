@@ -1,11 +1,15 @@
-"""Penalized M-estimators: quantile regression, least squares, sieve least
-squares, and the population distance / bias evaluators.
+"""Penalized M-estimators: quantile regression and least squares, their
+certificates, and the population distance / bias evaluators.
 
-Every fit carries a certified optimality residual.  For the nonsmooth
-quantile loss the certificate is the Euclidean distance from zero to the
+Every fit carries a certified optimality residual, and every `Fit` is
+built by `certified_fit`, which `fit_penalized` and `sieves.family_fits`
+(the sieve least-squares fits) both call.  For the squared loss the
+certificate is the gradient norm of the objective.  For the nonsmooth
+quantile loss it is the Euclidean distance from zero to the
 subdifferential of the objective, with the interval freedom at zero
 residuals (and at zero coefficients under the l1 penalty) resolved by a
-small box-constrained least-squares problem.
+small box-constrained least-squares problem.  This module does not know
+the sieve bases: `sieves` imports it, not the other way round.
 """
 
 import math
@@ -18,7 +22,6 @@ from scipy.optimize import linprog, lsq_linear
 from . import _admm
 from .errors import (DomainError, NonConvergence, NonFinite,
                      ShapeMismatch, SingularDesign, UnsupportedDesign)
-from .sieves import SieveBasis, SieveMomentOracle
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +105,11 @@ def empirical_criterion(loss: LossSpec, pen: PenaltySpec, data, theta) -> float:
     theta = np.asarray(theta, dtype=float)
     if X.ndim != 2 or X.shape[0] != y.shape[0] or X.shape[1] != theta.shape[0]:
         raise ShapeMismatch(f"X {X.shape}, y {y.shape}, theta {theta.shape}")
-    res = y - X @ theta
+    return _criterion(loss, pen, y - X @ theta, theta)
+
+
+def _criterion(loss, pen, res, theta) -> float:
+    """The objective from the residuals res = y - X theta."""
     return float(loss.values(res).mean()) + pen.lam * pen.value(theta)
 
 
@@ -166,8 +173,13 @@ def gradient_residual_squared(X, y, theta, pen: PenaltySpec) -> float:
     """Gradient norm of the smooth squared-loss objective."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
+    return _squared_gradient(X, y - X @ theta, theta, pen)
+
+
+def _squared_gradient(X, res, theta, pen) -> float:
+    """`gradient_residual_squared` from the residuals res = y - X theta."""
     n, d = X.shape
-    g = -2.0 * (X.T @ (y - X @ theta)) / n
+    g = -2.0 * (X.T @ res) / n
     if pen.kind == "weighted_l2" and pen.lam > 0:
         g = g + 2.0 * pen.lam * pen.weights(d) * theta
     elif pen.kind == "l1" and pen.lam > 0:
@@ -175,7 +187,7 @@ def gradient_residual_squared(X, y, theta, pen: PenaltySpec) -> float:
         zero = np.abs(theta) <= _ZERO_TOL
         g = g + pen.lam * np.sign(theta) * (~zero)
         g[zero] = np.maximum(np.abs(g[zero]) - pen.lam, 0.0) * np.sign(g[zero])
-    return float(np.linalg.norm(g))
+    return math.sqrt(g.dot(g))      # np.linalg.norm(g) without its overhead
 
 
 def _certificate(X, y, theta, loss: LossSpec, pen: PenaltySpec) -> float:
@@ -191,7 +203,9 @@ def _certificate(X, y, theta, loss: LossSpec, pen: PenaltySpec) -> float:
 @dataclass(frozen=True)
 class Fit:
     """A certified fit: optimality_residual <= the solver tol, and method
-    names the path taken: "simplex", "lp", "closed_form" or "admm"."""
+    names the path taken: "simplex", "lp", "closed_form" or "admm".  Every
+    Fit is built by `certified_fit`, for `fit_penalized` and for the sieve
+    fits of `sieves.family_fits` alike."""
 
     theta: np.ndarray
     objective: float
@@ -216,7 +230,8 @@ _MAX_SWEEPS = 50_000
 def fit_penalized(data, loss: LossSpec, pen: PenaltySpec = NO_PENALTY,
                   opts: SolverOptions = SolverOptions()) -> Fit:
     """Penalized M-fit with a certified optimality residual; every public
-    fit goes through here.
+    fit of a given design goes through here (the sieve fits, whose designs
+    `sieves` builds, through `sieves.family_fits`).
 
     - quantile loss, no penalty or l1: one ADMM sweep warm-starts the exact
       simplex pivot (`method == "simplex"`), the l1 penalty as data
@@ -229,7 +244,8 @@ def fit_penalized(data, loss: LossSpec, pen: PenaltySpec = NO_PENALTY,
       50 000 sweeps.
 
     The certificate is the subgradient set-distance (quantile loss) or the
-    gradient norm (squared loss); above opts.tol it raises NonConvergence.
+    gradient norm (squared loss); `certified_fit` checks it and builds the
+    Fit, raising NonConvergence above opts.tol.
     Before any solver runs, X (a 1-D X is one column) and y must be 2-D
     and 1-D with as many rows as entries (else ShapeMismatch) and finite
     (else NonFinite).
@@ -242,11 +258,8 @@ def fit_penalized(data, loss: LossSpec, pen: PenaltySpec = NO_PENALTY,
         raise ShapeMismatch(f"X {X.shape}, y {y.shape}")
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise NonFinite("fit input has a non-finite entry")
-    theta, residual, method = _certified(*_solve(X, y, loss, pen, opts.tol),
-                                         opts.tol)
-    obj = empirical_criterion(loss, pen, (X, y), theta)
-    return Fit(theta=theta, objective=obj, optimality_residual=residual,
-               method=method)
+    theta, certificate, method = _solve(X, y, loss, pen, opts.tol)
+    return certified_fit(X, y, theta, method, loss, pen, opts.tol, certificate)
 
 
 def fit_penalized_qr(data, tau: float, pen: PenaltySpec = NO_PENALTY,
@@ -263,7 +276,8 @@ def fit_ols(data) -> Fit:
 
 
 def _solve(X, y, loss, pen, tol):
-    """(theta, certificate, method) of one fit, not yet certified."""
+    """(theta, certificate, method) of one fit, not yet certified; the
+    closed form leaves its certificate (None) to `certified_fit`."""
     n, d = X.shape
     kind = pen.kind if pen.lam > 0 else "none"
     if loss.kind == "squared" and kind != "l1":
@@ -274,7 +288,7 @@ def _solve(X, y, loss, pen, tol):
         else:
             P = np.diag(pen.weights(d))
             theta = np.linalg.solve(X.T @ X / n + pen.lam * P, X.T @ y / n)
-        return theta, gradient_residual_squared(X, y, theta, pen), "closed_form"
+        return theta, None, "closed_form"
     tau = loss.effective_tau
     if loss.kind != "squared" and kind != "weighted_l2":
         # the first ADMM sweep is the warm start of the exact pivot
@@ -315,14 +329,25 @@ def _finish_exact(X, y, tau, pen, theta0, tol):
     return theta, subgradient_residual(X, y, theta, tau, pen), "lp"
 
 
-def _certified(theta, residual, method, tol):
-    """The one certification of a fit: NonConvergence unless residual <= tol.
-    An uncertified ADMM fit has spent all _MAX_SWEEPS."""
-    if not residual <= tol:
+def certified_fit(X, y, theta, method: str, loss: LossSpec = SQUARED,
+                  pen: PenaltySpec = NO_PENALTY, tol: float = SolverOptions().tol,
+                  certificate: float | None = None) -> Fit:
+    """The one certification and assembly of a fit: NonConvergence unless
+    the certificate is <= tol, else the Fit of theta.
+
+    The residuals y - X theta are computed once.  The objective comes from
+    them, and so does the certificate when none is given (then the loss is
+    the squared loss and the certificate its gradient norm).  An
+    uncertified ADMM fit has spent all _MAX_SWEEPS."""
+    res = y - X @ theta
+    if certificate is None:
+        certificate = _squared_gradient(X, res, theta, pen)
+    if not certificate <= tol:
         sweeps = f" ({_MAX_SWEEPS} ADMM sweeps)" if method == "admm" else ""
-        raise NonConvergence(f"{method} fit: residual {residual:.3e} > tol "
+        raise NonConvergence(f"{method} fit: residual {certificate:.3e} > tol "
                              f"{tol:.1e}{sweeps}")
-    return theta, residual, method
+    return Fit(theta=theta, objective=_criterion(loss, pen, res, theta),
+               optimality_residual=certificate, method=method)
 
 
 def quantile_lp(X, y, tau=0.5):
@@ -338,18 +363,6 @@ def quantile_lp(X, y, tau=0.5):
     if not res.success:
         raise NonConvergence(f"LP fallback failed: {res.message}")
     return res.x[:d]
-
-
-def fit_sieve_ls(basis: SieveBasis, w, y) -> Fit:
-    """Least squares on the first k basis functions: `fit_ols` on the
-    basis design."""
-    w = np.asarray(w, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if w.shape[0] != y.shape[0]:
-        raise ShapeMismatch("w and y lengths differ")
-    if basis.k > w.shape[0]:
-        raise DomainError("k must not exceed the sample size")
-    return fit_ols((basis.design(w), y))
 
 
 # ---------------------------------------------------------------------------
@@ -417,12 +430,13 @@ def delta_p_mc(sampler, loss: LossSpec, theta_hat, theta_star,
     return math.sqrt(max(mean, 0.0)), se
 
 
-def bias_term(*, oracle: SieveMomentOracle | None = None, k: int | None = None,
+def bias_term(*, oracle=None, k: int | None = None,
               pen: PenaltySpec | None = None, theta_star=None) -> float:
     """The bias entering the concentration rate.
 
     Sieve branch (oracle + k): the L2(P) distance between theta* and its
-    population projection on the k-term space, i.e. sqrt(B_k).
+    population projection on the k-term space, i.e. sqrt(B_k), which the
+    oracle (a `sieves.SieveMomentOracle`) computes as `oracle.bias(k)`.
     Penalized linear branch (pen + theta_star): the closed bound
     lambda * Pen(theta*) on B_k itself (the rate uses its square root).
     """

@@ -2,10 +2,10 @@
 check, and the concentration-bound evaluators.
 
 The studies draw their data with `datagen`, fit and certify with
-`estimators`, and choose sieve dimensions with `tuning`.  Replications are
-split into fixed-size chunks; each chunk derives its own substreams from
-(master_seed, global replication index), so reports are bit-identical for
-any worker count.  A study maps the chunks of all its cells through one
+`estimators` (the sieve study with `sieves.family_fits`), and choose sieve
+dimensions with `tuning`.  Replications are split into fixed-size chunks;
+each chunk derives its own substreams from (master_seed, global
+replication index), so reports are bit-identical for any worker count.  A study maps the chunks of all its cells through one
 process pool.
 """
 
@@ -27,7 +27,7 @@ from .errors import DomainError, NonConvergence
 from .estimators import ABS_HALF, NO_PENALTY, SQUARED, _finish_exact, delta_p
 from .lattice import build_lattice
 from .mixing import BetaMixingModel, effective_n
-from .sieves import SieveMomentOracle, family_fits
+from .sieves import SieveMomentOracle, family_designs, family_fits
 from .tuning import (default_s, feasible_k, ideal_k, sieve_grid,
                      variance_proxy)
 
@@ -283,7 +283,8 @@ def _tables34_chunk(args):
     kF, chosen = [], []
     for rep in range(*rep_range):
         data = make_np_design(n, m, seed, rep=rep)
-        fits = family_fits(kind, SIEVE_KS, data.w, data.y)
+        designs = family_designs(kind, SIEVE_KS, data.w)
+        fits = [fit.theta for fit in family_fits(kind, designs, data.y)]
         k = feasible_k(grid, fits, proxy, s_n, grams, multiplier=mult).k_feasible
         kF.append(k)
         chosen.append(fits[SIEVE_KS.index(k)])

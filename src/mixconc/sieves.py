@@ -1,4 +1,5 @@
-"""Sieve bases on [-6, 6] and the population moment oracle.
+"""Sieve bases on [-6, 6], the sieve least-squares fits and the population
+moment oracle.
 
 Two families are provided.  The polynomial family is nested: the k-term
 basis consists of the monomials (w/6)^0 .. (w/6)^(k-1) (the 1/6 column
@@ -11,6 +12,10 @@ interval and each basis is a partition of unity; each process builds the
 spline basis of a k once.  Spline spaces for different k are not nested,
 which is why their bias in k need not be monotone.  Only this module
 knows which family is nested.
+
+`family_fits` is the library's one least-squares fit of sieve designs:
+the tables 3-4 study, `mixconc tune`, the demo and `fit_sieve_ls` all
+get their certified `Fit`s from it.
 """
 
 import functools
@@ -23,6 +28,7 @@ from scipy.linalg import solve_triangular
 
 from .errors import (DomainError, NonFinite, OracleVariance, ShapeMismatch,
                      SingularDesign)
+from .estimators import Fit, certified_fit
 
 SUPPORT = (-6.0, 6.0)
 #: Gauss-Legendre nodes per panel and panels across the +-12 sd x-range
@@ -113,34 +119,55 @@ def family_designs(kind: str, ks, w) -> list[np.ndarray]:
     return [Q[..., :basis.k] for basis in bases]
 
 
-def family_fits(kind: str, ks, w, y) -> list[np.ndarray]:
-    """Least-squares coefficients of y on the k-term basis of one family at
-    w, for every k in ks, in order.
+def family_fits(kind: str, designs, y) -> list[Fit]:
+    """Certified least-squares fits of y on each design of one family, in
+    order; `designs` is what `family_designs(kind, ks, w)` returns.
 
     The polynomial family is nested, so one Householder QR of [Q_K | y],
-    K = max(ks), serves every k: the R factor of the first k columns is the
-    leading k x k block of R, and the first k entries of its last column
-    are that factor's Q'y, so each fit is one triangular solve.  A diagonal
-    of R at most eps * max(n, K) * max|R_ii| raises SingularDesign, the
-    kind of rank rule `lstsq` applies for `fit_ols`.  Each spline design
-    is fitted by its own `lstsq`."""
+    Q_K the widest design, serves every k: the R factor of the first k
+    columns is the leading k x k block of R, and the first k entries of its
+    last column are that factor's Q'y, so each fit is one triangular solve.
+    A diagonal of R at most eps * n * max|R_ii| raises SingularDesign, the
+    kind of rank rule `lstsq` applies for `fit_ols`.  Each spline design is
+    fitted by its own `lstsq`; a rank-deficient spline design (an empty
+    knot interval) gets its minimum-norm fit.
+    Every fit is certified on its own design by `estimators.certified_fit`
+    (gradient norm <= tol, else NonConvergence, method "closed_form"), so
+    designs that are not the prefixes of the widest one fail their
+    certificate instead of returning a wrong fit.  A design wider than the
+    sample raises DomainError, one not of shape (n, k) for n = y.size
+    ShapeMismatch, and a non-finite y NonFinite."""
     y = np.asarray(y, dtype=float)
-    if np.ndim(w) != 1 or y.shape != np.shape(w):
-        raise ShapeMismatch("family_fits needs 1-D w and y of one length")
-    if not np.isfinite(y).all():
-        raise NonFinite("family_fits needs a finite y")
-    designs = family_designs(kind, ks, w)
-    if not is_nested(kind):
-        return [np.linalg.lstsq(Q, y, rcond=None)[0] for Q in designs]
+    if not designs:
+        raise DomainError("designs must be nonempty")
+    if y.ndim != 1 or any(Q.ndim != 2 or Q.shape[0] != y.size for Q in designs):
+        raise ShapeMismatch("family_fits needs designs of shape (n, k) and "
+                            "a y of length n")
     widths = [Q.shape[1] for Q in designs]
     K = max(widths)
-    R = np.linalg.qr(np.column_stack((designs[widths.index(K)], y)), mode="r")
-    pivots = np.abs(np.diag(R[:K, :K]))
-    if pivots.size < K or pivots.min() <= (np.finfo(float).eps * max(y.size, K)
-                                          * pivots.max()):
-        raise SingularDesign(f"polynomial design of {K} terms is rank deficient")
-    return [solve_triangular(R[:k, :k], R[:k, K], check_finite=False)
-            for k in widths]
+    if K > y.size:
+        raise DomainError("k must not exceed the sample size")
+    if not np.isfinite(y).all():
+        raise NonFinite("family_fits needs a finite y")
+    if not is_nested(kind):
+        thetas = [np.linalg.lstsq(Q, y, rcond=None)[0] for Q in designs]
+    else:
+        R = np.linalg.qr(np.column_stack((designs[widths.index(K)], y)),
+                         mode="r")
+        pivots = np.abs(np.diag(R[:K, :K]))
+        if pivots.min() <= np.finfo(float).eps * y.size * pivots.max():
+            raise SingularDesign(f"polynomial design of {K} terms is rank "
+                                 "deficient")
+        thetas = [solve_triangular(R[:k, :k], R[:k, K], check_finite=False)
+                  for k in widths]
+    return [certified_fit(Q, y, theta, "closed_form")
+            for Q, theta in zip(designs, thetas)]
+
+
+def fit_sieve_ls(basis: SieveBasis, w, y) -> Fit:
+    """Least squares on the k-term basis at w: `family_fits` on its one
+    design."""
+    return family_fits(basis.kind, [basis.design(w)], y)[0]
 
 
 def _w_to_x(w: np.ndarray) -> np.ndarray:
@@ -297,8 +324,13 @@ class SieveMomentOracle:
     def l2_error(self, k: int, theta_hat: np.ndarray) -> float:
         """||theta_hat' q^k - theta*||_{L2(P)}, by Pythagoras about the
         projection: sqrt((theta_hat - nu_k)' M_k (theta_hat - nu_k) + B_k),
-        which has no cancellation when theta_hat is near nu_k."""
+        which has no cancellation when theta_hat is near nu_k.  A theta_hat
+        not of shape (k,) raises ShapeMismatch."""
+        theta_hat = np.asarray(theta_hat, dtype=float)
+        if theta_hat.shape != (k,):
+            raise ShapeMismatch(f"theta_hat of shape {theta_hat.shape} for "
+                                f"k = {k}")
         M, _ = self.moments(k)
         nu, b2, _ = self._projection(k)
-        d = np.asarray(theta_hat, dtype=float) - nu
+        d = theta_hat - nu
         return math.sqrt(max(float(d @ M @ d), 0.0) + b2)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EmptyIdealSet, EmptyTestSet
+from .errors import DomainError, EmptyIdealSet, EmptyTestSet, ShapeMismatch
 
 #: multiplier in the test-set inequality dist <= multiplier * s * V_{k'}.
 #: 4 is the displayed theoretical rule.
@@ -130,11 +130,16 @@ def test_set(grid: TuningGrid, fits, proxy: VarianceProxy, s: float,
     every k' above k in the grid order.
 
     `metric` is either a per-grid-point list of PSD matrices M_k' (the
-    displayed quadratic form; smaller fits are embedded by zero-padding)
-    or a callable (i, j, fit_i, fit_j) -> distance.
+    displayed quadratic form; smaller fits are embedded by zero-padding, so
+    no fit may be wider than a later one: ShapeMismatch) or a callable
+    (i, j, fit_i, fit_j) -> distance.  s and multiplier must be > 0.  Each
+    k is compared with itself too, so a metric that puts a fit at a
+    positive distance from itself keeps it out of the set.
     """
     if s <= 0:
         raise DomainError("s must be > 0")
+    if multiplier <= 0:
+        raise DomainError("multiplier must be > 0")
     K = len(grid)
     if len(fits) != K:
         raise DomainError("fits must align with the grid")
@@ -143,13 +148,16 @@ def test_set(grid: TuningGrid, fits, proxy: VarianceProxy, s: float,
         dist = metric
     else:
         mats = [np.asarray(M, dtype=float) for M in metric]
+        vecs = [np.asarray(f, dtype=float) for f in fits]
+        sizes = [v.size for v in vecs]
+        if any(a > b for a, b in zip(sizes, sizes[1:])):
+            raise ShapeMismatch("a fit is wider than a later one")
+        padded = np.zeros((K, max(sizes)))    # each fit, zero-padded
+        for row, v in zip(padded, vecs):
+            row[:v.size] = v
 
         def dist(i, j, fi, fj):
-            fj = np.asarray(fj, dtype=float)
-            padded = np.zeros_like(fj)
-            fi = np.asarray(fi, dtype=float)
-            padded[:fi.size] = fi
-            diff = padded - fj
+            diff = padded[i, :sizes[j]] - padded[j, :sizes[j]]
             return math.sqrt(max(float(diff @ mats[j] @ diff), 0.0))
 
     members = []

@@ -210,3 +210,46 @@ def test_cli_tune_missing_file(tmp_path, capsys):
     path = tmp_path / "absent.csv"
     assert main(["tune", "--data", str(path)]) == 2
     assert f"cannot read {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("multiplier", ["0", "-1"])
+@pytest.mark.parametrize("grid", [[], ["--lambdas", "0.5", "0.2"]],
+                         ids=["sieve", "lambda"])
+def test_cli_tune_rejects_a_non_positive_multiplier(tmp_path, capsys,
+                                                    multiplier, grid):
+    path = tmp_path / "data.csv"
+    if grid:
+        make_linear_design(200, 1, d=2, seed=3).to_csv(path)
+    else:
+        make_np_design(200, 1, seed=3).to_csv(path)
+    assert main(["tune", "--data", str(path), "--multiplier", multiplier]
+                + grid) == 2
+    assert "multiplier must be > 0" in capsys.readouterr().err
+
+
+def test_cli_tune_fits_a_rank_deficient_spline_design(tmp_path, capsys,
+                                                      monkeypatch):
+    # w on [0, 0.5] meets 4 of the 8 cubic B-splines of k = 8: the design
+    # has rank 4, and tune prints the certified minimum-norm fit, the one
+    # family_fits and fit_sieve_ls return, without calling fit_penalized
+    rng = np.random.default_rng(0)
+    w = rng.uniform(0.0, 0.5, 200)
+    y = mixconc.np_target(w) + rng.standard_normal(200)
+    path = tmp_path / "data.csv"
+    np.savetxt(path, np.column_stack((y, w)), delimiter=",", header="y,w",
+               comments="")
+    y, w = np.loadtxt(path, delimiter=",", skiprows=1).T
+    basis = mixconc.pspline_basis(8)
+    assert np.linalg.matrix_rank(basis.design(w)) == 4
+    fit = mixconc.family_fits("pspline", [basis.design(w)], y)[0]
+    assert fit.optimality_residual <= mixconc.SolverOptions().tol
+    assert np.array_equal(mixconc.fit_sieve_ls(basis, w, y).theta, fit.theta)
+
+    def no_fit(*args):
+        raise AssertionError("a sieve design reached fit_penalized")
+    monkeypatch.setattr(mixconc.estimators, "_solve", no_fit)
+    assert main(["tune", "--data", str(path), "--basis", "pspline",
+                 "--kmin", "8", "--kmax", "8"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["k_feasible"] == 8
+    assert np.array_equal(out["coefficients"], fit.theta)

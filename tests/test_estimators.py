@@ -533,3 +533,28 @@ def test_oracle_backends_agree():
     for k in (3, 5, 7):
         assert mc.bias(k) == pytest.approx(quad.bias(k), rel=2e-2, abs=2e-3)
     assert mc.t2 == pytest.approx(quad.t2, rel=5e-3)
+
+
+def test_estimators_does_not_import_sieves():
+    # sieves builds its fits with estimators.certified_fit; the dependency
+    # runs one way only
+    import ast
+    tree = ast.parse(open(est.__file__).read())
+    imported = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)}
+    imported |= {alias.name for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 for alias in node.names}
+    assert not {"sieves", "mixconc.sieves"} & imported
+
+
+def test_certified_fit_computes_one_residual_for_objective_and_certificate():
+    ds = make_linear_design(120, 1, d=3, seed=2)
+    X, y = ds.X, ds.y
+    pen = PenaltySpec("weighted_l2", lam=0.01, m=2.0)
+    theta = fit_penalized((X, y), SQUARED, pen).theta
+    fit = est.certified_fit(X, y, theta, "closed_form", SQUARED, pen)
+    assert fit.objective == empirical_criterion(SQUARED, pen, (X, y), theta)
+    assert fit.optimality_residual == gradient_residual_squared(X, y, theta, pen)
+    with pytest.raises(NonConvergence, match="closed_form fit: residual"):
+        est.certified_fit(X, y, theta + 1.0, "closed_form")

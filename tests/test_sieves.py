@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 from scipy.interpolate import BSpline
 
-from mixconc import (DomainError, NonFinite, ShapeMismatch, SieveMomentOracle,
-                     SingularDesign, make_np_design, np_target)
+from mixconc import (NO_PENALTY, SQUARED, DomainError, NonConvergence,
+                     NonFinite, ShapeMismatch, SieveMomentOracle,
+                     SingularDesign, SolverOptions, empirical_criterion,
+                     make_np_design, np_target)
+from mixconc.estimators import gradient_residual_squared
+from mixconc.experiments import hash_cell
 from mixconc.sieves import SieveBasis, family_designs, family_fits, is_nested
 
 
@@ -76,6 +80,10 @@ def test_spline_design_is_a_new_array_every_call():
             basis.design(np.r_[EDGE_W, bad])
 
 
+def thetas(fits):
+    return [fit.theta for fit in fits]
+
+
 def relative_gap(fits, refs):
     return max(np.max(np.abs(f - r)) / np.max(np.abs(r)) for f, r in zip(fits, refs))
 
@@ -86,7 +94,7 @@ def test_family_fits_match_per_k_lstsq_in_the_order_of_ks(kind, n):
     ks = (5, 3, 8)
     for rep in range(3):
         data = make_np_design(n, 1, seed=11, rep=rep)
-        fits = family_fits(kind, ks, data.w, data.y)
+        fits = thetas(family_fits(kind, family_designs(kind, ks, data.w), data.y))
         refs = [np.linalg.lstsq(SieveBasis(kind, k).design(data.w), data.y,
                                 rcond=None)[0] for k in ks]
         assert [f.shape for f in fits] == [(k,) for k in ks]
@@ -99,14 +107,63 @@ def test_family_fits_refuse_a_rank_deficient_polynomial_design():
     for values in (np.array([0.5]), np.linspace(-5, 5, 7)):
         w = rng.choice(values, size=60)   # fewer distinct values than K = 8
         with pytest.raises(SingularDesign):
-            family_fits("polynomial", (3, 8), w, y)
+            family_fits("polynomial", family_designs("polynomial", (3, 8), w), y)
     w = np.linspace(-5, 5, 60)
     with pytest.raises(DomainError):
-        family_fits("polynomial", (), w, y)
+        family_fits("polynomial", [], y)
     with pytest.raises(ShapeMismatch):
-        family_fits("pspline", (3, 4), w, y[:-1])
+        family_fits("pspline", family_designs("pspline", (3, 4), w), y[:-1])
     with pytest.raises(NonFinite):
-        family_fits("polynomial", (3, 4), w, np.r_[y[:-1], np.nan])
+        family_fits("polynomial", family_designs("polynomial", (3, 4), w),
+                    np.r_[y[:-1], np.nan])
+
+
+def test_family_fits_refuse_k_above_the_sample_size():
+    w = np.linspace(-5, 5, 5)
+    y = np.arange(5.0)
+    for kind in ("polynomial", "pspline"):
+        with pytest.raises(DomainError, match="sample size"):
+            family_fits(kind, family_designs(kind, (3, 8), w), y)
+        fits = family_fits(kind, family_designs(kind, (3, 5), w), y)
+        assert [fit.theta.size for fit in fits] == [3, 5]
+
+
+def test_family_fits_certify_non_prefix_polynomial_designs_or_raise():
+    rng = np.random.default_rng(7)
+    w = rng.uniform(-6, 6, 80)
+    y = np_target(w) + rng.standard_normal(80)
+    Q = family_designs("polynomial", (8,), w)[0]
+    for designs in ([Q[:, 1:4], Q], [Q[:, [0, 2, 4]], Q[:, :6]],
+                    family_designs("pspline", (5, 8), w)):
+        with pytest.raises(NonConvergence):
+            family_fits("polynomial", designs, y)
+
+
+#: the study's seed for the pspline cell (n, m) = (100, 1)
+PSPLINE_100_SEED = 20240901 + 97 * hash_cell(100, 1) + 7
+
+
+def test_family_fits_rank_deficient_spline_designs_of_the_study():
+    # replication 72 has no w above the last interior knot of k = 8 (3.6)
+    data = make_np_design(100, 1, PSPLINE_100_SEED, rep=72)
+    designs = family_designs("pspline", range(3, 9), data.w)
+    assert np.linalg.matrix_rank(designs[-1]) < 8
+    tol = SolverOptions().tol
+    for Q, fit in zip(designs, family_fits("pspline", designs, data.y)):
+        assert np.array_equal(fit.theta, np.linalg.lstsq(Q, data.y, rcond=None)[0])
+        assert fit.optimality_residual <= tol
+        assert fit.method == "closed_form"
+
+
+def test_family_fits_objective_and_certificate_of_each_design():
+    data = make_np_design(300, 1, seed=5)
+    for kind in ("polynomial", "pspline"):
+        designs = family_designs(kind, (3, 6, 8), data.w)
+        for Q, fit in zip(designs, family_fits(kind, designs, data.y)):
+            assert fit.objective == empirical_criterion(SQUARED, NO_PENALTY,
+                                                        (Q, data.y), fit.theta)
+            assert fit.optimality_residual == gradient_residual_squared(
+                Q, data.y, fit.theta, NO_PENALTY)
 
 
 def test_polynomial_design_is_the_monomial_table():
@@ -151,6 +208,14 @@ def test_l2_error_at_projection_is_bias():
         oracle = SieveMomentOracle(kind, np_target)
         for k in (3, 5, 7):
             assert oracle.l2_error(k, oracle.projection(k)) == oracle.bias(k)
+
+
+def test_l2_error_rejects_a_theta_of_another_shape():
+    oracle = SieveMomentOracle("polynomial", np_target)
+    for bad in (np.zeros(4), np.zeros(6), np.zeros((5, 1)), 0.0):
+        with pytest.raises(ShapeMismatch):
+            oracle.l2_error(5, bad)
+    assert oracle.l2_error(5, list(oracle.projection(5))) == oracle.bias(5)
 
 
 def quadrature_l2_error(oracle, k, theta_hat):

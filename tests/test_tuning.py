@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from mixconc import (DomainError, EmptyIdealSet, EmptyTestSet, TuningGrid,
-                     alpha_calibrated_s, default_s, feasible_k, ideal_k,
-                     lambda_grid, sieve_grid, variance_proxy)
+from mixconc import (DomainError, EmptyIdealSet, EmptyTestSet, ShapeMismatch,
+                     TuningGrid, alpha_calibrated_s, default_s, feasible_k,
+                     ideal_k, lambda_grid, sieve_grid, variance_proxy)
 from mixconc.tuning import test_set as pairwise_test_set
 
 
@@ -112,6 +112,47 @@ def test_feasible_k_full_set_and_empty():
         # emptiness with a callable metric that rejects everything
         feasible_k(g, fits, proxy, 1.0,
                    lambda i, j, a, b: math.inf)
+
+
+def test_test_set_rejects_a_non_positive_multiplier():
+    g, proxy, metric = _toy_setup()
+    same = [np.zeros(k) for k in g.labels]
+    for multiplier in (0.0, -1.0):
+        with pytest.raises(DomainError, match="multiplier"):
+            pairwise_test_set(g, same, proxy, 1.0, metric, multiplier)
+        with pytest.raises(DomainError, match="multiplier"):
+            feasible_k(g, same, proxy, 1.0, metric, multiplier)
+
+
+def padded_distance(fi, fj, M):
+    """The displayed quadratic form, fi zero-padded to fj's length."""
+    padded = np.zeros_like(fj)
+    padded[:fi.size] = fi
+    diff = padded - fj
+    return math.sqrt(max(float(diff @ M @ diff), 0.0))
+
+
+def test_test_set_matrix_metric_is_the_zero_padded_form():
+    rng = np.random.default_rng(3)
+    g = sieve_grid([3, 4, 5, 6])
+    proxy = variance_proxy(g, 200)
+    mats = []
+    for k in g.labels:
+        A = rng.standard_normal((k, k))
+        mats.append(A @ A.T)
+    fits = [rng.standard_normal(k) for k in g.labels]
+    # the s at which each pair k < k' sits on its threshold
+    margins = sorted(padded_distance(fits[i], fits[j], mats[j]) / (4 * proxy[j])
+                     for i in range(4) for j in range(i + 1, 4))
+    for s in margins:
+        want = tuple(g.labels[i] for i in range(4)
+                     if all(padded_distance(fits[i], fits[j], mats[j])
+                            <= 4 * s * proxy[j] for j in range(i, 4)))
+        assert pairwise_test_set(g, fits, proxy, s, mats) == want
+        assert pairwise_test_set(g, [list(f) for f in fits], proxy, s,
+                                 mats) == want
+    with pytest.raises(ShapeMismatch):
+        pairwise_test_set(g, fits[::-1], proxy, 1.0, mats)
 
 
 def test_feasible_vs_ideal_consistency():
