@@ -26,8 +26,8 @@ import numpy as np
 from scipy.interpolate import BSpline
 from scipy.linalg import solve_triangular
 
-from .errors import (DomainError, NonFinite, OracleVariance, ShapeMismatch,
-                     SingularDesign)
+from .errors import (DomainError, NonConvergence, NonFinite, OracleVariance,
+                     ShapeMismatch, SingularDesign)
 from .estimators import Fit, certified_fit
 
 SUPPORT = (-6.0, 6.0)
@@ -136,7 +136,10 @@ def family_fits(kind: str, designs, y) -> list[Fit]:
     designs that are not the prefixes of the widest one fail their
     certificate instead of returning a wrong fit.  A design wider than the
     sample raises DomainError, one not of shape (n, k) for n = y.size
-    ShapeMismatch, and a non-finite y NonFinite."""
+    ShapeMismatch, and a non-finite y NonFinite.  The designs are not
+    scanned for non-finite entries (`family_designs` has checked w): such
+    a spline design raises NonFinite from its failed `lstsq`, a polynomial
+    one fails its certificate."""
     y = np.asarray(y, dtype=float)
     if not designs:
         raise DomainError("designs must be nonempty")
@@ -150,7 +153,12 @@ def family_fits(kind: str, designs, y) -> list[Fit]:
     if not np.isfinite(y).all():
         raise NonFinite("family_fits needs a finite y")
     if not is_nested(kind):
-        thetas = [np.linalg.lstsq(Q, y, rcond=None)[0] for Q in designs]
+        try:
+            thetas = [np.linalg.lstsq(Q, y, rcond=None)[0] for Q in designs]
+        except np.linalg.LinAlgError as exc:   # the SVD fails on NaN or inf
+            finite = all(np.isfinite(Q).all() for Q in designs)
+            raise (NonConvergence if finite else NonFinite)(
+                f"family_fits: {exc}") from exc
     else:
         R = np.linalg.qr(np.column_stack((designs[widths.index(K)], y)),
                          mode="r")

@@ -118,6 +118,18 @@ def test_family_fits_refuse_a_rank_deficient_polynomial_design():
                     np.r_[y[:-1], np.nan])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_family_fits_refuse_a_non_finite_design(bad):
+    w = np.linspace(-5, 5, 60)
+    y = np_target(w)
+    for kind, error in (("pspline", NonFinite), ("polynomial", NonConvergence)):
+        designs = family_designs(kind, (3, 5), w)
+        designs[-1] = designs[-1].copy()
+        designs[-1][7, 1] = bad
+        with pytest.raises(error):
+            family_fits(kind, designs, y)
+
+
 def test_family_fits_refuse_k_above_the_sample_size():
     w = np.linspace(-5, 5, 5)
     y = np.arange(5.0)
