@@ -110,7 +110,9 @@ def empirical_criterion(loss: LossSpec, pen: PenaltySpec, data, theta) -> float:
 
 def _criterion(loss, pen, res, theta) -> float:
     """The objective from the residuals res = y - X theta."""
-    return float(loss.values(res).mean()) + pen.lam * pen.value(theta)
+    # the mean squared residual as one dot product
+    total = res.dot(res) if loss.kind == "squared" else loss.values(res).sum()
+    return float(total) / res.size + pen.lam * pen.value(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -179,15 +181,18 @@ def gradient_residual_squared(X, y, theta, pen: PenaltySpec) -> float:
 def _squared_gradient(X, res, theta, pen) -> float:
     """`gradient_residual_squared` from the residuals res = y - X theta."""
     n, d = X.shape
-    g = -2.0 * (X.T @ res) / n
-    if pen.kind == "weighted_l2" and pen.lam > 0:
+    g = X.T @ res
+    if not (pen.lam > 0 and pen.kind != "none"):
+        return 2.0 * math.sqrt(g.dot(g)) / n      # the norm of -2 g / n
+    g = -2.0 * g / n
+    if pen.kind == "weighted_l2":
         g = g + 2.0 * pen.lam * pen.weights(d) * theta
-    elif pen.kind == "l1" and pen.lam > 0:
+    else:
         # distance to -lam * subdifferential of the l1 norm
         zero = np.abs(theta) <= _ZERO_TOL
         g = g + pen.lam * np.sign(theta) * (~zero)
         g[zero] = np.maximum(np.abs(g[zero]) - pen.lam, 0.0) * np.sign(g[zero])
-    return math.sqrt(g.dot(g))      # np.linalg.norm(g) without its overhead
+    return math.sqrt(g.dot(g))
 
 
 def _certificate(X, y, theta, loss: LossSpec, pen: PenaltySpec) -> float:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import BSpline
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import (DomainError, NonConvergence, NonFinite, OracleVariance,
                      ShapeMismatch, SingularDesign)
@@ -166,7 +166,9 @@ def family_fits(kind: str, designs, y) -> list[Fit]:
         if pivots.min() <= np.finfo(float).eps * y.size * pivots.max():
             raise SingularDesign(f"polynomial design of {K} terms is rank "
                                  "deficient")
-        thetas = [solve_triangular(R[:k, :k], R[:k, K], check_finite=False)
+        # LAPACK trtrs on the transposed block, the call
+        # scipy.linalg.solve_triangular makes, without its wrapper's cost
+        thetas = [dtrtrs(R[:k, :k].T, R[:k, K], lower=1, trans=1)[0]
                   for k in widths]
     return [certified_fit(Q, y, theta, "closed_form")
             for Q, theta in zip(designs, thetas)]

@@ -1,3 +1,4 @@
+import ast
 import math
 import time
 
@@ -538,8 +539,8 @@ def test_oracle_backends_agree():
 def test_estimators_does_not_import_sieves():
     # sieves builds its fits with estimators.certified_fit; the dependency
     # runs one way only
-    import ast
-    tree = ast.parse(open(est.__file__).read())
+    with open(est.__file__) as fh:
+        tree = ast.parse(fh.read())
     imported = {node.module for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom)}
     imported |= {alias.name for node in ast.walk(tree)
@@ -548,7 +549,7 @@ def test_estimators_does_not_import_sieves():
     assert not {"sieves", "mixconc.sieves"} & imported
 
 
-def test_certified_fit_computes_one_residual_for_objective_and_certificate():
+def test_certified_fit_matches_the_public_objective_and_certificate():
     ds = make_linear_design(120, 1, d=3, seed=2)
     X, y = ds.X, ds.y
     pen = PenaltySpec("weighted_l2", lam=0.01, m=2.0)
