@@ -182,7 +182,7 @@ def _squared_gradient(X, res, theta, pen) -> float:
     """`gradient_residual_squared` from the residuals res = y - X theta."""
     n, d = X.shape
     g = X.T @ res
-    if not (pen.lam > 0 and pen.kind != "none"):
+    if pen.kind == "none" or not pen.lam > 0:
         return 2.0 * math.sqrt(g.dot(g)) / n      # the norm of -2 g / n
     g = -2.0 * g / n
     if pen.kind == "weighted_l2":
