@@ -6,7 +6,12 @@
 penalty: the Barrodale-Roberts / Koenker-d'Orey simplex, which pivots
 from vertex to vertex (fits interpolating d observations) to the
 minimizer.  The l1 penalty reduces to it on data augmented with the rows
-+-n lam e_j (response 0), since rho_tau(c) + rho_tau(-c) = |c|.
++-n lam e_j (response 0), since rho_tau(c) + rho_tau(-c) = |c|.  It
+pivots a stack of R problems of one shape at once, X (R, n, d), y (R, n)
+and starts (R, d), and returns the (R, d) solutions with an (R,) mask of
+the reps that stalled; a single fit is R = 1.  Its memory grows with
+R n, so callers walk a larger stack in slices of max(1, SLICE_ROWS // n)
+reps.
 
 `admm_batch` serves the problems without an exact solver here (quantile
 + weighted-l2, squared + l1) and the warm start of single fits: ADMM for
@@ -90,90 +95,142 @@ def admm_batch(X, y, loss_kind="quantile", tau=0.5, pen_kind=_PEN_NONE,
     return AdmmState(theta=theta, r=r, u1=u1, z=z, u2=u2)
 
 
-def simplex_polish(X, y, theta, tau=0.5):
-    """Exact vertex pivoting for unpenalized quantile regression.
+#: simplex_polish holds a few R x n arrays per call; callers pass it
+#: slices of max(1, SLICE_ROWS // n) reps, about 256 KiB per array.
+SLICE_ROWS = 2 ** 15
 
-    Starts from the basis of the d smallest-|residual| rows at `theta` that
-    are linearly independent.  Each pivot solves the dual box condition
-    tau - 1 <= s <= tau on the basic rows; on violation it moves along the
-    edge that keeps the other basic residuals at zero, with the step chosen
-    by the weighted-median rule on the crossing residuals (Barrodale &
-    Roberts 1973; Koenker & d'Orey 1987).  Returns the optimal theta, or
-    None when pivoting stalls (the caller falls back to the LP).
+
+def simplex_polish(X, y, theta, tau=0.5):
+    """Exact vertex pivoting for a stack of unpenalized quantile regressions.
+
+    X is (R, n, d), y (R, n) and theta (R, d): R problems of one shape,
+    pivoted together.  Returns (theta, stalled): the optimal (R, d) thetas
+    and an (R,) mask of the reps whose pivoting stalled; a stalled rep
+    keeps its starting theta (the caller falls back to the LP).  A single
+    fit is R = 1.  Every array here is R x n or smaller, so a caller holds
+    memory to a bound by passing slices of SLICE_ROWS // n reps.
+
+    Each rep starts from the basis of the d smallest-|residual| rows at its
+    theta that are linearly independent.  Each pivot solves the dual box
+    condition tau - 1 <= s <= tau on the basic rows; on violation it moves
+    along the edge that keeps the other basic residuals at zero, with the
+    step chosen by the weighted-median rule on the crossing residuals
+    (Barrodale & Roberts 1973; Koenker & d'Orey 1987).  One pivot steps
+    every rep still active with stacked solves, an argsort and a cumsum
+    along the rows; the arithmetic of each rep is that of pivoting it
+    alone.  A rep leaves the active set when it is optimal or stalls, and
+    the stack is compacted only then.
 
     Pivoting is capped at n + 10 d pivots: the count grows with the rows
     the path crosses, and a fixed cap (500) stalled l1 fits at n = 10^4,
     d = 50 short of the optimum.
     """
-    n, d = X.shape
-    ztol = 1e-12 * (1.0 + float(np.abs(y).max(initial=0.0)))
-    A = _independent_rows(X, np.argsort(np.abs(y - X @ theta)), d)
-    if A is None:
-        return None
-    nonbasic = np.ones(n, dtype=bool)
-    nonbasic[A] = False
-    neg = np.zeros(n, dtype=bool)   # side of each nonbasic row on the fit
+    R, n, d = X.shape
+    theta = np.array(theta, dtype=float)
+    res = y - (X @ theta[..., None])[..., 0]
+    A, stalled = _independent_rows(X, np.argsort(np.abs(res), axis=1), d)
+    ids = np.flatnonzero(~stalled)           # the reps still pivoting
+    X, y, A = X[ids], y[ids], A[ids]
+    ztol = 1e-12 * (1.0 + np.abs(y).max(axis=1, initial=0.0))[:, None]
+    rows = np.arange(ids.size)
+    nonbasic = np.ones((ids.size, n), dtype=bool)
+    nonbasic[rows[:, None], A] = False
+    neg = np.zeros((ids.size, n), dtype=bool)   # side of each nonbasic row
+    ranks = np.arange(n)
     for _ in range(n + 10 * d):
-        XA = X[A]
-        try:
-            theta = np.linalg.solve(XA, y[A])
-        except np.linalg.LinAlgError:
-            return None
-        res = y - X @ theta
+        if not ids.size:
+            break
+        XA = X[rows[:, None], A]
+        th = _solve_stack(XA, y[rows[:, None], A])
+        res = y - (X @ th[..., None])[..., 0]
         # nonbasic rows on the fit (ties, degenerate steps) keep the side
         # they were left on; the others take the side of their residual
         zero = nonbasic & (np.abs(res) <= ztol)
         res[zero] = 0.0
-        neg = np.where(zero, neg, res < 0)
-        psi = np.where(nonbasic, tau - neg, 0.0)
-        try:
-            s = np.linalg.solve(XA.T, -(X.T @ psi))
-        except np.linalg.LinAlgError:
-            return None
+        neg = (res < 0) | (zero & neg)
+        psi = tau - neg
+        psi[rows[:, None], A] = 0.0
+        s = _solve_stack(XA.transpose(0, 2, 1), -(psi[:, None] @ X)[:, 0])
         over = s - tau
         under = (tau - 1.0) - s
         viol = np.maximum(over, under)
-        jrel = int(np.argmax(viol))
-        if viol[jrel] <= 1e-12:
-            return theta
-        sigma = -1.0 if over[jrel] >= under[jrel] else 1.0
-        e = np.zeros(d)
-        e[jrel] = 1.0
-        g = sigma * (X @ np.linalg.solve(XA, e))
+        j = np.argmax(viol, axis=1)
+        done = (viol[rows, j] <= 1e-12) & np.isfinite(th).all(axis=1)
+        theta[ids[done]] = th[done]
+        sigma = np.where(over[rows, j] >= under[rows, j], -1.0, 1.0)
+        e = np.zeros_like(th)
+        e[rows, j] = 1.0
+        g = sigma[:, None] * (X @ _solve_stack(XA, e)[..., None])[..., 0]
         with np.errstate(divide="ignore", invalid="ignore"):
             t = res / g
         # rows whose residual changes side along the edge; a row on the
         # fit crosses at once when it moves off its side (degenerate step)
-        cross = np.flatnonzero(nonbasic & (np.abs(g) > 1e-13)
-                               & ((t > 0.0) | (zero & ((g > 0.0) != neg))))
-        cross = cross[np.argsort(t[cross], kind="stable")]
+        cross = nonbasic & (np.abs(g) > 1e-13) \
+            & ((t > 0.0) | (zero & ((g > 0.0) != neg)))
+        order = np.argsort(np.where(cross, t, np.inf), axis=1, kind="stable")
         # directional derivative of the objective after each crossing
-        deriv0 = (sigma * s[jrel] + (1.0 - tau if sigma > 0 else tau)) / n
-        deriv = np.cumsum(np.r_[deriv0, np.abs(g[cross]) / n])[1:]
-        stop = np.flatnonzero(deriv >= -1e-15)
-        if stop.size == 0:
-            return None
-        enter = int(cross[stop[0]])
-        neg[cross[:stop[0]]] ^= True
-        neg[A[jrel]] = sigma > 0
-        nonbasic[A[jrel]] = True
-        nonbasic[enter] = False
-        A[jrel] = enter
-    return None
+        deriv0 = (sigma * s[rows, j] + np.where(sigma > 0, 1.0 - tau, tau)) / n
+        deriv = np.cumsum(np.concatenate(
+            [deriv0[:, None], np.abs(g[rows[:, None], order]) / n], axis=1),
+            axis=1)[:, 1:]
+        past = (deriv >= -1e-15) & (ranks < cross.sum(axis=1)[:, None])
+        k = np.argmax(past, axis=1)          # the entering row's rank
+        stuck = ~done & ~past[rows, k]       # stalled (a singular basis too)
+        enter = order[rows, k]
+        # the rows crossed before the entering one change side
+        te = t[rows, enter][:, None]
+        neg ^= cross & ((t < te) | ((t == te) & (ranks < enter[:, None])))
+        leave = A[rows, j]
+        neg[rows, leave] = sigma > 0
+        nonbasic[rows, leave] = True
+        nonbasic[rows, enter] = False
+        A[rows, j] = enter
+        stalled[ids[stuck]] = True
+        keep = ~(done | stuck)
+        if not keep.all():
+            ids, X, y, A = ids[keep], X[keep], y[keep], A[keep]
+            ztol, nonbasic, neg = ztol[keep], nonbasic[keep], neg[keep]
+            rows = rows[:ids.size]
+    stalled[ids] = True                      # the pivot cap was reached
+    return theta, stalled
+
+
+def _solve_stack(a, b):
+    """Solutions x of the stacked systems a x = b, (R, d, d) and (R, d); the
+    x of a singular system is nan, which stalls its rep."""
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        x = np.full(b.shape, np.nan)
+        for r in range(len(a)):
+            try:
+                x[r] = np.linalg.solve(a[r], b[r])
+            except np.linalg.LinAlgError:
+                pass
+        return x
 
 
 def _independent_rows(X, order, d):
-    """The first d rows of X, taken in `order`, that are linearly
-    independent (Gram-Schmidt with a relative tolerance); None if fewer."""
-    basis = np.empty((d, X.shape[1]))
-    rows = []
-    for i in order:
-        x = X[i]
-        v = x - basis[:len(rows)].T @ (basis[:len(rows)] @ x)
-        norm = np.linalg.norm(v)
-        if norm > 1e-10 * np.linalg.norm(x):
-            basis[len(rows)] = v / norm
-            rows.append(int(i))
-            if len(rows) == d:
-                return rows
-    return None
+    """For each rep r, the first d rows of X[r], taken in order[r], that are
+    linearly independent (Gram-Schmidt with a relative tolerance): an
+    (R, d) index array and the mask of the reps that have fewer."""
+    R, n, _ = X.shape
+    basis = np.zeros((R, d, d))
+    rows = np.zeros((R, d), dtype=np.intp)
+    found = np.zeros(R, dtype=np.intp)
+    live = np.arange(R)                  # the reps still short of d rows
+    for p in range(n):
+        if not live.size:
+            break
+        idx = order[live, p]
+        x = X[live, idx]
+        B = basis[live]
+        v = x - (B.transpose(0, 2, 1) @ (B @ x[..., None]))[..., 0]
+        norm = np.linalg.norm(v, axis=1)
+        take = norm > 1e-10 * np.linalg.norm(x, axis=1)
+        r = live[take]
+        basis[r, found[r]] = v[take] / norm[take, None]
+        rows[r, found[r]] = idx[take]
+        found[r] += 1
+        live = live[found[live] < d]
+    return rows, found < d

@@ -240,8 +240,11 @@ def fit_penalized(data, loss: LossSpec, pen: PenaltySpec = NO_PENALTY,
 
     - quantile loss, no penalty or l1: one ADMM sweep warm-starts the exact
       simplex pivot (`method == "simplex"`), the l1 penalty as data
-      augmented with the rows +-n lam e_j; when the pivot stalls, the HiGHS
-      LP solves the same problem (`"lp"`);
+      augmented with the rows +-n lam e_j, through `_finish_exact` as a
+      stack of one (the tables 1-2 study passes it a whole chunk); when the
+      pivot stalls or its certificate exceeds tol, the HiGHS LP solves the
+      same problem (`"lp"`), and an LP that fails leaves the fit
+      uncertified (NonConvergence);
     - squared loss, no penalty or weighted-l2: closed form
       (`"closed_form"`); an unpenalized rank-deficient design raises
       SingularDesign;
@@ -299,7 +302,9 @@ def _solve(X, y, loss, pen, tol):
         # the first ADMM sweep is the warm start of the exact pivot
         state = _admm.admm_batch(X[None], y[None], tau=tau, pen_kind=kind,
                                  lam=pen.lam, iters=_FIRST_SWEEP)
-        return _finish_exact(X, y, tau, pen, state.theta[0], tol)
+        theta, certificate, method = _finish_exact(X[None], y[None], tau, pen,
+                                                   state.theta, tol)
+        return theta[0], certificate[0], method[0]
     loss_kind = "squared" if loss.kind == "squared" else "quantile"
     state, iters, sweep = None, 0, _FIRST_SWEEP
     while iters < _MAX_SWEEPS:
@@ -316,22 +321,47 @@ def _solve(X, y, loss, pen, tol):
 
 
 def _finish_exact(X, y, tau, pen, theta0, tol):
-    """(theta, certificate, method) of an exact quantile fit from a warm
-    start: the simplex pivot, then the LP when the pivot stalls or its
-    certificate exceeds tol."""
+    """Exact quantile fits of a stack of R problems of one shape, X
+    (R, n, d) and y (R, n), from the warm starts theta0 (R, d).
+
+    Every rep gets the l1 penalty's augmented rows.  The simplex pivot
+    steps the stack in slices of max(1, _admm.SLICE_ROWS // rows) reps,
+    rows counting the augmented ones;
+    each rep is certified by `subgradient_residual`, and a rep whose pivot
+    stalls or whose certificate exceeds tol goes to the LP on its own.
+    Returns the (R, d) thetas, the (R,) certificates and the R methods
+    ("simplex" or "lp"); a rep whose LP fails is returned uncertified
+    (certificate inf) instead of raising, so one bad rep does not end a
+    batch."""
+    R, n, d = X.shape
     Xs, ys = X, y
     if pen.kind == "l1" and pen.lam > 0:
         # rho_tau(c) + rho_tau(-c) = |c|: rows +-n lam e_j with response 0
         # add n lam |theta_j| to the summed loss
-        rows = X.shape[0] * pen.lam * np.eye(X.shape[1])
-        Xs, ys = np.vstack([X, rows, -rows]), np.r_[y, np.zeros(2 * X.shape[1])]
-    theta = _admm.simplex_polish(Xs, ys, theta0, tau)
-    if theta is not None:
-        residual = subgradient_residual(X, y, theta, tau, pen)
-        if residual <= tol:
-            return theta, residual, "simplex"
-    theta = quantile_lp(Xs, ys, tau)
-    return theta, subgradient_residual(X, y, theta, tau, pen), "lp"
+        rows = np.broadcast_to(n * pen.lam * np.eye(d), (R, d, d))
+        Xs = np.concatenate([X, rows, -rows], axis=1)
+        ys = np.concatenate([y, np.zeros((R, 2 * d))], axis=1)
+    theta, stalled = np.empty((R, d)), np.empty(R, dtype=bool)
+    step = max(1, _admm.SLICE_ROWS // Xs.shape[1])
+    for lo in range(0, R, step):
+        part = slice(lo, lo + step)
+        theta[part], stalled[part] = _admm.simplex_polish(
+            Xs[part], ys[part], theta0[part], tau)
+    certificate = np.full(R, np.inf)
+    method = ["simplex"] * R
+    for r in range(R):
+        if not stalled[r]:
+            certificate[r] = subgradient_residual(X[r], y[r], theta[r], tau, pen)
+            if certificate[r] <= tol:
+                continue
+        method[r] = "lp"
+        try:
+            theta[r] = quantile_lp(Xs[r], ys[r], tau)
+        except NonConvergence:
+            certificate[r] = np.inf
+            continue
+        certificate[r] = subgradient_residual(X[r], y[r], theta[r], tau, pen)
+    return theta, certificate, method
 
 
 def certified_fit(X, y, theta, method: str, loss: LossSpec = SQUARED,

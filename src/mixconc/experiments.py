@@ -5,8 +5,9 @@ The studies draw their data with `datagen`, fit and certify with
 `estimators` (the sieve study with `sieves.family_fits`), and choose sieve
 dimensions with `tuning`.  Replications are split into fixed-size chunks;
 each chunk derives its own substreams from (master_seed, global
-replication index), so reports are bit-identical for any worker count.  A study maps the chunks of all its cells through one
-process pool.
+replication index), so reports are bit-identical for any worker count.
+A study maps the chunks of all its cells through one process pool.  The
+median fits of a tables 1-2 chunk are pivoted together, as one stack.
 """
 
 import csv
@@ -181,20 +182,15 @@ def _tables12_chunk(args):
     X = np.stack([data.X for data in draws])
     y = np.stack([data.y for data in draws])
     truth, design = draws[0].truth, draws[0].meta["design"]
+    del draws                        # X and y hold the data now
     # mean regression: closed form
     G = np.einsum("rij,rik->rjk", X, X)
     b = np.einsum("rij,ri->rj", X, y)
     theta_mean = np.linalg.solve(G, b[..., None])[..., 0]
     delta_mean = delta_p(design, SQUARED, theta_mean, truth)
-    # median regression: exact pivot from the least-squares fit, LP fallback
-    theta_med = theta_mean.copy()
-    resid = np.full(len(y), np.inf)
-    for r in range(len(y)):
-        try:
-            theta_med[r], resid[r], _ = _finish_exact(
-                X[r], y[r], 0.5, NO_PENALTY, theta_mean[r], tol)
-        except NonConvergence:
-            pass                     # counted as uncertified
+    # median regression: exact pivot over the chunk from the least-squares
+    # fits, LP fallback per rep
+    theta_med, resid, _ = _finish_exact(X, y, 0.5, NO_PENALTY, theta_mean, tol)
     ok = resid <= tol
     delta_med = delta_p(design, ABS_HALF, theta_med, truth)
     return {

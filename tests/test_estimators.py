@@ -234,7 +234,8 @@ def test_fit_method_names_the_path_taken(monkeypatch):
         == "admm"
     exact = fit_penalized_qr((X, y), 0.3, PenaltySpec("l1", lam=0.05))
     # a stalled pivot hands the problem to the LP
-    monkeypatch.setattr(_admm, "simplex_polish", lambda *args, **kw: None)
+    monkeypatch.setattr(_admm, "simplex_polish",
+                        lambda X, y, theta, tau=0.5: (theta, np.ones(len(X), bool)))
     fit = fit_penalized_qr((X, y), 0.3, PenaltySpec("l1", lam=0.05))
     assert fit.method == "lp" and fit.optimality_residual <= 1e-6
     assert fit.objective == pytest.approx(exact.objective, rel=1e-12)
@@ -256,25 +257,31 @@ def _lp_objective(X, y, tau, lam):
     return float(res.fun)
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_quantile_fit_matches_lp_oracle(seed):
-    # m-block designs (m up to 100: rows of a block nearly coincide), an
-    # intercept column, and responses rounded to ties
+def _oracle_draw(seed, rep=1):
+    """(X, y, tau, pen) of one oracle case: m-block designs (m up to 100:
+    rows of a block nearly coincide), an intercept column for seeds
+    divisible by 3, and responses rounded to ties for even seeds; the reps
+    of one seed share (n, d, tau, pen)."""
     rng = np.random.default_rng(seed)
     m = int(rng.choice([1, 2, 5, 10, 20, 50, 100]))
     n = m * int(rng.integers(max(2, 8 // m + 1), max(3, 600 // m)))
     d = int(rng.integers(1, 7))
     tau = float(rng.choice([0.3, 0.5, 0.7]))
     lam = float(rng.choice([0.0, 0.002, 0.02, 0.2]))
-    ds = make_linear_design(n, m, d, seed=seed, rep=1)
+    ds = make_linear_design(n, m, d, seed=seed, rep=rep)
     X, y = ds.X, ds.y
     if seed % 3 == 0:
         X = np.column_stack([np.ones(n), X[:, 1:]])
     if seed % 2 == 0:
         y = np.round(y, 1)
-    pen = PenaltySpec("l1", lam=lam) if lam else NO_PENALTY
+    return X, y, tau, (PenaltySpec("l1", lam=lam) if lam else NO_PENALTY)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_quantile_fit_matches_lp_oracle(seed):
+    X, y, tau, pen = _oracle_draw(seed)
     fit = fit_penalized_qr((X, y), tau, pen)
-    lp = _lp_objective(X, y, tau, lam)
+    lp = _lp_objective(X, y, tau, pen.lam)
     assert fit.objective <= lp + 1e-9 * (1.0 + abs(lp))
     assert fit.optimality_residual <= 1e-6
     assert fit.method == "simplex"      # degenerate vertices do not stall
@@ -300,6 +307,183 @@ def test_l1_quantile_fits_certify(n, d, tau, lam, rep):
     if n <= 1000:
         lp = _lp_objective(X, y, tau, lam)
         assert fit.objective <= lp + 1e-9 * (1.0 + abs(lp))
+
+
+# -- the exact pivot over a stack of replications ---------------------------------
+
+
+def _reference_pivot(X, y, theta, tau):
+    """The pivot of one problem, one rep at a time, as it was before the
+    stacked version: the optimal theta, or None when it stalls."""
+    n, d = X.shape
+    ztol = 1e-12 * (1.0 + float(np.abs(y).max(initial=0.0)))
+    basis, A = np.empty((d, d)), []
+    for i in np.argsort(np.abs(y - X @ theta)):
+        v = X[i] - basis[:len(A)].T @ (basis[:len(A)] @ X[i])
+        norm = np.linalg.norm(v)
+        if norm > 1e-10 * np.linalg.norm(X[i]):
+            basis[len(A)] = v / norm
+            A.append(int(i))
+            if len(A) == d:
+                break
+    if len(A) < d:
+        return None
+    nonbasic = np.ones(n, dtype=bool)
+    nonbasic[A] = False
+    neg = np.zeros(n, dtype=bool)
+    for _ in range(n + 10 * d):
+        XA = X[A]
+        theta = np.linalg.solve(XA, y[A])
+        res = y - X @ theta
+        zero = nonbasic & (np.abs(res) <= ztol)
+        res[zero] = 0.0
+        neg = np.where(zero, neg, res < 0)
+        psi = np.where(nonbasic, tau - neg, 0.0)
+        s = np.linalg.solve(XA.T, -(X.T @ psi))
+        over, under = s - tau, (tau - 1.0) - s
+        viol = np.maximum(over, under)
+        j = int(np.argmax(viol))
+        if viol[j] <= 1e-12:
+            return theta
+        sigma = -1.0 if over[j] >= under[j] else 1.0
+        g = sigma * (X @ np.linalg.solve(XA, np.eye(d)[j]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = res / g
+        cross = np.flatnonzero(nonbasic & (np.abs(g) > 1e-13)
+                               & ((t > 0.0) | (zero & ((g > 0.0) != neg))))
+        cross = cross[np.argsort(t[cross], kind="stable")]
+        deriv0 = (sigma * s[j] + (1.0 - tau if sigma > 0 else tau)) / n
+        deriv = np.cumsum(np.r_[deriv0, np.abs(g[cross]) / n])[1:]
+        stop = np.flatnonzero(deriv >= -1e-15)
+        if stop.size == 0:
+            return None
+        neg[cross[:stop[0]]] ^= True
+        neg[A[j]] = sigma > 0
+        nonbasic[A[j]] = True
+        nonbasic[cross[stop[0]]] = False
+        A[j] = int(cross[stop[0]])
+    return None
+
+
+def _lstsq_starts(X, y):
+    return np.stack([np.linalg.lstsq(Xr, yr, rcond=None)[0]
+                     for Xr, yr in zip(X, y)])
+
+
+def _alone_and_stacked(X, y, tau, pen, theta0):
+    """`_finish_exact` on the whole stack, and on each rep as R = 1."""
+    stacked = est._finish_exact(X, y, tau, pen, theta0, 1e-6)
+    alone = [est._finish_exact(X[r:r + 1], y[r:r + 1], tau, pen,
+                               theta0[r:r + 1], 1e-6) for r in range(len(X))]
+    return stacked, alone
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_stacked_pivot_is_bit_identical_to_single_fits(seed):
+    # the oracle cases (ties, m-block vertices, l1 augmented rows) in a
+    # mixed batch: four draws of one shape, the last with tied responses
+    draws = [_oracle_draw(seed, rep) for rep in (1, 2, 3, 4)]
+    tau, pen = draws[0][2], draws[0][3]
+    X = np.stack([draw[0] for draw in draws])
+    y = np.stack([draw[1] for draw in draws])
+    y[3] = np.round(y[3], 1)
+    (theta, cert, method), alone = _alone_and_stacked(X, y, tau, pen,
+                                                     _lstsq_starts(X, y))
+    for r, (theta_r, cert_r, method_r) in enumerate(alone):
+        assert np.array_equal(theta[r], theta_r[0])
+        assert cert[r] == cert_r[0] and method[r] == method_r[0] == "simplex"
+    assert np.all(cert <= 1e-6)
+    if pen is NO_PENALTY:
+        theta0 = _lstsq_starts(X, y)
+        for r in range(4):
+            assert np.array_equal(theta[r], _reference_pivot(X[r], y[r],
+                                                             theta0[r], tau))
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("n, m", [(40, 2), (200, 20)])
+def test_stacked_pivot_on_rounded_designs(n, m, seed):
+    # covariates and responses rounded: many rows sit on each vertex, so
+    # the side each row was left on decides the degenerate steps
+    X = np.round(np.stack([make_linear_design(n, m, 3, seed=seed, rep=r).X
+                           for r in range(12)]), 1)
+    y = np.round(np.stack([make_linear_design(n, m, 3, seed=seed, rep=r).y
+                           for r in range(12)]))
+    theta0 = _lstsq_starts(X, y)
+    theta, stalled = _admm.simplex_polish(X, y, theta0, 0.5)
+    for r in range(12):
+        alone, alone_stalled = _admm.simplex_polish(X[r:r + 1], y[r:r + 1],
+                                                    theta0[r:r + 1], 0.5)
+        assert np.array_equal(theta[r], alone[0])
+        assert stalled[r] == alone_stalled[0]
+        reference = _reference_pivot(X[r], y[r], theta0[r], 0.5)
+        assert stalled[r] == (reference is None)
+        assert stalled[r] or np.array_equal(theta[r], reference)
+
+
+def test_stacked_pivot_slices_do_not_change_the_fits(monkeypatch):
+    # 7 reps in slices of 3 (3, 3, 1) against one call over all 7
+    X = np.stack([make_linear_design(60, 2, 3, seed=9, rep=r).X for r in range(7)])
+    y = np.stack([make_linear_design(60, 2, 3, seed=9, rep=r).y for r in range(7)])
+    theta0 = _lstsq_starts(X, y)
+    whole = est._finish_exact(X, y, 0.5, NO_PENALTY, theta0, 1e-6)
+    calls = []
+
+    def counting(X, y, theta, tau=0.5):
+        calls.append(len(X))
+        return simplex_polish(X, y, theta, tau)
+    simplex_polish = _admm.simplex_polish
+    monkeypatch.setattr(_admm, "simplex_polish", counting)
+    monkeypatch.setattr(_admm, "SLICE_ROWS", 3 * 60)
+    sliced = est._finish_exact(X, y, 0.5, NO_PENALTY, theta0, 1e-6)
+    assert calls == [3, 3, 1]
+    assert np.array_equal(whole[0], sliced[0])
+    assert np.array_equal(whole[1], sliced[1]) and whole[2] == sliced[2]
+
+
+def _batch_with_a_rank_one_rep(n=80, d=3):
+    """Three reps of one shape; the middle one has rank-one rows, so no d
+    of them are independent."""
+    X = np.stack([make_linear_design(n, 1, d, seed=17, rep=r).X for r in range(3)])
+    y = np.stack([make_linear_design(n, 1, d, seed=17, rep=r).y for r in range(3)])
+    X[1] = np.outer(X[1, :, 0], [1.0, -0.5, 2.0])
+    return X, y
+
+
+def test_a_stalling_rep_leaves_the_batch_alone():
+    X, y = _batch_with_a_rank_one_rep()
+    theta0 = np.zeros((3, 3))
+    theta0[[0, 2]] = _lstsq_starts(X[[0, 2]], y[[0, 2]])
+    theta, stalled = _admm.simplex_polish(X, y, theta0, 0.5)
+    assert stalled.tolist() == [False, True, False]
+    assert np.array_equal(theta[1], theta0[1])          # kept as started
+    for r in (0, 2):
+        alone, alone_stalled = _admm.simplex_polish(X[r:r + 1], y[r:r + 1],
+                                                    theta0[r:r + 1], 0.5)
+        assert not alone_stalled[0] and np.array_equal(theta[r], alone[0])
+    theta, cert, method = est._finish_exact(X, y, 0.5, NO_PENALTY, theta0, 1e-6)
+    assert method == ["simplex", "lp", "simplex"] and np.all(cert <= 1e-6)
+    assert cert[1] == subgradient_residual(X[1], y[1], theta[1], 0.5, NO_PENALTY)
+
+
+def test_a_failed_lp_leaves_only_its_rep_uncertified(monkeypatch):
+    X, y = _batch_with_a_rank_one_rep()
+    theta0 = np.zeros((3, 3))
+
+    def failing(*args, **kwargs):
+        raise NonConvergence("LP fallback failed")
+    monkeypatch.setattr(est, "quantile_lp", failing)
+    theta, cert, method = est._finish_exact(X, y, 0.5, NO_PENALTY, theta0, 1e-6)
+    assert method == ["simplex", "lp", "simplex"]
+    assert cert[1] == np.inf and cert[0] <= 1e-6 and cert[2] <= 1e-6
+
+
+def test_a_singular_stacked_system_is_nan_in_its_rep_only():
+    a = np.stack([np.eye(2), np.zeros((2, 2)), 2.0 * np.eye(2)])
+    b = np.ones((3, 2))
+    x = _admm._solve_stack(a, b)
+    assert np.array_equal(x[0], [1.0, 1.0]) and np.array_equal(x[2], [0.5, 0.5])
+    assert np.isnan(x[1]).all()
 
 
 # -- least squares ------------------------------------------------------------
