@@ -156,7 +156,6 @@ def simplex_polish(X, y, theta, tau=0.5):
         viol = np.maximum(over, under)
         j = np.argmax(viol, axis=1)
         done = (viol[rows, j] <= 1e-12) & np.isfinite(th).all(axis=1)
-        theta[ids[done]] = th[done]
         sigma = np.where(over[rows, j] >= under[rows, j], -1.0, 1.0)
         e = np.zeros_like(th)
         e[rows, j] = 1.0
@@ -167,13 +166,16 @@ def simplex_polish(X, y, theta, tau=0.5):
         # fit crosses at once when it moves off its side (degenerate step)
         cross = nonbasic & (np.abs(g) > 1e-13) \
             & ((t > 0.0) | (zero & ((g > 0.0) != neg)))
-        order = np.argsort(np.where(cross, t, np.inf), axis=1, kind="stable")
+        # only crossing rows can enter: the first ncross ranks of a rep
+        ncross = cross.sum(axis=1)
+        order = np.argsort(np.where(cross, t, np.inf), axis=1,
+                           kind="stable")[:, :max(1, ncross.max())]
         # directional derivative of the objective after each crossing
         deriv0 = (sigma * s[rows, j] + np.where(sigma > 0, 1.0 - tau, tau)) / n
         deriv = np.cumsum(np.concatenate(
             [deriv0[:, None], np.abs(g[rows[:, None], order]) / n], axis=1),
             axis=1)[:, 1:]
-        past = (deriv >= -1e-15) & (ranks < cross.sum(axis=1)[:, None])
+        past = (deriv >= -1e-15) & (ranks[:order.shape[1]] < ncross[:, None])
         k = np.argmax(past, axis=1)          # the entering row's rank
         stuck = ~done & ~past[rows, k]       # stalled (a singular basis too)
         enter = order[rows, k]
@@ -185,9 +187,10 @@ def simplex_polish(X, y, theta, tau=0.5):
         nonbasic[rows, leave] = True
         nonbasic[rows, enter] = False
         A[rows, j] = enter
-        stalled[ids[stuck]] = True
         keep = ~(done | stuck)
         if not keep.all():
+            theta[ids[done]] = th[done]
+            stalled[ids[stuck]] = True
             ids, X, y, A = ids[keep], X[keep], y[keep], A[keep]
             ztol, nonbasic, neg = ztol[keep], nonbasic[keep], neg[keep]
             rows = rows[:ids.size]
@@ -226,10 +229,10 @@ def _independent_rows(X, order, d):
         x = X[live, idx]
         B = basis[live]
         v = x - (B.transpose(0, 2, 1) @ (B @ x[..., None]))[..., 0]
-        norm = np.linalg.norm(v, axis=1)
-        take = norm > 1e-10 * np.linalg.norm(x, axis=1)
+        vv = np.einsum("ij,ij->i", v, v)
+        take = vv > 1e-20 * np.einsum("ij,ij->i", x, x)
         r = live[take]
-        basis[r, found[r]] = v[take] / norm[take, None]
+        basis[r, found[r]] = v[take] / np.sqrt(vv[take])[:, None]
         rows[r, found[r]] = idx[take]
         found[r] += 1
         live = live[found[live] < d]
