@@ -136,7 +136,7 @@ def simplex_polish(X, y, theta, tau=0.5):
     nonbasic = np.ones((ids.size, n), dtype=bool)
     nonbasic[rows[:, None], A] = False
     neg = np.zeros((ids.size, n), dtype=bool)   # side of each nonbasic row
-    ranks = np.arange(n)
+    ranks, eye = np.arange(n), np.eye(d)
     for _ in range(n + 10 * d):
         if not ids.size:
             break
@@ -157,19 +157,26 @@ def simplex_polish(X, y, theta, tau=0.5):
         j = np.argmax(viol, axis=1)
         done = (viol[rows, j] <= 1e-12) & np.isfinite(th).all(axis=1)
         sigma = np.where(over[rows, j] >= under[rows, j], -1.0, 1.0)
-        e = np.zeros_like(th)
-        e[rows, j] = 1.0
-        g = sigma[:, None] * (X @ _solve_stack(XA, e)[..., None])[..., 0]
+        g = sigma[:, None] * (X @ _solve_stack(XA, eye[j])[..., None])[..., 0]
         with np.errstate(divide="ignore", invalid="ignore"):
             t = res / g
         # rows whose residual changes side along the edge; a row on the
         # fit crosses at once when it moves off its side (degenerate step)
         cross = nonbasic & (np.abs(g) > 1e-13) \
             & ((t > 0.0) | (zero & ((g > 0.0) != neg)))
-        # only crossing rows can enter: the first ncross ranks of a rep
+        # only crossing rows can enter: the first ncross ranks of a rep.
+        # Crossing rows at the same t enter in index order, as a stable
+        # sort orders them; the reps that have such ties are sorted again.
         ncross = cross.sum(axis=1)
-        order = np.argsort(np.where(cross, t, np.inf), axis=1,
-                           kind="stable")[:, :max(1, ncross.max())]
+        width = max(1, ncross.max())
+        key = np.where(cross, t, np.inf)
+        order = np.argsort(key, axis=1)[:, :width]
+        ranked = key[rows[:, None], order]
+        tied = ((ranked[:, 1:] == ranked[:, :-1])
+                & (ranked[:, 1:] < np.inf)).any(axis=1)
+        if tied.any():
+            order[tied] = np.argsort(key[tied], axis=1,
+                                     kind="stable")[:, :width]
         # directional derivative of the objective after each crossing
         deriv0 = (sigma * s[rows, j] + np.where(sigma > 0, 1.0 - tau, tau)) / n
         deriv = np.cumsum(np.concatenate(

@@ -347,18 +347,18 @@ def _finish_exact(X, y, tau, pen, theta0, tol):
         part = slice(lo, lo + step)
         theta[part], stalled[part] = _admm.simplex_polish(
             Xs[part], ys[part], theta0[part], tau)
-    certificate = np.full(R, np.inf)
-    method = ["simplex"] * R
+    certificate, method = np.full(R, np.inf), ["simplex"] * R
     for r in range(R):
         if not stalled[r]:
-            certificate[r] = subgradient_residual(X[r], y[r], theta[r], tau, pen)
-            if certificate[r] <= tol:
-                continue
+            certificate[r] = subgradient_residual(X[r], y[r], theta[r], tau,
+                                                  pen)
+        if certificate[r] <= tol:
+            continue
         method[r] = "lp"
         try:
             theta[r] = quantile_lp(Xs[r], ys[r], tau)
         except NonConvergence:
-            certificate[r] = np.inf
+            certificate[r] = np.inf          # this rep only: uncertified
             continue
         certificate[r] = subgradient_residual(X[r], y[r], theta[r], tau, pen)
     return theta, certificate, method

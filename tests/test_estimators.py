@@ -234,8 +234,8 @@ def test_fit_method_names_the_path_taken(monkeypatch):
         == "admm"
     exact = fit_penalized_qr((X, y), 0.3, PenaltySpec("l1", lam=0.05))
     # a stalled pivot hands the problem to the LP
-    monkeypatch.setattr(_admm, "simplex_polish",
-                        lambda X, y, theta, tau=0.5: (theta, np.ones(len(X), bool)))
+    monkeypatch.setattr(_admm, "simplex_polish", lambda X, y, theta, tau=0.5:
+                        (theta, np.ones(len(X), dtype=bool)))
     fit = fit_penalized_qr((X, y), 0.3, PenaltySpec("l1", lam=0.05))
     assert fit.method == "lp" and fit.optimality_residual <= 1e-6
     assert fit.objective == pytest.approx(exact.objective, rel=1e-12)
@@ -365,6 +365,13 @@ def _reference_pivot(X, y, theta, tau):
     return None
 
 
+def _stacked_draws(n, m, d, seed, reps):
+    """X (R, n, d) and y (R, n) of reps 0..reps-1 of one linear design."""
+    draws = [make_linear_design(n, m, d, seed=seed, rep=r) for r in range(reps)]
+    return (np.stack([draw.X for draw in draws]),
+            np.stack([draw.y for draw in draws]))
+
+
 def _lstsq_starts(X, y):
     return np.stack([np.linalg.lstsq(Xr, yr, rcond=None)[0]
                      for Xr, yr in zip(X, y)])
@@ -405,10 +412,8 @@ def test_stacked_pivot_is_bit_identical_to_single_fits(seed):
 def test_stacked_pivot_on_rounded_designs(n, m, seed):
     # covariates and responses rounded: many rows sit on each vertex, so
     # the side each row was left on decides the degenerate steps
-    X = np.round(np.stack([make_linear_design(n, m, 3, seed=seed, rep=r).X
-                           for r in range(12)]), 1)
-    y = np.round(np.stack([make_linear_design(n, m, 3, seed=seed, rep=r).y
-                           for r in range(12)]))
+    X, y = _stacked_draws(n, m, 3, seed, 12)
+    X, y = np.round(X, 1), np.round(y)
     theta0 = _lstsq_starts(X, y)
     theta, stalled = _admm.simplex_polish(X, y, theta0, 0.5)
     for r in range(12):
@@ -423,8 +428,7 @@ def test_stacked_pivot_on_rounded_designs(n, m, seed):
 
 def test_stacked_pivot_slices_do_not_change_the_fits(monkeypatch):
     # 7 reps in slices of 3 (3, 3, 1) against one call over all 7
-    X = np.stack([make_linear_design(60, 2, 3, seed=9, rep=r).X for r in range(7)])
-    y = np.stack([make_linear_design(60, 2, 3, seed=9, rep=r).y for r in range(7)])
+    X, y = _stacked_draws(60, 2, 3, 9, 7)
     theta0 = _lstsq_starts(X, y)
     whole = est._finish_exact(X, y, 0.5, NO_PENALTY, theta0, 1e-6)
     calls = []
@@ -444,8 +448,7 @@ def test_stacked_pivot_slices_do_not_change_the_fits(monkeypatch):
 def _batch_with_a_rank_one_rep(n=80, d=3):
     """Three reps of one shape; the middle one has rank-one rows, so no d
     of them are independent."""
-    X = np.stack([make_linear_design(n, 1, d, seed=17, rep=r).X for r in range(3)])
-    y = np.stack([make_linear_design(n, 1, d, seed=17, rep=r).y for r in range(3)])
+    X, y = _stacked_draws(n, 1, d, 17, 3)
     X[1] = np.outer(X[1, :, 0], [1.0, -0.5, 2.0])
     return X, y
 
