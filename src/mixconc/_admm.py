@@ -133,15 +133,16 @@ def simplex_polish(X, y, theta, tau=0.5):
     X, y, A = X[ids], y[ids], A[ids]
     ztol = 1e-12 * (1.0 + np.abs(y).max(axis=1, initial=0.0))[:, None]
     rows = np.arange(ids.size)
+    col = rows[:, None]
     nonbasic = np.ones((ids.size, n), dtype=bool)
-    nonbasic[rows[:, None], A] = False
+    nonbasic[col, A] = False
     neg = np.zeros((ids.size, n), dtype=bool)   # side of each nonbasic row
     ranks, eye = np.arange(n), np.eye(d)
     for _ in range(n + 10 * d):
         if not ids.size:
             break
-        XA = X[rows[:, None], A]
-        th = _solve_stack(XA, y[rows[:, None], A])
+        XA = X[col, A]
+        th = _solve_stack(XA, y[col, A])
         res = y - (X @ th[..., None])[..., 0]
         # nonbasic rows on the fit (ties, degenerate steps) keep the side
         # they were left on; the others take the side of their residual
@@ -149,7 +150,7 @@ def simplex_polish(X, y, theta, tau=0.5):
         res[zero] = 0.0
         neg = (res < 0) | (zero & neg)
         psi = tau - neg
-        psi[rows[:, None], A] = 0.0
+        psi[col, A] = 0.0
         s = _solve_stack(XA.transpose(0, 2, 1), -(psi[:, None] @ X)[:, 0])
         over = s - tau
         under = (tau - 1.0) - s
@@ -164,24 +165,16 @@ def simplex_polish(X, y, theta, tau=0.5):
         # fit crosses at once when it moves off its side (degenerate step)
         cross = nonbasic & (np.abs(g) > 1e-13) \
             & ((t > 0.0) | (zero & ((g > 0.0) != neg)))
-        # only crossing rows can enter: the first ncross ranks of a rep.
-        # Crossing rows at the same t enter in index order, as a stable
-        # sort orders them; the reps that have such ties are sorted again.
+        # only crossing rows can enter: the first ncross ranks of a rep
         ncross = cross.sum(axis=1)
-        width = max(1, ncross.max())
-        key = np.where(cross, t, np.inf)
-        order = np.argsort(key, axis=1)[:, :width]
-        ranked = key[rows[:, None], order]
-        tied = ((ranked[:, 1:] == ranked[:, :-1])
-                & (ranked[:, 1:] < np.inf)).any(axis=1)
-        if tied.any():
-            order[tied] = np.argsort(key[tied], axis=1,
-                                     kind="stable")[:, :width]
-        # directional derivative of the objective after each crossing
-        deriv0 = (sigma * s[rows, j] + np.where(sigma > 0, 1.0 - tau, tau)) / n
-        deriv = np.cumsum(np.concatenate(
-            [deriv0[:, None], np.abs(g[rows[:, None], order]) / n], axis=1),
-            axis=1)[:, 1:]
+        order = np.argsort(np.where(cross, t, np.inf), axis=1,
+                           kind="stable")[:, :max(1, ncross.max())]
+        # directional derivative of the objective after each crossing:
+        # deriv0 plus the running sum of |g| / n in crossing order
+        deriv = np.abs(g[col, order]) / n
+        deriv[:, 0] += (sigma * s[rows, j]
+                        + np.where(sigma > 0, 1.0 - tau, tau)) / n
+        deriv = np.cumsum(deriv, axis=1)
         past = (deriv >= -1e-15) & (ranks[:order.shape[1]] < ncross[:, None])
         k = np.argmax(past, axis=1)          # the entering row's rank
         stuck = ~done & ~past[rows, k]       # stalled (a singular basis too)
@@ -200,7 +193,7 @@ def simplex_polish(X, y, theta, tau=0.5):
             stalled[ids[stuck]] = True
             ids, X, y, A = ids[keep], X[keep], y[keep], A[keep]
             ztol, nonbasic, neg = ztol[keep], nonbasic[keep], neg[keep]
-            rows = rows[:ids.size]
+            rows, col = rows[:ids.size], col[:ids.size]
     stalled[ids] = True                      # the pivot cap was reached
     return theta, stalled
 
