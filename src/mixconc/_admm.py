@@ -125,7 +125,7 @@ def simplex_polish(X, y, theta, tau=0.5):
     the path crosses, and a fixed cap (500) stalled l1 fits at n = 10^4,
     d = 50 short of the optimum.
     """
-    R, n, d = X.shape
+    n, d = X.shape[1:]
     theta = np.array(theta, dtype=float)
     res = y - (X @ theta[..., None])[..., 0]
     A, stalled = _independent_rows(X, np.argsort(np.abs(res), axis=1), d)
@@ -158,7 +158,8 @@ def simplex_polish(X, y, theta, tau=0.5):
         j = np.argmax(viol, axis=1)
         done = (viol[rows, j] <= 1e-12) & np.isfinite(th).all(axis=1)
         sigma = np.where(over[rows, j] >= under[rows, j], -1.0, 1.0)
-        g = sigma[:, None] * (X @ _solve_stack(XA, eye[j])[..., None])[..., 0]
+        w = _solve_stack(XA, eye[j])         # the edge: XA w = e_j
+        g = sigma[:, None] * (X @ w[..., None])[..., 0]
         with np.errstate(divide="ignore", invalid="ignore"):
             t = res / g
         # rows whose residual changes side along the edge; a row on the

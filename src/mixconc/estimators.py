@@ -326,9 +326,9 @@ def _finish_exact(X, y, tau, pen, theta0, tol):
 
     Every rep gets the l1 penalty's augmented rows.  The simplex pivot
     steps the stack in slices of max(1, _admm.SLICE_ROWS // rows) reps,
-    rows counting the augmented ones;
-    each rep is certified by `subgradient_residual`, and a rep whose pivot
-    stalls or whose certificate exceeds tol goes to the LP on its own.
+    the augmented rows counted.  Each rep is certified by
+    `subgradient_residual`, and a rep whose pivot stalls or whose
+    certificate exceeds tol goes to the LP on its own.
     Returns the (R, d) thetas, the (R,) certificates and the R methods
     ("simplex" or "lp"); a rep whose LP fails is returned uncertified
     (certificate inf) instead of raising, so one bad rep does not end a

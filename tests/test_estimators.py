@@ -313,8 +313,9 @@ def test_l1_quantile_fits_certify(n, d, tau, lam, rep):
 
 
 def _reference_pivot(X, y, theta, tau):
-    """The pivot of one problem, one rep at a time, as it was before the
-    stacked version: the optimal theta, or None when it stalls."""
+    """The pivot of one problem as a plain loop, the reference the stacked
+    pivot must match bit for bit: the optimal theta, or None when it
+    stalls."""
     n, d = X.shape
     ztol = 1e-12 * (1.0 + float(np.abs(y).max(initial=0.0)))
     basis, A = np.empty((d, d)), []
@@ -394,14 +395,13 @@ def test_stacked_pivot_is_bit_identical_to_single_fits(seed):
     X = np.stack([draw[0] for draw in draws])
     y = np.stack([draw[1] for draw in draws])
     y[3] = np.round(y[3], 1)
-    (theta, cert, method), alone = _alone_and_stacked(X, y, tau, pen,
-                                                     _lstsq_starts(X, y))
+    theta0 = _lstsq_starts(X, y)
+    (theta, cert, method), alone = _alone_and_stacked(X, y, tau, pen, theta0)
     for r, (theta_r, cert_r, method_r) in enumerate(alone):
         assert np.array_equal(theta[r], theta_r[0])
         assert cert[r] == cert_r[0] and method[r] == method_r[0] == "simplex"
     assert np.all(cert <= 1e-6)
     if pen is NO_PENALTY:
-        theta0 = _lstsq_starts(X, y)
         for r in range(4):
             assert np.array_equal(theta[r], _reference_pivot(X[r], y[r],
                                                              theta0[r], tau))
