@@ -13,86 +13,102 @@ the reps that stalled; a single fit is R = 1.  Its memory grows with
 R n, so callers walk a larger stack in slices of max(1, SLICE_ROWS // n)
 reps.
 
-`admm_batch` serves the problems without an exact solver here (quantile
-+ weighted-l2, squared + l1) and the warm start of single fits: ADMM for
-a batch of problems r = 1..R on the residual split X theta + r = y (plus
-a consensus copy theta = z when a penalty is present), with
-over-relaxation and cold start at zero.  Solver state persists across
-sweeps so stragglers keep converging instead of restarting.
+`active_set` solves quantile + weighted-l2 and squared + l1 exactly.
+`admm_batch` (unpenalized ADMM sweeps) only warm-starts a single fit's
+pivot; it stays while the benchmark's trace counts its sweeps.
 
 Optimality of whatever is returned is certified separately (see
 estimators.subgradient_residual).
 """
 
-from dataclasses import dataclass
+import warnings
 
 import numpy as np
+from scipy import linalg
 
-_PEN_NONE, _PEN_L1 = "none", "l1"
-
-
-def _prox_loss(v, loss_kind, tau, c):
-    """Elementwise prox of loss/(n*rho) at v; c = 1/(n*rho)."""
-    if loss_kind == "squared":
-        return v / (1.0 + 2.0 * c)
-    hi = c * tau
-    lo = -c * (1.0 - tau)
-    return np.where(v > hi, v - hi, np.where(v < lo, v - lo, 0.0))
+from .errors import NonConvergence, SingularDesign
 
 
-def _prox_pen(v, pen_kind, lam_over_rho, pweights):
-    if pen_kind == _PEN_NONE or lam_over_rho == 0.0:
-        return v
-    if pen_kind == _PEN_L1:
-        return np.sign(v) * np.maximum(np.abs(v) - lam_over_rho, 0.0)
-    return v / (1.0 + 2.0 * lam_over_rho * pweights)
-
-
-@dataclass
-class AdmmState:
-    theta: np.ndarray
-    r: np.ndarray
-    u1: np.ndarray
-    z: np.ndarray | None = None
-    u2: np.ndarray | None = None
-
-
-def init_state(R, n, d, penalized) -> AdmmState:
-    return AdmmState(theta=np.zeros((R, d)), r=np.zeros((R, n)),
-                     u1=np.zeros((R, n)),
-                     z=np.zeros((R, d)) if penalized else None,
-                     u2=np.zeros((R, d)) if penalized else None)
-
-
-def admm_batch(X, y, loss_kind="quantile", tau=0.5, pen_kind=_PEN_NONE,
-               lam=0.0, pweights=None, rho=1.0, alpha=1.7, iters=300,
-               state: AdmmState | None = None) -> AdmmState:
-    """Run `iters` ADMM sweeps, continuing from `state` when given."""
+def admm_batch(X, y, tau, iters):
+    """The (R, d) thetas after `iters` over-relaxed ADMM sweeps from zero on
+    X theta + r = y, for R unpenalized quantile regressions X (R, n, d)."""
     R, n, d = X.shape
-    penalized = pen_kind != _PEN_NONE and lam > 0.0
-    if state is None:
-        state = init_state(R, n, d, penalized)
     G = np.einsum("rij,rik->rjk", X, X)
-    if penalized:
-        G = G + np.eye(d)
-    c = 1.0 / (n * rho)
-    lam_over_rho = lam / rho
-    pw = np.ones(d) if pweights is None else np.asarray(pweights, dtype=float)
-    theta, r, u1, z, u2 = state.theta, state.r, state.u1, state.z, state.u2
+    c, a = 1.0 / n, 1.7      # prox scale 1 / (n rho), rho = 1; over-relaxation
+    theta, r, u = np.zeros((R, d)), np.zeros((R, n)), np.zeros((R, n))
     for _ in range(iters):
-        rhs = np.einsum("rij,ri->rj", X, y - r - u1)
-        if penalized:
-            rhs = rhs + (z - u2)
+        rhs = np.einsum("rij,ri->rj", X, y - r - u)
         theta = np.linalg.solve(G, rhs[..., None])[..., 0]
-        Xth = np.einsum("rij,rj->ri", X, theta)
-        h1 = alpha * Xth + (1.0 - alpha) * (y - r)
-        r = _prox_loss(y - h1 - u1, loss_kind, tau, c)
-        u1 = u1 + h1 + r - y
-        if penalized:
-            h2 = alpha * theta + (1.0 - alpha) * z
-            z = _prox_pen(h2 + u2, pen_kind, lam_over_rho, pw)
-            u2 = u2 + h2 - z
-    return AdmmState(theta=theta, r=r, u1=u1, z=z, u2=u2)
+        h = a * np.einsum("rij,rj->ri", X, theta) + (1.0 - a) * (y - r)
+        v = y - h - u
+        r = v - np.clip(v, -c * (1.0 - tau), c * tau)   # the loss's prox
+        u = u + h + r - y
+    return theta
+
+
+#: `active_set` takes |a_i' delta| <= _CROSS_TOL |a_i| (|theta| + |theta +
+#: delta|) for rounding (a duplicate row entering E on it is singular), and
+#: u_i within _MULT_TOL (1 + |b| / w) of its box, as u_E is solved from b / w.
+_CROSS_TOL, _MULT_TOL, _STEPS_PER_ROW = 1e-12, 1e-12, 10
+
+
+def active_set(Q, q, A, c, w, tau):
+    """argmin 1/2 theta' Q theta - q' theta + w sum_i rho_tau(c_i - a_i'
+    theta), Q positive semidefinite and w > 0, by the primal active-set
+    method (Goldfarb & Idnani 1983; Osborne, Presnell & Turlach 2000).
+
+    Rows in E stay on their kink; each other row keeps a side, psi_i = tau
+    or tau - 1.  A step solves the KKT system [Q, -w A_E'; A_E, 0] [theta;
+    u_E] = [q + w A_N' psi_N; c_E] (or goes downhill along its null
+    vector), stops at the exact minimum along it, and a row on whose kink
+    it stops enters E.  At a pattern's minimizer the row of E with u_i
+    furthest outside [tau - 1, tau] leaves to that side.  From theta = 0,
+    E holds the kink rows only if Q is singular (many held rows can make
+    the KKT system ill-conditioned).  Raises SingularDesign when a null
+    vector meets no kink, NonConvergence at the step cap."""
+    m, d = A.shape
+    theta, res = np.zeros(d), np.array(c, dtype=float)
+    held = (res == 0.0) & (np.linalg.matrix_rank(Q) < d)
+    pos = res >= 0.0                         # the side of each row off E
+    rtol = _CROSS_TOL * np.sqrt(np.einsum("ij,ij->i", A, A))
+    for step in range(_STEPS_PER_ROW * (m + d)):
+        E = np.flatnonzero(held)
+        b = q + w * (np.where(held, 0.0, np.where(pos, tau, tau - 1.0)) @ A)
+        K = np.block([[Q, -w * A[E].T], [A[E], np.zeros((E.size, E.size))]])
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", linalg.LinAlgWarning)
+                sol = linalg.solve(K, np.r_[b, c[E]])
+            new, u, delta = sol[:d], sol[d:], sol[:d] - theta
+        except (linalg.LinAlgError, linalg.LinAlgWarning):
+            z = np.linalg.svd(K)[2][-1, :d]         # downhill null vector
+            new, delta = None, -np.copysign(1.0, (Q @ theta - b) @ z) * z
+        curv, slope = delta @ Q @ delta, (Q @ theta - b) @ delta
+        g = A @ delta                        # the residuals move by -t g
+        tol = rtol * (np.linalg.norm(theta) + np.linalg.norm(theta + delta))
+        cross = np.flatnonzero(~held & (np.where(pos, g, -g) > tol))
+        t = np.maximum(res[cross] / g[cross], 0.0)
+        order = np.argsort(t, kind="stable")
+        cross, t = cross[order], t[order]
+        jumps = np.cumsum(np.r_[0.0, w * np.abs(g[cross])])
+        # the first crossing with right derivative >= 0 ends the search
+        k = int(np.argmax(np.r_[slope + curv * t + jumps[1:], 0.0] >= 0.0))
+        if k < cross.size and slope + curv * t[k] + jumps[k] <= 0.0:
+            theta = theta + t[k] * delta     # on the kink of cross[k]
+            held[cross[k]] = True
+        elif new is None:
+            raise SingularDesign("active set: no kink on a flat direction")
+        elif k:
+            theta = theta - (slope + jumps[k]) / curv * delta
+        else:                                # the pattern's minimizer
+            theta, viol = new, np.maximum(u - tau, (tau - 1.0) - u)
+            if viol.max(initial=0.0) <= _MULT_TOL * (1 + abs(b).max() / w):
+                return theta
+            j = int(np.argmax(viol))
+            held[E[j]], pos[E[j]] = False, u[j] > tau
+        pos[cross[:k]] ^= True
+        res = c - A @ theta
+    raise NonConvergence(f"active set: no optimum within {step + 1} steps")
 
 
 #: simplex_polish holds a few R x n arrays per call; callers pass it

@@ -75,8 +75,8 @@ class PenaltySpec:
     def __post_init__(self):
         if self.kind not in ("none", "l1", "weighted_l2"):
             raise DomainError(f"unknown penalty {self.kind!r}")
-        if self.lam < 0:
-            raise DomainError("lambda must be >= 0")
+        if not (0 <= self.lam < math.inf and math.isfinite(self.m)):
+            raise DomainError("lambda and m must be finite, lambda >= 0")
         if self.kind == "weighted_l2" and self.m < 0:
             raise DomainError("m must be >= 0")
 
@@ -195,12 +195,6 @@ def _squared_gradient(X, res, theta, pen) -> float:
     return math.sqrt(g.dot(g))
 
 
-def _certificate(X, y, theta, loss: LossSpec, pen: PenaltySpec) -> float:
-    if loss.kind == "squared":
-        return gradient_residual_squared(X, y, theta, pen)
-    return subgradient_residual(X, y, theta, loss.effective_tau, pen)
-
-
 # ---------------------------------------------------------------------------
 # fits
 
@@ -208,9 +202,9 @@ def _certificate(X, y, theta, loss: LossSpec, pen: PenaltySpec) -> float:
 @dataclass(frozen=True)
 class Fit:
     """A certified fit: optimality_residual <= the solver tol, and method
-    names the path taken: "simplex", "lp", "closed_form" or "admm".  Every
-    Fit is built by `certified_fit`, for `fit_penalized` and for the sieve
-    fits of `sieves.family_fits` alike."""
+    names the exact path taken: "simplex", "lp", "closed_form" or
+    "active_set".  Every Fit is built by `certified_fit`, for
+    `fit_penalized` and for the sieve fits of `sieves.family_fits` alike."""
 
     theta: np.ndarray
     objective: float
@@ -220,16 +214,13 @@ class Fit:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """tol bounds every certificate."""
+    """tol, in (0, inf), bounds every certificate."""
 
     tol: float = 1e-6
 
-
-#: ADMM sweeps of the first round (the exact pivot's warm start), doubled
-#: each round on the problems without an exact solver (quantile +
-#: weighted-l2, squared + l1) up to _MAX_SWEEPS in total.
-_FIRST_SWEEP = 300
-_MAX_SWEEPS = 50_000
+    def __post_init__(self):
+        if not 0.0 < self.tol < math.inf:
+            raise DomainError("tol must lie in (0, inf)")
 
 
 def fit_penalized(data, loss: LossSpec, pen: PenaltySpec = NO_PENALTY,
@@ -238,7 +229,7 @@ def fit_penalized(data, loss: LossSpec, pen: PenaltySpec = NO_PENALTY,
     fit of a given design goes through here (the sieve fits, whose designs
     `sieves` builds, through `sieves.family_fits`).
 
-    - quantile loss, no penalty or l1: one ADMM sweep warm-starts the exact
+    - quantile loss, no penalty or l1: ADMM sweeps warm-start the exact
       simplex pivot (`method == "simplex"`), the l1 penalty as data
       augmented with the rows +-n lam e_j, through `_finish_exact` as a
       stack of one (the tables 1-2 study passes it a whole chunk); when the
@@ -248,21 +239,21 @@ def fit_penalized(data, loss: LossSpec, pen: PenaltySpec = NO_PENALTY,
     - squared loss, no penalty or weighted-l2: closed form
       (`"closed_form"`); an unpenalized rank-deficient design raises
       SingularDesign;
-    - quantile + weighted-l2 and squared + l1: ADMM (`"admm"`), up to
-      50 000 sweeps.
+    - quantile + weighted-l2 and squared + l1: the exact active-set
+      solver (`"active_set"`).
 
     The certificate is the subgradient set-distance (quantile loss) or the
     gradient norm (squared loss); `certified_fit` checks it and builds the
     Fit, raising NonConvergence above opts.tol.
     Before any solver runs, X (a 1-D X is one column) and y must be 2-D
-    and 1-D with as many rows as entries (else ShapeMismatch) and finite
-    (else NonFinite).
+    and 1-D with as many rows as entries, at least one row and one column
+    (else ShapeMismatch), and finite (else NonFinite).
     """
     X = np.asarray(data[0], dtype=float)
     if X.ndim == 1:
         X = X[:, None]
     y = np.asarray(data[1], dtype=float)
-    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
+    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0] or not X.size:
         raise ShapeMismatch(f"X {X.shape}, y {y.shape}")
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise NonFinite("fit input has a non-finite entry")
@@ -284,8 +275,8 @@ def fit_ols(data) -> Fit:
 
 
 def _solve(X, y, loss, pen, tol):
-    """(theta, certificate, method) of one fit, not yet certified; the
-    closed form leaves its certificate (None) to `certified_fit`."""
+    """(theta, certificate, method) of one fit, not yet certified; a
+    squared-loss fit leaves its certificate (None) to `certified_fit`."""
     n, d = X.shape
     kind = pen.kind if pen.lam > 0 else "none"
     if loss.kind == "squared" and kind != "l1":
@@ -299,25 +290,19 @@ def _solve(X, y, loss, pen, tol):
         return theta, None, "closed_form"
     tau = loss.effective_tau
     if loss.kind != "squared" and kind != "weighted_l2":
-        # the first ADMM sweep is the warm start of the exact pivot
-        state = _admm.admm_batch(X[None], y[None], tau=tau, pen_kind=kind,
-                                 lam=pen.lam, iters=_FIRST_SWEEP)
+        # 300 ADMM sweeps are the warm start of the exact pivot
+        start = _admm.admm_batch(X[None], y[None], tau, iters=300)
         theta, certificate, method = _finish_exact(X[None], y[None], tau, pen,
-                                                   state.theta, tol)
+                                                   start, tol)
         return theta[0], certificate[0], method[0]
-    loss_kind = "squared" if loss.kind == "squared" else "quantile"
-    state, iters, sweep = None, 0, _FIRST_SWEEP
-    while iters < _MAX_SWEEPS:
-        state = _admm.admm_batch(X[None], y[None], loss_kind=loss_kind,
-                                 tau=tau, pen_kind=kind, lam=pen.lam,
-                                 pweights=pen.weights(d), iters=sweep,
-                                 state=state)
-        iters += sweep
-        residual = _certificate(X, y, state.theta[0], loss, pen)
-        if residual <= tol:
-            break
-        sweep = min(2 * sweep, _MAX_SWEEPS - iters)
-    return state.theta[0], residual, "admm"
+    if loss.kind == "squared":       # lam |theta_j| = 2 lam rho_1/2(-theta_j)
+        theta = _admm.active_set(2.0 * X.T @ X / n, 2.0 * X.T @ y / n,
+                                 np.eye(d), np.zeros(d), 2.0 * pen.lam, 0.5)
+        return theta, None, "active_set"
+    root = pen.weights(d) ** -0.5    # solved for P^(1/2) theta: Q = 2 lam I
+    theta = root * _admm.active_set(2.0 * pen.lam * np.eye(d), np.zeros(d),
+                                    X * root, y, 1.0 / n, tau)
+    return theta, subgradient_residual(X, y, theta, tau, pen), "active_set"
 
 
 def _finish_exact(X, y, tau, pen, theta0, tol):
@@ -372,15 +357,13 @@ def certified_fit(X, y, theta, method: str, loss: LossSpec = SQUARED,
 
     The residuals y - X theta are computed once.  The objective comes from
     them, and so does the certificate when none is given (then the loss is
-    the squared loss and the certificate its gradient norm).  An
-    uncertified ADMM fit has spent all _MAX_SWEEPS."""
+    the squared loss and the certificate its gradient norm)."""
     res = y - X @ theta
     if certificate is None:
         certificate = _squared_gradient(X, res, theta, pen)
     if not certificate <= tol:
-        sweeps = f" ({_MAX_SWEEPS} ADMM sweeps)" if method == "admm" else ""
         raise NonConvergence(f"{method} fit: residual {certificate:.3e} > tol "
-                             f"{tol:.1e}{sweeps}")
+                             f"{tol:.1e}")
     return Fit(theta=theta, objective=_criterion(loss, pen, res, theta),
                optimality_residual=certificate, method=method)
 

@@ -129,7 +129,7 @@ def test_cli_tune_lambda_grid(tmp_path, capsys):
 
 def test_cli_tune_l1_quantile_baseline(tmp_path, capsys):
     # d = 10 l1 quantile fits at three lambdas (the path that used to
-    # exhaust the ADMM sweep budget)
+    # exhaust the sweep budget of the iterative solver it replaced)
     ds = make_linear_design(500, 1, d=10, seed=20240901, rep=48)
     path = tmp_path / "lin.csv"
     ds.to_csv(path)

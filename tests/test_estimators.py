@@ -4,12 +4,15 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import linprog, lsq_linear
 
 from mixconc import (ABS_HALF, NO_PENALTY, SQUARED, DomainError, LossSpec,
-                     NonConvergence, NonFinite, PenaltySpec, PopulationDesign,
-                     ShapeMismatch, SieveMomentOracle, SingularDesign,
+                     MixconcError, NonConvergence, NonFinite, PenaltySpec,
+                     PopulationDesign, ShapeMismatch, SieveMomentOracle,
+                     SingularDesign,
                      SolverOptions, bias_term, delta_p, delta_p_mc,
                      empirical_criterion, fit_ols, fit_penalized,
                      fit_penalized_qr, fit_sieve_ls, make_linear_design,
@@ -96,16 +99,17 @@ def test_ridge_path_matches_normal_equations():
     assert np.linalg.norm(fit.theta - oracle) <= 1e-8
 
 
-def test_ridge_closed_form_matches_admm():
+def test_ridge_closed_form_matches_augmented_lstsq():
+    # (1/n) |y - X theta|^2 + lam theta' P theta is (1/n) times the least
+    # squares of [y; 0] on the augmented design [X; sqrt(n lam P)]
     ds = make_linear_design(400, 4, d=5, seed=12)
     pen = PenaltySpec("weighted_l2", lam=0.05, m=2.0)
     fit = fit_penalized((ds.X, ds.y), SQUARED, pen)
     assert fit.method == "closed_form"
     assert fit.optimality_residual <= 1e-10
-    state = _admm.admm_batch(ds.X[None], ds.y[None], loss_kind="squared",
-                             pen_kind="weighted_l2", lam=pen.lam,
-                             pweights=pen.weights(5), iters=2000)
-    assert np.linalg.norm(state.theta[0] - fit.theta) <= 1e-8
+    aug = np.vstack([ds.X, np.diag(np.sqrt(400 * pen.lam * pen.weights(5)))])
+    oracle = np.linalg.lstsq(aug, np.r_[ds.y, np.zeros(5)], rcond=None)[0]
+    assert np.linalg.norm(oracle - fit.theta) <= 1e-12
 
 
 def test_penalized_qr_near_minimizer_contract():
@@ -207,18 +211,6 @@ def test_quantile_tau_off_center():
     assert fit.theta[0] == pytest.approx(np.quantile(y, 0.25), abs=1e-6)
 
 
-def test_admm_nonconvergence_names_the_sweep_count(monkeypatch):
-    # a quantile + weighted-l2 fit whose certificate never passes
-    monkeypatch.setattr(est, "_MAX_SWEEPS", 700)
-    monkeypatch.setattr(est, "_certificate", lambda *args: 1.0)
-    ds = make_linear_design(60, 1, d=3, seed=4)
-    with pytest.raises(NonConvergence,
-                       match=r"admm fit: residual 1\.000e\+00 > tol 1\.0e-06 "
-                             r"\(700 ADMM sweeps\)"):
-        fit_penalized_qr((ds.X, ds.y), 0.5,
-                         PenaltySpec("weighted_l2", lam=0.05, m=2.0))
-
-
 def test_fit_method_names_the_path_taken(monkeypatch):
     rng = np.random.default_rng(13)
     X = rng.standard_normal((80, 3))
@@ -226,12 +218,12 @@ def test_fit_method_names_the_path_taken(monkeypatch):
     assert fit_penalized_qr((X, y), 0.5).method == "simplex"
     assert fit_penalized_qr((X, y), 0.5, PenaltySpec("l1", lam=0.05)).method \
         == "simplex"
-    assert fit_penalized_qr((X, y), 0.5, PenaltySpec("weighted_l2", lam=0.05,
-                                                     m=1.0)).method == "admm"
+    assert fit_penalized_qr((X, y), 0.5, PenaltySpec(
+        "weighted_l2", lam=0.05, m=1.0)).method == "active_set"
     assert fit_penalized((X, y), SQUARED).method == "closed_form"
     assert fit_ols((X, y)).method == "closed_form"
     assert fit_penalized((X, y), SQUARED, PenaltySpec("l1", lam=0.05)).method \
-        == "admm"
+        == "active_set"
     exact = fit_penalized_qr((X, y), 0.3, PenaltySpec("l1", lam=0.05))
     # a stalled pivot hands the problem to the LP
     monkeypatch.setattr(_admm, "simplex_polish", lambda X, y, theta, tau=0.5:
@@ -239,6 +231,164 @@ def test_fit_method_names_the_path_taken(monkeypatch):
     fit = fit_penalized_qr((X, y), 0.3, PenaltySpec("l1", lam=0.05))
     assert fit.method == "lp" and fit.optimality_residual <= 1e-6
     assert fit.objective == pytest.approx(exact.objective, rel=1e-12)
+
+
+# -- the active-set solver against independent oracles ----------------------------
+
+
+def _lasso_dual_bound(X, y, lam, theta):
+    """A lower bound on min (1/n)|y - X b|^2 + lam |b|_1 for any X: the
+    dual value of the residual of theta, scaled into the dual box
+    |X' nu|_inf <= n lam / 2."""
+    n = len(y)
+    r = y - X @ theta
+    nu = r * min(1.0, n * lam / 2.0 / max(np.abs(X.T @ r).max(), 1e-300))
+    return (y @ y - (y - nu) @ (y - nu)) / n
+
+
+def _qr_l2_dual(X, y, tau, pen, theta):
+    """The dual value u'y/n - v' P^-1 v / (4 n^2 lam), v = X'u, of quantile
+    regression + lam theta' P theta at a u in [tau - 1, tau]^n built from
+    theta: the side of each residual, and bvls on the interpolated rows."""
+    n, d = X.shape
+    res = y - X @ theta
+    u = np.where(res > 0, tau, tau - 1.0)
+    act = np.abs(res) <= 1e-7 * (1.0 + np.abs(y).max())
+    P = pen.weights(d)
+    if act.any():
+        target = 2.0 * n * pen.lam * P * theta - X[~act].T @ u[~act]
+        u[act] = lsq_linear(X[act].T, target, bounds=(tau - 1.0, tau),
+                            method="bvls").x
+    v = X.T @ u
+    return u @ y / n - v @ (v / P) / (4.0 * n * n * pen.lam)
+
+
+@pytest.mark.parametrize("seed, lam", [(21, 0.01), (22, 0.1), (23, 0.5)])
+def test_lasso_matches_its_box_constrained_dual(seed, lam):
+    # X = QR, b = Q'y: theta = R^-1 (b - (n/2) R^-T s*), s* the bvls fit of
+    # 2b/n by R^-T s over the box [-lam, lam]^d
+    ds = make_linear_design(300, 2, d=8, seed=seed)
+    n = 300
+    fit = fit_penalized((ds.X, ds.y), SQUARED, PenaltySpec("l1", lam=lam))
+    Q, R = np.linalg.qr(ds.X)
+    b = Q.T @ ds.y
+    RinvT = np.linalg.inv(R).T
+    s = lsq_linear(RinvT, 2.0 * b / n, bounds=(-lam, lam), method="bvls").x
+    oracle = np.linalg.solve(R, b - n / 2.0 * RinvT @ s)
+    assert fit.method == "active_set" and fit.optimality_residual <= 1e-12
+    assert np.abs(fit.theta - oracle).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n, m, d, tau, lam, pexp", [
+    (500, 1, 5, 0.5, 0.01, 2.0), (1000, 10, 10, 0.3, 0.01, 2.0),
+    (300, 2, 4, 0.8, 1.0, 0.0), (2000, 1, 20, 0.7, 0.001, 2.0)])
+def test_quantile_weighted_l2_closes_its_duality_gap(n, m, d, tau, lam, pexp):
+    # the last case is the one ADMM left uncertified after 50 000 sweeps
+    ds = make_linear_design(n, m, d, seed=20240901)
+    pen = PenaltySpec("weighted_l2", lam=lam, m=pexp)
+    fit = fit_penalized_qr((ds.X, ds.y), tau, pen)
+    assert fit.method == "active_set" and fit.optimality_residual <= 1e-12
+    gap = fit.objective - _qr_l2_dual(ds.X, ds.y, tau, pen, fit.theta)
+    assert -1e-15 <= gap <= 1e-12 * (1.0 + abs(fit.objective))
+
+
+def test_active_set_step_cap_raises_nonconvergence(monkeypatch):
+    # with no multiplier ever inside its box, held rows leave forever
+    monkeypatch.setattr(_admm, "_MULT_TOL", -1.0)
+    ds = make_linear_design(60, 1, d=3, seed=4)
+    with pytest.raises(NonConvergence, match="no optimum within 630 steps"):
+        fit_penalized_qr((ds.X, ds.y), 0.5,
+                         PenaltySpec("weighted_l2", lam=0.05, m=2.0))
+    monkeypatch.undo()
+    # a fit above tol is refused by certification, as every fit is
+    with pytest.raises(NonConvergence, match="active_set fit: residual"):
+        fit_penalized((ds.X, ds.y), SQUARED, PenaltySpec("l1", lam=0.05),
+                      SolverOptions(tol=1e-300))
+
+
+def test_active_set_flat_direction_without_a_kink_is_singular():
+    # Q of rank one and no rows: the KKT system is singular and the
+    # objective falls without bound along its null vector (1, -1)
+    with pytest.raises(SingularDesign, match="no kink on a flat direction"):
+        _admm.active_set(np.ones((2, 2)), np.array([1.0, -1.0]),
+                         np.zeros((0, 2)), np.zeros(0), 1.0, 0.5)
+
+
+def test_squared_l1_at_the_api_scale_certifies_fast():
+    ds = make_linear_design(10_000, 1, d=50, seed=20240901)
+    start = time.perf_counter()
+    fit = fit_penalized((ds.X, ds.y), SQUARED, PenaltySpec("l1", lam=0.01))
+    assert time.perf_counter() - start < 1.0
+    assert fit.method == "active_set" and fit.optimality_residual <= 1e-12
+    bound = _lasso_dual_bound(ds.X, ds.y, 0.01, fit.theta)
+    assert fit.objective <= bound + 1e-12
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.05, 0.001])
+def test_lasso_with_more_columns_than_rows_certifies(lam):
+    # the free columns outnumber the rows at small lam: singular KKT
+    # systems are stepped along their null vector
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((50, 100))
+    y = X[:, :5] @ np.ones(5) + rng.standard_normal(50)
+    fit = fit_penalized((X, y), SQUARED, PenaltySpec("l1", lam=lam))
+    assert fit.method == "active_set" and fit.optimality_residual <= 1e-12
+    assert fit.objective <= _lasso_dual_bound(X, y, lam, fit.theta) + 1e-12
+
+
+def test_lasso_with_a_duplicated_column_certifies():
+    ds = make_linear_design(500, 1, d=5, seed=3)
+    X = np.column_stack([ds.X, ds.X[:, 1]])
+    for lam in (0.1, 0.01, 1e-4):
+        fit = fit_penalized((X, ds.y), SQUARED, PenaltySpec("l1", lam=lam))
+        assert fit.optimality_residual <= 1e-12
+        assert fit.objective <= _lasso_dual_bound(X, ds.y, lam,
+                                                  fit.theta) + 1e-12
+
+
+@pytest.mark.parametrize("tau", [0.3, 0.5])
+def test_quantile_weighted_l2_on_rounded_duplicated_rows(tau):
+    # rounded X and y put many rows on one kink and some exactly on zero;
+    # the first 50 rows appear twice
+    ds = make_linear_design(400, 2, d=4, seed=8)
+    X, y = np.round(ds.X, 1), np.round(ds.y)
+    X, y = np.vstack([X, X[:50]]), np.r_[y, y[:50]]
+    pen = PenaltySpec("weighted_l2", lam=0.01, m=1.0)
+    fit = fit_penalized_qr((X, y), tau, pen)
+    assert fit.method == "active_set" and fit.optimality_residual <= 1e-12
+    gap = fit.objective - _qr_l2_dual(X, y, tau, pen, fit.theta)
+    assert gap <= 1e-12 * (1.0 + abs(fit.objective))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(k=st.integers(2, 60), m=st.sampled_from([1, 2, 5, 10]),
+       d=st.integers(1, 8), seed=st.integers(0, 2 ** 20),
+       round_x=st.booleans(), round_y=st.booleans(), dup=st.booleans(),
+       lam=st.floats(1e-4, 3.0), tau=st.floats(0.1, 0.9),
+       pexp=st.floats(0.0, 10.0), lasso=st.booleans())
+def test_active_set_fits_are_optimal_or_typed_errors(k, m, d, seed, round_x,
+                                                    round_y, dup, lam, tau,
+                                                    pexp, lasso):
+    # m-block designs (rows of a block nearly coincide), rounded covariates
+    # and responses (ties, rank-deficient lasso designs), a duplicated
+    # column; the oracle is a dual lower bound on the optimum
+    ds = make_linear_design(m * k, m, d, seed=seed)
+    X = np.round(ds.X) if round_x else ds.X
+    y = np.round(ds.y) if round_y else ds.y
+    if dup:
+        X = np.column_stack([X, X[:, 0]])
+    try:
+        if lasso:
+            fit = fit_penalized((X, y), SQUARED, PenaltySpec("l1", lam=lam))
+            bound = _lasso_dual_bound(X, y, lam, fit.theta)
+        else:
+            pen = PenaltySpec("weighted_l2", lam=lam, m=pexp)
+            fit = fit_penalized_qr((X, y), tau, pen)
+            bound = _qr_l2_dual(X, y, tau, pen, fit.theta)
+    except MixconcError:
+        return
+    assert fit.optimality_residual <= 1e-6
+    assert fit.objective <= bound + 1e-9
 
 
 # -- exact solver against an independent LP oracle -------------------------------
@@ -567,6 +717,28 @@ def test_short_response_is_a_shape_mismatch(draw200):
         fit_penalized_qr((X, y[:-1]), 0.5)
     with pytest.raises(ShapeMismatch):
         fit_ols((X, y[:, None]))
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (5, 0), (0, 0)])
+@pytest.mark.parametrize("loss", [SQUARED, quantile_loss(0.5)],
+                         ids=["squared", "quantile"])
+def test_empty_design_is_a_shape_mismatch(shape, loss):
+    with pytest.raises(ShapeMismatch):
+        fit_penalized((np.ones(shape), np.ones(shape[0])), loss)
+
+
+@pytest.mark.parametrize("kind", ["l1", "weighted_l2"])
+@pytest.mark.parametrize("lam, m", [(math.nan, 0.0), (math.inf, 0.0),
+                                    (0.1, math.nan), (0.1, math.inf)])
+def test_penalty_rejects_non_finite_lambda_and_m(kind, lam, m):
+    with pytest.raises(DomainError):
+        PenaltySpec(kind, lam=lam, m=m)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+def test_solver_tol_must_lie_in_the_open_half_line(tol):
+    with pytest.raises(DomainError):
+        SolverOptions(tol=tol)
 
 
 # -- sieve least squares --------------------------------------------------------
