@@ -218,8 +218,7 @@ def _tune_lambda(args, X, y, nbeta, s):
                            mean_loss_at_zero=loss0)
     fits = [fit_penalized_qr((X, y), args.tau, PenaltySpec("l1", lam=lam)).theta
             for lam in grid.labels]
-    euclid = lambda i, j, a, b: float(np.linalg.norm(a - b))
-    result = feasible_k(grid, fits, proxy, s, euclid,
+    result = feasible_k(grid, fits, proxy, s, [np.eye(d)] * len(grid),
                         multiplier=args.multiplier)
     coefs = fits[grid.labels.index(result.k_feasible)]
     return result, {"penalty": "l1", "tau": args.tau,

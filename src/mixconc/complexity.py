@@ -226,18 +226,16 @@ def variance_term(inputs: VarianceInputs) -> float:
     return min(inputs.C * inputs.Lambda, math.sqrt(inputs.C * inputs.B))
 
 
-def gamma_bound_l1(d: int, trWinv: float, M_over_lambda: float,
-                   log_card: float | None = None) -> VarianceInputs:
+def gamma_bound_l1(d: int, trWinv: float,
+                   M_over_lambda: float) -> VarianceInputs:
     """(Lambda, B) for the l1-penalized quantile-regression complexity:
     Lambda = sqrt(2 tr W^-1), B = sqrt(log 2d) * M/lambda."""
     if d < 1:
         raise DomainError("d must be >= 1")
     if trWinv < 0 or M_over_lambda < 0:
         raise DomainError("inputs must be nonnegative")
-    if log_card is None:
-        log_card = math.log(2.0 * d)
     return VarianceInputs(Lambda=math.sqrt(2.0 * trWinv),
-                          B=math.sqrt(log_card) * M_over_lambda)
+                          B=math.sqrt(math.log(2.0 * d)) * M_over_lambda)
 
 
 def gamma_bound_l2p(d: int, m: float, lam: float, emin_W: float,
@@ -271,26 +269,32 @@ def gamma_bound_l2p(d: int, m: float, lam: float, emin_W: float,
     return VarianceInputs(Lambda=math.sqrt(lam_sq), B=math.inf)
 
 
-def variance_term_fixed_point(H, s_max: float, tol: float = 1e-10,
-                              x_ratio: float = 1.05, x_max: float = 1e6,
-                              check_points: int = 12) -> float:
+#: The fixed point's inner grid {1, _X_RATIO, _X_RATIO^2, ...} <= _X_MAX
+#: and the number of probes of its monotonicity check.
+_X_RATIO = 1.05
+_X_MAX = 1e6
+_CHECK_POINTS = 12
+
+
+def variance_term_fixed_point(H, s_max: float, tol: float = 1e-10) -> float:
     """Bisection for min{s > 0 : s >= 5 max_{x>=1} H(sx)/(sx)}.
 
     The inner max runs over the deterministic geometric grid
-    {1, x_ratio, x_ratio^2, ...} up to x_max.  The map
-    s -> max_x H(sx)/(sx) must be non-increasing (checked by sampling),
-    which makes the feasible set an up-interval so bisection applies.
+    {1, _X_RATIO, _X_RATIO^2, ...} up to _X_MAX.  The map
+    s -> max_x H(sx)/(sx) must be non-increasing (checked at
+    _CHECK_POINTS geometric probes), which makes the feasible set an
+    up-interval so bisection applies.
     """
     xs = [1.0]
-    while xs[-1] * x_ratio <= x_max:
-        xs.append(xs[-1] * x_ratio)
+    while xs[-1] * _X_RATIO <= _X_MAX:
+        xs.append(xs[-1] * _X_RATIO)
     xs = np.array(xs)
 
     def g(s: float) -> float:
         vals = [H(s * x) / (s * x) for x in xs]
         return 5.0 * max(vals)
 
-    probes = np.geomspace(max(tol, s_max * 1e-8), s_max, check_points)
+    probes = np.geomspace(max(tol, s_max * 1e-8), s_max, _CHECK_POINTS)
     gv = [g(s) for s in probes]
     for a, b in zip(gv[:-1], gv[1:]):
         if b > a * (1.0 + 1e-9) + 1e-12:

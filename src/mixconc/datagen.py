@@ -46,25 +46,24 @@ class Dataset:
         np.savetxt(path, cols, delimiter=",", header=header, comments="")
 
 
+def _block_stream(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
+    """One m-block stream of length n (m | n): V1, drawn first from rng,
+    repeated over blocks of length m, plus 0.01 times a per-observation
+    V2; its variance is STREAM_VARIANCE = 1 + 0.01^2, its within-block
+    covariance 1 and its covariance across blocks 0."""
+    return np.repeat(rng.standard_normal(n // m), m) \
+        + _NOISE_MIX * rng.standard_normal(n)
+
+
 def gen_block_gaussian(n: int, m: int, count: int, seed: int,
                        rep: int = 0,
                        stream_offset: int = 0) -> list[np.ndarray]:
-    """`count` independent m-block-dependent standard-Gaussian streams.
-
-    Each stream is V1 repeated over blocks of length m plus 0.01 times a
-    per-observation V2, giving variance STREAM_VARIANCE = 1 + 0.01^2,
-    within-block covariance 1 and zero covariance across blocks.
-    """
+    """`count` independent m-block-dependent standard-Gaussian streams, each
+    from its own substream (see `_block_stream`)."""
     if n % m:
         raise DomainError("m must divide n")
-    q = n // m
-    out = []
-    for s in range(count):
-        rng = substream(seed, rep, stream_offset + s)
-        v1 = rng.standard_normal(q)
-        v2 = rng.standard_normal(n)
-        out.append(np.repeat(v1, m) + _NOISE_MIX * v2)
-    return out
+    return [_block_stream(substream(seed, rep, stream_offset + s), n, m)
+            for s in range(count)]
 
 
 _TRUNC = 6.0

@@ -166,8 +166,7 @@ def subgradient_residual(X, y, theta, tau: float, pen: PenaltySpec) -> float:
             s = None
         if s is not None and np.all(s >= lo - 1e-12) and np.all(s <= hi + 1e-12):
             return float(np.linalg.norm(A @ s + base))
-    sol = lsq_linear(A, -base, bounds=(lo, hi),
-                     method="bvls" if A.shape[1] <= 200 else "trf")
+    sol = lsq_linear(A, -base, bounds=(lo, hi), method="bvls")
     return float(np.linalg.norm(A @ sol.x + base))
 
 

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexity import UniversalConstants
-from .datagen import (_NOISE_MIX, STREAM_VARIANCE, gen_block_gaussian,
-                      make_linear_design, make_np_design, np_target,
-                      substream)
+from .datagen import (_block_stream, gen_block_gaussian, make_linear_design,
+                      make_np_design, np_target, substream)
 from .errors import DomainError, NonConvergence
 from .estimators import ABS_HALF, NO_PENALTY, SQUARED, _finish_exact, delta_p
 from .lattice import build_lattice
@@ -264,10 +263,9 @@ def hash_cell(n: int, m: int) -> int:
 # tables 3-4: sieve regression with data-driven dimension choice
 
 
-def build_sieve_oracle(kind: str, max_k: int = 8,
-                       method: str = "quadrature") -> SieveMomentOracle:
-    return SieveMomentOracle(kind, np_target, x_var=STREAM_VARIANCE,
-                             max_k=max_k, method=method)
+def build_sieve_oracle(kind: str) -> SieveMomentOracle:
+    """The quadrature moment oracle of the nonparametric design's truth."""
+    return SieveMomentOracle(kind, np_target)
 
 
 def _tables34_chunk(args):
@@ -305,16 +303,17 @@ def run_tables34(config: ExperimentConfig,
             n = snap_admissible(n, config.upsilon)
             if n % m:
                 raise DomainError(f"m={m} does not divide (snapped) n={n}")
-            kI = ideal_k(grid, variance_proxy(grid, n // m), bias)
+            proxy = variance_proxy(grid, n // m)
+            kI = ideal_k(grid, proxy, bias)
             s_n = default_s(n, m)
             seed = config.master_seed + 97 * hash_cell(n, m) + 7 * (kind == "pspline")
-            cells.append((kind, oracle, n, m, kI, s_n))
+            cells.append((kind, oracle, n, m, proxy, kI, s_n))
             tasks.append([(kind, n, m, seed, rr, config.test_multiplier,
                            grams, s_n)
                           for rr in _chunks(config.mc_reps, config.chunk_size)])
 
     rows = []
-    for (kind, oracle, n, m, kI, s_n), parts in zip(
+    for (kind, oracle, n, m, proxy, kI, s_n), parts in zip(
             cells, _run_cells(_tables34_chunk, tasks, config.workers)):
         nb = n // m
         kF = np.array([k for part in parts for k in part[0]])
@@ -330,7 +329,8 @@ def run_tables34(config: ExperimentConfig,
             r_q10=float(q10), r_q50=float(q50), r_q90=float(q90),
             k_ideal=kI, k_ideal_freq=1.0,
             k_feasible=mode, k_feasible_freq=freq,
-            v_ideal=math.sqrt(kI / nb), v_feasible=math.sqrt(mode / nb),
+            v_ideal=proxy[SIEVE_KS.index(kI)],
+            v_feasible=proxy[SIEVE_KS.index(mode)],
             mc_std_error=float(rn.std(ddof=1) / math.sqrt(rn.size)),
             n_reps=int(rn.size)))
     return rows
@@ -345,11 +345,7 @@ def _whitened_design(n, mu0, d, seed, rep):
     columns are drawn in turn from the one substream 0, not one stream per
     column as `gen_block_gaussian` draws them."""
     rng = substream(seed, rep, 0)
-    q = n // mu0
-    X = np.empty((n, d))
-    for j in range(d):
-        X[:, j] = np.repeat(rng.standard_normal(q), mu0) \
-            + _NOISE_MIX * rng.standard_normal(n)
+    X = np.column_stack([_block_stream(rng, n, mu0) for _ in range(d)])
     S = X.T @ X / n
     evals, evecs = np.linalg.eigh(S)
     X = X @ evecs @ np.diag(evals ** -0.5) @ evecs.T

@@ -107,15 +107,17 @@ def mu_q(model: BetaMixingModel, q: int, u: float) -> int:
     return sum(1 for i in range(q + 1) if u <= 0.5 * beta_coeff(model, i))
 
 
-def _mu_thresholds(model: BetaMixingModel, q: int) -> np.ndarray:
-    """Descending thresholds 0.5*beta(i), i = 0..q, clipped into [0, 1].
-
-    mu_q equals j on the interval (t_(j+1), t_(j)] for the sorted
-    thresholds t_(1) >= ... >= t_(q+1), with t_(q+2) := 0.
-    """
-    t = np.array([0.5 * beta_coeff(model, i) for i in range(q + 1)])
-    t = np.minimum(np.sort(t)[::-1], 1.0)
-    return t
+def _mu_plateaus(model: BetaMixingModel,
+                 q: int) -> list[tuple[float, float, int]]:
+    """The plateaus (lo, hi, level) of mu_q with hi > lo: mu_q equals level
+    on (lo, hi].  With the thresholds 0.5*beta(i), i = 0..q, clipped into
+    [0, 1] and sorted t_(1) >= ... >= t_(q+1), and t_(q+2) := 0, plateau j
+    is (t_(j+1), t_(j)], in order of j."""
+    t = np.minimum(np.sort([0.5 * beta_coeff(model, i)
+                            for i in range(q + 1)])[::-1], 1.0)
+    lows = np.append(t[1:], 0.0)
+    return [(float(lo), float(hi), j)
+            for j, (lo, hi) in enumerate(zip(lows, t), start=1) if hi > lo]
 
 
 def mu_integral(model: BetaMixingModel, q: int, a: float) -> float:
@@ -126,13 +128,9 @@ def mu_integral(model: BetaMixingModel, q: int, a: float) -> float:
     """
     if q < 0 or a < 0:
         raise DomainError("q and a must be >= 0")
-    t = _mu_thresholds(model, q)
     total = 0.0
-    for j in range(1, len(t) + 1):
-        hi = t[j - 1]
-        lo = t[j] if j < len(t) else 0.0
-        if hi > lo:
-            total += float(j) ** a * (hi - lo)
+    for lo, hi, level in _mu_plateaus(model, q):
+        total += float(level) ** a * (hi - lo)
     return total
 
 
@@ -196,31 +194,29 @@ def dep_norm(f: QuantileFn, model: BetaMixingModel, q: int,
              tol: float = 1e-10) -> float:
     """The dependence-adjusted norm sqrt(2 * int mu_q(u) Q_f(u)^2 du).
 
-    Piecewise-exact when f is empirical (both factors are step functions);
-    adaptive quadrature on each mu-plateau for analytic f.
+    Exact when f is empirical: with the descending sample s_0 >= ... and
+    C_k = s_0^2 + ... + s_(k-1)^2, int_0^t Q_f^2 = (C_k + (nt - k) s_k^2)/n
+    for k = min(floor(nt), n - 1).  Adaptive quadrature on each
+    mu-plateau for analytic f.
     """
     if q < 0:
         raise DomainError("q must be >= 0")
-    t = _mu_thresholds(model, q)
-    # plateau j lives on (lo_j, hi_j] with value j
-    edges = [(float(t[j]) if j < len(t) else 0.0, float(t[j - 1]), j)
-             for j in range(1, len(t) + 1)]
-    total = 0.0
+    plateaus = _mu_plateaus(model, q)
     if f.sample is not None:
         n = f.sample.size
-        grid = np.arange(1, n) / n
-        for lo, hi, level in edges:
-            if hi <= lo:
-                continue
-            cuts = [lo] + [g for g in grid if lo < g < hi] + [hi]
-            for a, b in zip(cuts[:-1], cuts[1:]):
-                qv = f(0.5 * (a + b))
-                total += level * qv * qv * (b - a)
+        sq = f.sample ** 2
+        cum = np.concatenate(([0.0], np.cumsum(sq)))
+
+        def integral_to(t):
+            k = np.minimum(np.floor(n * t).astype(int), n - 1)
+            return (cum[k] + (n * t - k) * sq[k]) / n
+
+        lo, hi, level = map(np.array, zip(*plateaus))   # never empty
+        total = float(np.sum(level * (integral_to(hi) - integral_to(lo))))
     else:
         import warnings
-        for lo, hi, level in edges:
-            if hi <= lo:
-                continue
+        total = 0.0
+        for lo, hi, level in plateaus:
             with warnings.catch_warnings():
                 # divergence is reported through NonFinite below
                 warnings.simplefilter("ignore", integrate.IntegrationWarning)

@@ -26,6 +26,7 @@ import numpy as np
 from scipy.interpolate import BSpline
 from scipy.linalg.lapack import dtrtrs
 
+from .datagen import STREAM_VARIANCE
 from .errors import (DomainError, NonConvergence, NonFinite, OracleVariance,
                      ShapeMismatch, SingularDesign)
 from .estimators import Fit, certified_fit
@@ -35,6 +36,9 @@ SUPPORT = (-6.0, 6.0)
 #: of the moment oracle's quadrature.
 _GL_ORDER = 24
 _PANELS = 64
+#: The polynomial moments are computed once at this k; smaller k take
+#: leading blocks of them.
+_MAX_K = 8
 
 
 @dataclass(frozen=True)
@@ -189,41 +193,41 @@ class SieveMomentOracle:
     """Population second moments of a sieve family against a scalar law.
 
     Computes M_k = E[q^k(W) q^k(W)'], c_k = E[q^k(W) theta*(W)] and
-    E[theta*(W)^2] for W = 6X/(1+|X|), X ~ N(0, x_var).  The default
-    backend is panelized Gauss-Legendre quadrature on the x-axis with
-    panel edges at the images of the spline knots (deterministic,
-    piecewise-smooth integrands, accuracy ~1e-12); a seeded Monte Carlo
-    backend is available for cross-validation.
+    E[theta*(W)^2] for W = 6X/(1+|X|), X ~ N(0, STREAM_VARIANCE), the law
+    of the nonparametric design.  The default backend is panelized
+    Gauss-Legendre quadrature on the x-axis with panel edges at the images
+    of the spline knots (deterministic, piecewise-smooth integrands,
+    accuracy ~1e-12); a seeded Monte Carlo backend is available for
+    cross-validation.  Both backends are a set of points in w with
+    weights (`_points`), so every moment has one formula.
     """
 
-    def __init__(self, kind: str, target, x_var: float = 1.0001,
-                 max_k: int = 8, method: str = "quadrature",
+    def __init__(self, kind: str, target, method: str = "quadrature",
                  mc_draws: int = 1_000_000, seed: int = 20240901):
+        if method not in ("quadrature", "mc"):
+            raise DomainError("method must be 'quadrature' or 'mc'")
         self.kind = kind
         self.target = target
-        self.x_var = x_var
-        self.max_k = max_k
         self.method = method
         self._cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._proj: dict[int, tuple[np.ndarray, float, float]] = {}
         if method == "mc":
             rng = np.random.default_rng(seed)
-            xs = rng.standard_normal(mc_draws) * math.sqrt(x_var)
-            self._W = 6.0 * xs / (1.0 + np.abs(xs))
-            self.t2 = float(np.mean(self.target(self._W) ** 2))
-        elif method == "quadrature":
-            x, wd = self._nodes(np.array([]))
-            w = 6.0 * x / (1.0 + np.abs(x))
-            self.t2 = float(np.sum(wd * self.target(w) ** 2))
-        else:
-            raise DomainError("method must be 'quadrature' or 'mc'")
+            xs = rng.standard_normal(mc_draws) * math.sqrt(STREAM_VARIANCE)
+            self._draws = 6.0 * xs / (1.0 + np.abs(xs))
+        w, wt = self._points(np.array([]))
+        self.t2 = float(np.sum(wt * self.target(w) ** 2))
 
-    # -- quadrature helpers ----------------------------------------------------
-
-    def _nodes(self, w_breaks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """x-nodes and density-weighted GL weights on panels split at the
-        mapped breakpoints."""
-        sd = math.sqrt(self.x_var)
+    def _points(self, w_breaks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Integration points in w and their weights.  The Monte Carlo
+        backend gives its draws, each of weight 1/N.  The quadrature
+        backend gives the Gauss-Legendre nodes of x-panels split at the
+        images of the w-breakpoints, mapped to w, with their
+        density-weighted weights."""
+        if self.method == "mc":
+            n = self._draws.size
+            return self._draws, np.full(n, 1.0 / n)
+        sd = math.sqrt(STREAM_VARIANCE)
         lim = 12.0 * sd
         edges = {-lim, 0.0, lim}
         for wb in np.asarray(w_breaks, dtype=float):
@@ -233,7 +237,8 @@ class SieveMomentOracle:
         edges = np.sort(np.fromiter(edges, dtype=float))
         fine = []
         for a, b in zip(edges[:-1], edges[1:]):
-            fine.append(np.linspace(a, b, max(2, int(_PANELS * (b - a) / (2 * lim)) + 2)))
+            count = max(2, int(_PANELS * (b - a) / (2 * lim)) + 2)
+            fine.append(np.linspace(a, b, count))
         grid = np.unique(np.concatenate(fine))
         gx, gw = np.polynomial.legendre.leggauss(_GL_ORDER)
         a = grid[:-1]
@@ -241,36 +246,25 @@ class SieveMomentOracle:
         x = (a[:, None] + 0.5 * h[:, None] * (gx + 1.0)).ravel()
         wts = (0.5 * h[:, None] * gw).ravel()
         dens = np.exp(-0.5 * (x / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
-        return x, wts * dens
-
-    # -- moments ----------------------------------------------------------------
+        return 6.0 * x / (1.0 + np.abs(x)), wts * dens
 
     def moments(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Gram matrix M_k and cross vector c_k for the k-term basis."""
+        """Gram matrix M_k and cross vector c_k for the k-term basis.  The
+        polynomial family is nested, so below _MAX_K they are the leading
+        blocks of the moments at _MAX_K."""
         if k in self._cache:
             return self._cache[k]
-        if is_nested(self.kind):
-            full = self._cache.get(self.max_k)
-            if full is None and k < self.max_k:
-                full = self.moments(self.max_k)
-            if full is not None and k <= self.max_k:
-                out = (full[0][:k, :k].copy(), full[1][:k].copy())
-                self._cache[k] = out
-                return out
-        basis = SieveBasis(self.kind, k)
-        if self.method == "mc":
-            Q = basis.design(self._W)
-            M = Q.T @ Q / Q.shape[0]
-            c = Q.T @ self.target(self._W) / Q.shape[0]
+        if is_nested(self.kind) and k < _MAX_K:
+            M, c = self.moments(_MAX_K)
+            out = (M[:k, :k].copy(), c[:k].copy())
         else:
-            breaks = basis.interior_knots()
-            x, wd = self._nodes(breaks)
-            w = 6.0 * x / (1.0 + np.abs(x))
+            basis = SieveBasis(self.kind, k)
+            w, wt = self._points(basis.interior_knots())
             Q = basis.design(w)
-            M = (Q * wd[:, None]).T @ Q
-            c = (Q * wd[:, None]).T @ self.target(w)
-        self._cache[k] = (M, c)
-        return M, c
+            Qw = (Q * wt[:, None]).T
+            out = (Qw @ Q, Qw @ self.target(w))
+        self._cache[k] = out
+        return out
 
     def cross_gram(self, k: int, kp: int) -> np.ndarray:
         """E[q^k(W) q^kp(W)'] between two basis sizes (non-nested pairs)."""
@@ -278,34 +272,28 @@ class SieveMomentOracle:
             M, _ = self.moments(max(k, kp))
             return M[:k, :kp]
         bk, bkp = SieveBasis(self.kind, k), SieveBasis(self.kind, kp)
-        if self.method == "mc":
-            return bk.design(self._W).T @ bkp.design(self._W) / self._W.size
-        breaks = np.union1d(bk.interior_knots(), bkp.interior_knots())
-        x, wd = self._nodes(breaks)
-        w = 6.0 * x / (1.0 + np.abs(x))
-        return (bk.design(w) * wd[:, None]).T @ bkp.design(w)
+        w, wt = self._points(np.union1d(bk.interior_knots(),
+                                        bkp.interior_knots()))
+        return (bk.design(w) * wt[:, None]).T @ bkp.design(w)
 
     def _projection(self, k: int) -> tuple[np.ndarray, float, float]:
         """(nu_k, B_k, standard error of B_k): the population least-squares
         coefficients of theta* on the k-term basis and the squared L2(P)
-        distance of that projection to theta*.  B_k is the mean squared
-        residual on the nodes (or draws) that gave the moments, not
+        distance of that projection to theta*.  B_k is the weighted mean
+        squared residual on the points that gave the moments, not
         E theta*^2 - c_k'nu_k, a difference of O(1) terms that loses
-        about 1e-10 of B_k for the polynomial k = 8."""
+        about 1e-10 of B_k for the polynomial k = 8.  The standard error
+        is 0 for quadrature."""
         if k not in self._proj:
             M, c = self.moments(k)
             nu = np.linalg.solve(M, c)
             basis = SieveBasis(self.kind, k)
+            w, wt = self._points(basis.interior_knots())
+            res = (basis.design(w) @ nu - self.target(w)) ** 2
+            se = 0.0
             if self.method == "mc":
-                res = (basis.design(self._W) @ nu - self.target(self._W)) ** 2
                 se = float(np.std(res) / math.sqrt(res.size))
-                b2 = float(np.mean(res))
-            else:
-                x, wd = self._nodes(basis.interior_knots())
-                w = 6.0 * x / (1.0 + np.abs(x))
-                res = (basis.design(w) @ nu - self.target(w)) ** 2
-                b2, se = float(np.sum(wd * res)), 0.0
-            self._proj[k] = (nu, b2, se)
+            self._proj[k] = (nu, float(np.sum(wt * res)), se)
         return self._proj[k]
 
     def projection(self, k: int) -> np.ndarray:
@@ -316,8 +304,8 @@ class SieveMomentOracle:
         """L2(P) distance between theta* and its projection on the k-term space."""
         nu, _, se_b = self._projection(k)
         val = self.l2_error(k, nu)
-        # delta method: se of sqrt(B) is se(B) / (2 sqrt(B))
-        if self.method == "mc" and val > 0 and se_b / (2.0 * val) > 0.01 * val:
+        # delta method: se of sqrt(B) is se(B) / (2 sqrt(B)); 0 for quadrature
+        if val > 0 and se_b / (2.0 * val) > 0.01 * val:
             raise OracleVariance(f"bias({k}) oracle std error above 1% of value")
         return val
 

@@ -125,16 +125,17 @@ def ideal_k(grid: TuningGrid, proxy: VarianceProxy, bias):
 
 
 def test_set(grid: TuningGrid, fits, proxy: VarianceProxy, s: float,
-             metric, multiplier: float = DEFAULT_TEST_MULTIPLIER) -> tuple:
+             grams, multiplier: float = DEFAULT_TEST_MULTIPLIER) -> tuple:
     """Grid points k with dist(fit_k, fit_k') <= multiplier * s * V_k' for
     every k' above k in the grid order.
 
-    `metric` is either a per-grid-point list of PSD matrices M_k' (the
-    displayed quadratic form; smaller fits are embedded by zero-padding, so
-    no fit may be wider than a later one: ShapeMismatch) or a callable
-    (i, j, fit_i, fit_j) -> distance.  s and multiplier must be > 0.  Each
-    k is compared with itself too, so a metric that puts a fit at a
-    positive distance from itself keeps it out of the set.
+    dist is the displayed quadratic form sqrt(d' M_k' d), d the difference
+    of the two fits with the smaller one embedded by zero-padding, and
+    `grams` the per-grid-point list of PSD matrices M_k'; no fit may be
+    wider than a later one (ShapeMismatch).  Identity matrices give the
+    Euclidean distance.  s and multiplier must be > 0.
+    Each k is compared with itself too, at distance 0, so the last grid
+    point is a member whenever its proxy is >= 0.
     """
     if s <= 0:
         raise DomainError("s must be > 0")
@@ -143,43 +144,36 @@ def test_set(grid: TuningGrid, fits, proxy: VarianceProxy, s: float,
     K = len(grid)
     if len(fits) != K:
         raise DomainError("fits must align with the grid")
-
-    if callable(metric):
-        dist = metric
-    else:
-        mats = [np.asarray(M, dtype=float) for M in metric]
-        vecs = [np.asarray(f, dtype=float) for f in fits]
-        sizes = [v.size for v in vecs]
-        if any(a > b for a, b in zip(sizes, sizes[1:])):
-            raise ShapeMismatch("a fit is wider than a later one")
-        padded = np.zeros((K, max(sizes)))    # each fit, zero-padded
-        for row, v in zip(padded, vecs):
-            row[:v.size] = v
-
-        def dist(i, j, fi, fj):
-            diff = padded[i, :sizes[j]] - padded[j, :sizes[j]]
-            return math.sqrt(max(float(diff @ mats[j] @ diff), 0.0))
+    mats = [np.asarray(M, dtype=float) for M in grams]
+    vecs = [np.asarray(f, dtype=float) for f in fits]
+    sizes = [v.size for v in vecs]
+    if any(a > b for a, b in zip(sizes, sizes[1:])):
+        raise ShapeMismatch("a fit is wider than a later one")
+    padded = np.zeros((K, max(sizes)))    # each fit, zero-padded
+    for row, v in zip(padded, vecs):
+        row[:v.size] = v
 
     members = []
     for i in range(K):
-        ok = True
         for j in range(i, K):
-            if dist(i, j, fits[i], fits[j]) > multiplier * s * proxy[j]:
-                ok = False
+            diff = padded[i, :sizes[j]] - padded[j, :sizes[j]]
+            dist = math.sqrt(max(float(diff @ mats[j] @ diff), 0.0))
+            if dist > multiplier * s * proxy[j]:
                 break
-        if ok:
+        else:
             members.append(grid.labels[i])
     return tuple(members)
 
 
 def feasible_k(grid: TuningGrid, fits, proxy: VarianceProxy, s: float,
-               metric, multiplier: float = DEFAULT_TEST_MULTIPLIER,
+               grams, multiplier: float = DEFAULT_TEST_MULTIPLIER,
                bias=None) -> SelectionResult:
     """Minimal-proxy member of the test set (the minimal label, since the
     proxy is non-decreasing along the grid)."""
-    accepted = test_set(grid, fits, proxy, s, metric, multiplier)
+    accepted = test_set(grid, fits, proxy, s, grams, multiplier)
     if not accepted:
-        raise EmptyTestSet("test set empty: s too small for this sample")
+        raise EmptyTestSet("test set empty: the last grid point's proxy is "
+                           "negative")
     idx = {lab: i for i, lab in enumerate(grid.labels)}
     best = min(accepted, key=lambda lab: (proxy[idx[lab]], idx[lab]))
     result_kwargs = {}

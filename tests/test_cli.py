@@ -140,6 +140,44 @@ def test_cli_tune_l1_quantile_baseline(tmp_path, capsys):
     assert len(out["coefficients"]) == 10
 
 
+# The JSON `tune` printed for these draws before the test set took Gram
+# matrices only (the lambda grid used a Euclidean-distance callable then);
+# the output must stay byte-identical.
+TUNE_PSPLINE_JSON = {
+    "n": 500, "m": 1, "n_beta": 500, "s": 3.1073040492110957,
+    "test_set": [8], "k_feasible": 8,
+    "proxy_feasible": 0.12649110640673517, "basis": "pspline",
+    "coefficients": [-52.01385487391677, -0.5082648966581562,
+                     -9.305004890625222, 0.9368143993658746,
+                     3.306856103574744, -1.896006025677609,
+                     8.988414716572443, 1.6954558646889408]}
+TUNE_LAMBDAS_JSON = {
+    "n": 200, "m": 1, "n_beta": 200, "s": 2.649158683274018,
+    "test_set": [0.03, 0.01, 0.003, 0.001], "k_feasible": 0.03,
+    "proxy_feasible": 1.3781447821854806, "penalty": "l1", "tau": 0.5,
+    "coefficients": [1.0253288290901417, 0.7101319226494445,
+                     0.5803645701503133]}
+
+
+def test_cli_tune_pspline_output_is_pinned(tmp_path, capsys):
+    path = tmp_path / "data.csv"
+    make_np_design(500, 1, seed=3).to_csv(path)
+    assert main(["tune", "--data", str(path), "--basis", "pspline"]) == 0
+    assert capsys.readouterr().out == json.dumps(TUNE_PSPLINE_JSON,
+                                                 indent=2) + "\n"
+
+
+def test_cli_tune_lambdas_output_is_pinned(tmp_path, capsys):
+    # the multiplier leaves the largest lambda out of the test set, so the
+    # pairwise distances decide the selection
+    path = tmp_path / "lin.csv"
+    make_linear_design(200, 1, d=3, seed=2).to_csv(path)
+    assert main(["tune", "--data", str(path), "--lambdas", "0.1", "0.03",
+                 "0.01", "0.003", "0.001", "--multiplier", "0.03"]) == 0
+    assert capsys.readouterr().out == json.dumps(TUNE_LAMBDAS_JSON,
+                                                 indent=2) + "\n"
+
+
 @pytest.mark.parametrize("line,key", [("mc_repz = 40", "mc_repz"),
                                       ("mc_reps = abc", "mc_reps"),
                                       ("mc_reps 40", "mc_reps")],

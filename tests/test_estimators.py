@@ -203,6 +203,22 @@ def test_certificate_out_of_box_vertex_falls_back_to_bvls(box_solves):
     assert got > 1e-3 and got == pytest.approx(expected, rel=1e-9)
 
 
+def test_certificate_is_exact_with_over_200_interpolated_rows(box_solves):
+    # rounded data: theta = (1, 0.5) interpolates 225 rows; the box least
+    # squares over them read 6.5e-8 when it switched to inexact trf above
+    # 200 free columns, and bvls reads below 1e-16
+    ds = make_linear_design(700, 7, d=2, seed=3)
+    X, y = np.round(ds.X), np.round(ds.y)
+    pen = PenaltySpec("weighted_l2", lam=0.0092, m=2.04)
+    fit = fit_penalized_qr((X, y), 0.76, pen)
+    res = y - X @ fit.theta
+    assert np.sum(np.abs(res) <= 1e-7 * (1.0 + np.abs(y).max())) > 200
+    box_solves.clear()
+    assert subgradient_residual(X, y, fit.theta, 0.76, pen) <= 1e-12
+    assert len(box_solves) == 1
+    assert fit.optimality_residual <= 1e-12
+
+
 def test_quantile_tau_off_center():
     rng = np.random.default_rng(5)
     X = np.ones((201, 1))

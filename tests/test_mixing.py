@@ -150,6 +150,34 @@ def test_dep_norm_bounded_by_br_times_lr():
                     assert dep_norm(f, model, q) <= upper * f.lr_norm(r) + 1e-10
 
 
+def midpoint_dep_norm(f, model, q):
+    """sqrt(2 int mu_q Q_f^2) summed segment by segment between every
+    mu-threshold and every k/n, each segment valued at its midpoint."""
+    n = f.sample.size
+    cuts = {0.0, 1.0} | {k / n for k in range(1, n)}
+    cuts |= {min(0.5 * beta_coeff(model, i), 1.0) for i in range(q + 1)}
+    cuts = sorted(c for c in cuts if 0.0 <= c <= 1.0)
+    total = 0.0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        u = 0.5 * (a + b)
+        total += mu_q(model, q, u) * f(u) ** 2 * (b - a)
+    return math.sqrt(2.0 * total)
+
+
+def test_empirical_dep_norm_matches_a_midpoint_reference():
+    rng = np.random.default_rng(6)
+    samples = [np.array([2.5]),                        # n = 1
+               np.array([1.0, 1.0, 1.0, 0.5, 0.5]),    # ties
+               np.round(rng.standard_normal(40), 1),   # ties, both signs
+               rng.standard_normal(333)]
+    for sample in samples:
+        f = QuantileFn.empirical(sample)
+        for model in models_grid():
+            for q in (0, 1, 3, 10, 50):
+                assert dep_norm(f, model, q) == pytest.approx(
+                    midpoint_dep_norm(f, model, q), rel=1e-12, abs=0)
+
+
 def test_dep_norm_nonfinite():
     f = QuantileFn.analytic(lambda u: u ** -2.0)
     with pytest.raises((NonFinite, Exception)):

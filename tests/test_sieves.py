@@ -233,8 +233,7 @@ def test_l2_error_rejects_a_theta_of_another_shape():
 def quadrature_l2_error(oracle, k, theta_hat):
     """||theta_hat' q - theta*|| summed directly on the oracle's nodes."""
     basis = SieveBasis(oracle.kind, k)
-    x, wd = oracle._nodes(basis.interior_knots())
-    w = 6.0 * x / (1.0 + np.abs(x))
+    w, wd = oracle._points(basis.interior_knots())
     res = basis.design(w) @ theta_hat - oracle.target(w)
     return math.sqrt(float(np.sum(wd * res * res)))
 

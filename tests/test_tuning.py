@@ -103,15 +103,14 @@ def test_feasible_k_full_set_and_empty():
     res = feasible_k(g, same, proxy, 1.0, metric)
     assert res.k_feasible == 3
     assert res.test_set == g.labels
+    # a Gram metric puts each fit at distance 0 from itself, so the top
+    # label is a member for any s; only a negative proxy empties the set
     fits = [np.full(k, 9.0) for k in g.labels]
     fits[-1] = np.zeros(8)
+    assert feasible_k(g, fits, proxy, 1e-9, metric).test_set == (8,)
+    negative = type(proxy)(values=-proxy.values)
     with pytest.raises(EmptyTestSet):
-        # all pairwise distances huge except the top one; and (8,8) = 0,
-        # so shrink s below any acceptance for smaller ks but keep k=8 out
-        # by comparing it against itself only -> k=8 always passes; force
-        # emptiness with a callable metric that rejects everything
-        feasible_k(g, fits, proxy, 1.0,
-                   lambda i, j, a, b: math.inf)
+        feasible_k(g, fits, negative, 1.0, metric)
 
 
 def test_test_set_rejects_a_non_positive_multiplier():
