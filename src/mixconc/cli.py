@@ -11,6 +11,7 @@ comma lists, or n:m pair lists (see parse_config).
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -87,14 +88,11 @@ def _cmd_effn(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    params = BoundParams(
-        penalty=args.penalty, d=args.d, n=args.n,
-        model=_model_from_args(args), pi0=args.pi0, E_pi0=args.E_pi0,
-        lam=args.lam, theta_norm=args.theta_norm, u=args.u,
-        upsilon=args.upsilon, tau=args.tau, L=args.L, trWinv=args.trWinv,
-        M_over_lambda=args.M_over_lambda, m=args.m, emin_W=args.emin_W,
-        D_sup=args.D_sup)
-    print(json.dumps(eval_bound(params), indent=2))
+    # each BoundParams field is the option of its name, except the model
+    values = {f.name: getattr(args, f.name)
+              for f in dataclasses.fields(BoundParams)}
+    values["model"] = _model_from_args(args)
+    print(json.dumps(eval_bound(BoundParams(**values)), indent=2))
     return 0
 
 
@@ -229,33 +227,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mixconc")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_effn = sub.add_parser("effn", help="effective number of observations")
-    p_effn.add_argument("--model", choices=("iid", "indicator", "polynomial"),
+    # the mixing model and the lattice, shared by effn and bound
+    mixing = argparse.ArgumentParser(add_help=False)
+    mixing.add_argument("--model", choices=("iid", "indicator", "polynomial"),
                         default="iid")
-    p_effn.add_argument("--M", type=int, default=1)
-    p_effn.add_argument("--m0", type=float, default=3.0)
-    p_effn.add_argument("--beta0", type=float, default=1.0)
-    p_effn.add_argument("--n", type=int, required=True)
-    p_effn.add_argument("--upsilon", type=int, default=3)
+    mixing.add_argument("--M", type=int, default=1)
+    mixing.add_argument("--m0", type=float, default=3.0)
+    mixing.add_argument("--beta0", type=float, default=1.0)
+    mixing.add_argument("--n", type=int, required=True)
+    mixing.add_argument("--upsilon", type=int, default=3)
+
+    p_effn = sub.add_parser("effn", parents=[mixing],
+                            help="effective number of observations")
     p_effn.add_argument("--r", type=float, default=4.0)
     p_effn.set_defaults(func=_cmd_effn)
 
-    p_bound = sub.add_parser("bound", help="concentration bound evaluator")
+    p_bound = sub.add_parser("bound", parents=[mixing],
+                             help="concentration bound evaluator")
     p_bound.add_argument("--penalty", choices=("l1", "l2p"), default="l1")
     p_bound.add_argument("--d", type=int, required=True)
-    p_bound.add_argument("--n", type=int, required=True)
-    p_bound.add_argument("--model", choices=("iid", "indicator", "polynomial"),
-                         default="iid")
-    p_bound.add_argument("--M", type=int, default=1)
-    p_bound.add_argument("--m0", type=float, default=3.0)
-    p_bound.add_argument("--beta0", type=float, default=1.0)
     p_bound.add_argument("--pi0", type=float, default=4.0)
     p_bound.add_argument("--E-pi0", dest="E_pi0", type=float, default=1.0)
     p_bound.add_argument("--lam", type=float, required=True)
     p_bound.add_argument("--theta-norm", dest="theta_norm", type=float,
                          required=True)
     p_bound.add_argument("--u", type=float, default=100.0)
-    p_bound.add_argument("--upsilon", type=int, default=3)
     p_bound.add_argument("--tau", type=float, default=0.5)
     p_bound.add_argument("--L", type=float, default=1.0)
     p_bound.add_argument("--trWinv", type=float, default=0.0)

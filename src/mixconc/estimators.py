@@ -30,30 +30,25 @@ from .errors import (DomainError, NonConvergence, NonFinite,
 
 @dataclass(frozen=True)
 class LossSpec:
-    """kind in {"quantile", "abs_half", "squared"}.
-
-    abs_half is t -> 0.5|t|, identical to the quantile loss at tau = 0.5.
+    """kind in {"quantile", "squared"}; tau is read by the quantile loss
+    only.  The median loss t -> 0.5|t| is the quantile loss at tau = 0.5
+    (`ABS_HALF`).
     """
 
     kind: str
     tau: float = 0.5
 
     def __post_init__(self):
-        if self.kind not in ("quantile", "abs_half", "squared"):
+        if self.kind not in ("quantile", "squared"):
             raise DomainError(f"unknown loss {self.kind!r}")
         if self.kind == "quantile" and not (0.0 < self.tau < 1.0):
             raise DomainError("tau must lie in (0, 1)")
-
-    @property
-    def effective_tau(self) -> float:
-        return 0.5 if self.kind == "abs_half" else self.tau
 
     def values(self, residuals: np.ndarray) -> np.ndarray:
         r = np.asarray(residuals, dtype=float)
         if self.kind == "squared":
             return r ** 2
-        t = self.effective_tau
-        return r * (t - (r <= 0))
+        return r * (self.tau - (r <= 0))
 
 
 def quantile_loss(tau: float) -> LossSpec:
@@ -61,7 +56,7 @@ def quantile_loss(tau: float) -> LossSpec:
 
 
 SQUARED = LossSpec("squared")
-ABS_HALF = LossSpec("abs_half")
+ABS_HALF = quantile_loss(0.5)
 
 
 @dataclass(frozen=True)
@@ -287,7 +282,7 @@ def _solve(X, y, loss, pen, tol):
             P = np.diag(pen.weights(d))
             theta = np.linalg.solve(X.T @ X / n + pen.lam * P, X.T @ y / n)
         return theta, None, "closed_form"
-    tau = loss.effective_tau
+    tau = loss.tau
     if loss.kind != "squared" and kind != "weighted_l2":
         # 300 ADMM sweeps are the warm start of the exact pivot
         start = _admm.admm_batch(X[None], y[None], tau, iters=300)
@@ -396,7 +391,6 @@ class PopulationDesign:
 
     sigma_x: np.ndarray
     noise_var: float
-    gaussian: bool = True
 
     @property
     def d(self) -> int:
@@ -408,7 +402,7 @@ def delta_p(design: PopulationDesign, loss: LossSpec, theta_hat,
     """Population criterion distance sqrt(Q(theta) - Q(theta*)).
 
     Squared loss: the Mahalanobis norm of the displacement under sigma_x.
-    Half-absolute loss: via E|N(0, s^2)| = s sqrt(2/pi), so
+    Median loss (quantile at tau = 0.5): via E|N(0, s^2)| = s sqrt(2/pi), so
     delta^2 = 0.5 sqrt(2/pi) (s(theta) - s(theta*)) with
     s(theta)^2 = D' sigma_x D + noise_var.
 
@@ -419,15 +413,13 @@ def delta_p(design: PopulationDesign, loss: LossSpec, theta_hat,
     quad = np.maximum(np.einsum("...i,ij,...j->...", D, design.sigma_x, D), 0.0)
     if loss.kind == "squared":
         out = np.sqrt(quad)
-    elif loss.kind == "abs_half" or (loss.kind == "quantile" and loss.tau == 0.5):
-        if not design.gaussian:
-            raise UnsupportedDesign("analytic path requires Gaussian errors")
+    elif loss.kind == "quantile" and loss.tau == 0.5:
         s_hat = np.sqrt(quad + design.noise_var)
         s_star = math.sqrt(design.noise_var)
         out = np.sqrt(0.5 * math.sqrt(2.0 / math.pi) * (s_hat - s_star))
     else:
         raise UnsupportedDesign(f"no analytic population formula for {loss.kind}"
-                                f" at tau={getattr(loss, 'tau', None)}")
+                                f" at tau={loss.tau}")
     return float(out) if out.ndim == 0 else out
 
 

@@ -95,11 +95,9 @@ class ReportRow:
     n_failed: int = 0
     worst_residual: float = math.nan
 
-    FIELDS = ("experiment", "n", "m", "method", "k", "n_beta", "mu_actual",
-              "mu_predicted", "ratio", "r_q10", "r_q50", "r_q90", "k_ideal",
-              "k_ideal_freq", "k_feasible", "k_feasible_freq", "v_ideal",
-              "v_feasible", "u", "tail_freq", "tail_bound", "mc_std_error",
-              "n_reps", "n_failed", "worst_residual")
+
+#: the report's CSV columns, in field order
+ReportRow.FIELDS = tuple(f.name for f in dataclasses.fields(ReportRow))
 
 
 def _fmt(value) -> str:
@@ -143,6 +141,16 @@ def snap_admissible(n: int, upsilon: int) -> int:
             except InadmissibleN:
                 continue
     return 1
+
+
+def _snapped_grid(config: ExperimentConfig) -> list[tuple[int, int]]:
+    """The study's (n, m) cells with n snapped to an admissible size; m
+    must divide the snapped n."""
+    grid = [(snap_admissible(n, config.upsilon), m) for (n, m) in config.grid]
+    for (n, m) in grid:
+        if n % m:
+            raise DomainError(f"m={m} does not divide (snapped) n={n}")
+    return grid
 
 
 def _chunks(total: int, size: int):
@@ -206,10 +214,7 @@ def _tables12_chunk(args):
 def run_tables12(config: ExperimentConfig) -> list[ReportRow]:
     """Reproduce the location-regression tables: MC averages of the
     population criterion distance, x100, with sqrt(m)-scaled predictions."""
-    grid = [(snap_admissible(n, config.upsilon), m) for (n, m) in config.grid]
-    for (n, m) in grid:
-        if n % m:
-            raise DomainError(f"m={m} does not divide (snapped) n={n}")
+    grid = _snapped_grid(config)
     tasks = [[(n, m, config.d, config.master_seed + 1000 * hash_cell(n, m),
                rr, config.solver_tol)
               for rr in _chunks(config.mc_reps, config.chunk_size)]
@@ -226,29 +231,23 @@ def run_tables12(config: ExperimentConfig) -> list[ReportRow]:
         cells[(n, m)] = agg
 
     rows = []
-    for method in ("median", "mean"):
+    for method, (count_key, sum_key, sumsq_key) in (
+            ("median", ("med_ok", "med_sum", "med_sumsq")),
+            ("mean", ("reps", "mean_sum", "mean_sumsq"))):
         for (n, m) in grid:
             agg = cells[(n, m)]
-            if method == "mean":
-                count, total, sumsq = agg["reps"], agg["mean_sum"], agg["mean_sumsq"]
-                failed = 0
-            else:
-                count, total, sumsq = agg["med_ok"], agg["med_sum"], agg["med_sumsq"]
-                failed = agg["reps"] - count
+            count, total, sumsq = agg[count_key], agg[sum_key], agg[sumsq_key]
             mu = 100.0 * total / count
             sd = 100.0 * math.sqrt(max(sumsq / count - (total / count) ** 2, 0.0))
             base = cells[(n, 1)]
-            if method == "mean":
-                mu1 = 100.0 * base["mean_sum"] / base["reps"]
-            else:
-                mu1 = 100.0 * base["med_sum"] / base["med_ok"]
+            mu1 = 100.0 * base[sum_key] / base[count_key]
             predicted = math.sqrt(m) * mu1
             rows.append(ReportRow(
                 experiment="tables12", n=n, m=m, method=method,
                 n_beta=n / m, mu_actual=mu, mu_predicted=predicted,
                 ratio=mu / predicted,
                 mc_std_error=sd / math.sqrt(count),
-                n_reps=count, n_failed=failed,
+                n_reps=count, n_failed=agg["reps"] - count,
                 worst_residual=agg["worst_resid"] if method == "median"
                 else math.nan))
     return rows
@@ -295,14 +294,12 @@ def run_tables34(config: ExperimentConfig,
     """
     cells, tasks = [], []
     grid = sieve_grid(SIEVE_KS)
+    sizes = _snapped_grid(config)
     for kind in config.basis_kinds:
         oracle = (oracles or {}).get(kind) or build_sieve_oracle(kind)
         grams = [oracle.moments(k)[0] for k in SIEVE_KS]
         bias = np.array([oracle.bias(k) for k in SIEVE_KS])
-        for (n, m) in config.grid:
-            n = snap_admissible(n, config.upsilon)
-            if n % m:
-                raise DomainError(f"m={m} does not divide (snapped) n={n}")
+        for (n, m) in sizes:
             proxy = variance_proxy(grid, n // m)
             kI = ideal_k(grid, proxy, bias)
             s_n = default_s(n, m)
@@ -353,11 +350,15 @@ def _whitened_design(n, mu0, d, seed, rep):
     return X, U
 
 
-def ols_tail_moment_oracle(n, mu0, d, seed, draws: int = 2000) -> float:
+#: fresh designs the tail check's moment oracle averages over
+TAIL_MOMENT_DESIGNS = 2000
+
+
+def ols_tail_moment_oracle(n, mu0, d, seed) -> float:
     """E[(block sum of x_l U / sqrt(mu0))^2 / mu0] over fresh designs."""
     total = 0.0
     count = 0
-    for rep in range(draws):
+    for rep in range(TAIL_MOMENT_DESIGNS):
         X, U = _whitened_design(n, mu0, d, seed, rep)
         q = n // mu0
         block = (X * U[:, None]).reshape(q, mu0, d).sum(axis=1)  # (q, d)

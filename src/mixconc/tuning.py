@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EmptyIdealSet, EmptyTestSet, ShapeMismatch
+from .errors import (DomainError, EmptyIdealSet, EmptyTestSet, NonFinite,
+                     ShapeMismatch)
 
 #: multiplier in the test-set inequality dist <= multiplier * s * V_{k'}.
 #: 4 is the displayed theoretical rule.
@@ -132,8 +133,9 @@ def test_set(grid: TuningGrid, fits, proxy: VarianceProxy, s: float,
     dist is the displayed quadratic form sqrt(d' M_k' d), d the difference
     of the two fits with the smaller one embedded by zero-padding, and
     `grams` the per-grid-point list of PSD matrices M_k'; no fit may be
-    wider than a later one (ShapeMismatch).  Identity matrices give the
-    Euclidean distance.  s and multiplier must be > 0.
+    wider than a later one (ShapeMismatch), and every entry must be finite
+    (NonFinite).  Identity matrices give the Euclidean distance.  s and
+    multiplier must be > 0.
     Each k is compared with itself too, at distance 0, so the last grid
     point is a member whenever its proxy is >= 0.
     """
@@ -152,6 +154,8 @@ def test_set(grid: TuningGrid, fits, proxy: VarianceProxy, s: float,
     padded = np.zeros((K, max(sizes)))    # each fit, zero-padded
     for row, v in zip(padded, vecs):
         row[:v.size] = v
+    if not np.isfinite(padded).all():
+        raise NonFinite("a fit has a non-finite entry")
 
     members = []
     for i in range(K):

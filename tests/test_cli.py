@@ -41,6 +41,70 @@ def test_cli_bound(capsys):
     assert out["tail_probability"] == 1.0   # u below G0
 
 
+# The JSON `effn` and `bound` printed before the two commands shared one
+# declaration of the mixing-model options; the output must stay
+# byte-identical.
+EFFN_JSON = {
+    "indicator": {
+        "n": 64, "upsilon": 2, "r": 4.0, "model": "indicator",
+        "n_beta": 15.999999999999996, "q_n0": 4, "mu_integral": 8.0,
+        "bound_lower": 12.8, "bound_upper": 16.0},
+    "polynomial": {
+        "n": 64, "upsilon": 2, "r": 4.0, "model": "polynomial",
+        "n_beta": 39.998553319227725, "q_n0": 2,
+        "mu_integral": 1.2800925925925928,
+        "bound_lower": 36.950417228136054, "bound_upper": 64.0}}
+EFFN_ARGS = {"indicator": ["--model", "indicator", "--M", "4"],
+             "polynomial": ["--model", "polynomial", "--m0", "3",
+                            "--beta0", "2"]}
+BOUND_JSON = {
+    "l1-D-sup": {
+        "n_beta": 63.999999999999986, "G0": 106.84112549695428,
+        "tail_probability": 0.5342056274847714,
+        "front_constant": 25.226892457611434,
+        "variance_component": 0.2165063509461097,
+        "bias_component": 0.4472135954999579, "rate": 0.6637199464460677,
+        "bound": 3348.718342193314, "l1_envelope": 193.01269706500756,
+        "A_star": 7.5332977813501465},
+    "l2p-m2": {
+        "n_beta": 63.999999999999986, "G0": 106.84112549695428,
+        "tail_probability": 1.0, "front_constant": 25.226892457611434,
+        "variance_component": 0.48844183427916854,
+        "bias_component": 0.22360679774997896, "rate": 0.7120486320291475,
+        "bound": 1796.277426478864},
+    "l2p-m0.5-indicator": {
+        "n_beta": 15.999999999999996, "G0": 106.84112549695428,
+        "tail_probability": 1.0, "front_constant": 25.226892457611434,
+        "variance_component": 0.7071067811865476,
+        "bias_component": 0.22360679774997896, "rate": 0.9307135789365265,
+        "bound": 2347.9011364670405}}
+BOUND_ARGS = {
+    "l1-D-sup": ["--penalty", "l1", "--d", "3", "--lam", "0.1",
+                 "--theta-norm", "2.0", "--u", "200", "--trWinv", "3",
+                 "--M-over-lambda", "1.5", "--D-sup", "5"],
+    "l2p-m2": ["--penalty", "l2p", "--d", "10", "--lam", "0.05",
+               "--theta-norm", "1.0", "--m", "2"],
+    "l2p-m0.5-indicator": ["--penalty", "l2p", "--d", "10", "--lam", "0.05",
+                           "--theta-norm", "1.0", "--m", "0.5", "--trWinv",
+                           "4", "--model", "indicator", "--M", "4"]}
+
+
+@pytest.mark.parametrize("model", sorted(EFFN_JSON))
+def test_cli_effn_output_is_pinned(capsys, model):
+    assert main(["effn", "--n", "64", "--upsilon", "2",
+                 *EFFN_ARGS[model]]) == 0
+    assert capsys.readouterr().out == json.dumps(EFFN_JSON[model],
+                                                 indent=2) + "\n"
+
+
+@pytest.mark.parametrize("case", sorted(BOUND_JSON))
+def test_cli_bound_output_is_pinned(capsys, case):
+    assert main(["bound", "--n", "64", "--upsilon", "2",
+                 *BOUND_ARGS[case]]) == 0
+    assert capsys.readouterr().out == json.dumps(BOUND_JSON[case],
+                                                 indent=2) + "\n"
+
+
 def test_cli_simulate_and_outputs(tmp_path, capsys):
     cfg = tmp_path / "t.cfg"
     cfg.write_text("grid = 50:1\nmc_reps = 30\nchunk_size = 30\n")

@@ -61,6 +61,10 @@ def test_abs_half_equals_median_loss():
     r = np.array([-2.0, 0.0, 3.5])
     assert np.allclose(ABS_HALF.values(r), 0.5 * np.abs(r))
     assert np.allclose(LossSpec("quantile", 0.5).values(r), 0.5 * np.abs(r))
+    # the median loss is the quantile loss at 1/2, not a kind of its own
+    assert ABS_HALF == quantile_loss(0.5)
+    with pytest.raises(DomainError):
+        LossSpec("abs_half")
 
 
 # -- quantile regression solver ---------------------------------------------------

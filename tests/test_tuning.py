@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from mixconc import (DomainError, EmptyIdealSet, EmptyTestSet, ShapeMismatch,
-                     TuningGrid, alpha_calibrated_s, default_s, feasible_k,
+from mixconc import (DomainError, EmptyIdealSet, EmptyTestSet, NonFinite,
+                     ShapeMismatch, TuningGrid, alpha_calibrated_s, default_s, feasible_k,
                      ideal_k, lambda_grid, sieve_grid, variance_proxy)
 from mixconc.tuning import test_set as pairwise_test_set
 
@@ -121,6 +121,21 @@ def test_test_set_rejects_a_non_positive_multiplier():
             pairwise_test_set(g, same, proxy, 1.0, metric, multiplier)
         with pytest.raises(DomainError, match="multiplier"):
             feasible_k(g, same, proxy, 1.0, metric, multiplier)
+
+
+def test_test_set_rejects_a_non_finite_fit():
+    # a NaN distance passes no rejection test, so the NaN fit of k = 3
+    # used to join the test set (3, 5) for any s and be selected
+    g = sieve_grid([3, 4, 5])
+    proxy = variance_proxy(g, 100)
+    grams = [np.eye(k) for k in g.labels]
+    for bad in (math.nan, math.inf):
+        fits = [np.full(3, bad), np.full(4, 5.0), np.zeros(5)]
+        for s in (1e-3, 1.0, 1e3):
+            with pytest.raises(NonFinite):
+                pairwise_test_set(g, fits, proxy, s, grams)
+            with pytest.raises(NonFinite):
+                feasible_k(g, fits, proxy, s, grams)
 
 
 def padded_distance(fi, fj, M):
