@@ -223,13 +223,18 @@ def fit_penalized(data, loss: LossSpec, pen: PenaltySpec = NO_PENALTY,
     fit of a given design goes through here (the sieve fits, whose designs
     `sieves` builds, through `sieves.family_fits`).
 
-    - quantile loss, no penalty or l1: ADMM sweeps warm-start the exact
+    - quantile loss, no penalty or l1: 300 unpenalized ADMM sweeps
+      (`_admm.admm_batch`, O(n d) each over one projection formed before
+      them, a pseudo-inverse when X'X is singular) warm-start the exact
       simplex pivot (`method == "simplex"`), the l1 penalty as data
       augmented with the rows +-n lam e_j, through `_finish_exact` as a
       stack of one (the tables 1-2 study passes it a whole chunk); when the
-      pivot stalls or its certificate exceeds tol, the HiGHS LP solves the
-      same problem (`"lp"`), and an LP that fails leaves the fit
-      uncertified (NonConvergence);
+      pivot stalls (a rank-deficient unpenalized design does) or its
+      certificate exceeds tol, the HiGHS LP solves the same problem
+      (`"lp"`), and an LP that fails leaves the fit uncertified
+      (NonConvergence).  The pivot reaches the same vertex from a
+      least-squares start; the sweeps stay while the benchmark's trace
+      counts them;
     - squared loss, no penalty or weighted-l2: closed form
       (`"closed_form"`); an unpenalized rank-deficient design raises
       SingularDesign;

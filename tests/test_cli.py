@@ -204,6 +204,20 @@ def test_cli_tune_l1_quantile_baseline(tmp_path, capsys):
     assert len(out["coefficients"]) == 10
 
 
+def test_cli_tune_lambdas_on_a_rank_deficient_design(tmp_path, capsys):
+    # x2 = 2 x1: X'X is singular, the l1 fits still certify
+    ds = make_linear_design(200, 1, d=1, seed=5)
+    path = tmp_path / "lin.csv"
+    np.savetxt(path, np.column_stack([ds.y, ds.X, 2.0 * ds.X]), delimiter=",",
+               header="y,x1,x2", comments="")
+    assert main(["tune", "--data", str(path), "--m", "1",
+                 "--lambdas", "0.5", "0.1"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["k_feasible"] in (0.5, 0.1)
+    assert np.isfinite(out["coefficients"]).all()
+    assert len(out["coefficients"]) == 2
+
+
 # The JSON `tune` printed for these draws before the test set took Gram
 # matrices only (the lambda grid used a Euclidean-distance callable then);
 # the output must stay byte-identical.

@@ -659,6 +659,97 @@ def test_a_singular_stacked_system_is_nan_in_its_rep_only():
     assert np.isnan(x[1]).all()
 
 
+# -- the ADMM warm start of a single fit --------------------------------------
+
+
+def _reference_sweeps(X, y, tau, iters):
+    """The reference ADMM sweeps in their plain form: a stacked Gram solve
+    and two einsums per sweep, with the primal r and the dual u kept."""
+    R, n, d = X.shape
+    G = np.einsum("rij,rik->rjk", X, X)
+    c, a = 1.0 / n, 1.7
+    theta, r, u = np.zeros((R, d)), np.zeros((R, n)), np.zeros((R, n))
+    for _ in range(iters):
+        rhs = np.einsum("rij,ri->rj", X, y - r - u)
+        theta = np.linalg.solve(G, rhs[..., None])[..., 0]
+        h = a * np.einsum("rij,rj->ri", X, theta) + (1.0 - a) * (y - r)
+        v = y - h - u
+        r = v - np.clip(v, -c * (1.0 - tau), c * tau)
+        u = u + h + r - y
+    return theta
+
+
+@pytest.mark.parametrize("shape", [(1000, 1, 3, 0.3), (1000, 10, 4, 0.3),
+                                   (2000, 1, 8, 0.5), None],
+                         ids=["n1000-d3", "n1000-m10-d4", "n2000-d8", "ones6"])
+def test_warm_start_matches_the_reference_sweeps(shape):
+    if shape is None:                    # the design of the perfbench hook test
+        X, y, tau = np.ones((1, 6, 1)), np.arange(6.0)[None], 0.5
+    else:
+        n, m, d, tau = shape
+        ds = make_linear_design(n, m, d, seed=20240901)
+        X, y = ds.X[None], ds.y[None]
+    ref = _reference_sweeps(X, y, tau, 300)
+    new = _admm.admm_batch(X, y, tau, 300)
+    assert new.shape == ref.shape
+    assert np.all(np.abs(new - ref) <= 1e-10 * (1.0 + np.abs(ref)))
+
+
+def test_warm_start_stack_equals_each_rep_alone():
+    X, y = _stacked_draws(500, 5, 3, seed=4, reps=2)
+    stacked = _admm.admm_batch(X, y, 0.3, 300)
+    for r in range(2):
+        assert np.array_equal(stacked[r],
+                              _admm.admm_batch(X[r:r + 1], y[r:r + 1], 0.3,
+                                               300)[0])
+
+
+API_QR_SHAPES = [  # (n, m, d, tau, lam) of the perfbench api's qr, qr_l1 calls
+    (500, 1, 3, 0.3, 0.0), (1000, 1, 3, 0.5, 0.0), (500, 1, 5, 0.3, 0.0),
+    (500, 10, 3, 0.3, 0.0), (500, 10, 5, 0.5, 0.0), (1000, 1, 4, 0.3, 0.0),
+    (1000, 10, 3, 0.5, 0.0), (1000, 10, 4, 0.3, 0.0), (2000, 1, 3, 0.3, 0.0),
+    (2000, 1, 5, 0.5, 0.0), (2000, 10, 3, 0.5, 0.0), (2000, 1, 8, 0.5, 0.0),
+    (500, 1, 10, 0.3, 0.02), (1000, 1, 20, 0.5, 0.01)]
+
+
+@pytest.mark.parametrize("n, m, d, tau, lam", API_QR_SHAPES)
+def test_quantile_fit_does_not_depend_on_its_start(n, m, d, tau, lam):
+    # the pivot from the ADMM start and from the lstsq fit reach one vertex
+    ds = make_linear_design(n, m, d, seed=20240901, rep=n + 10 * m + d)
+    X, y = ds.X, ds.y
+    pen = PenaltySpec("l1", lam=lam) if lam else NO_PENALTY
+    fit = fit_penalized_qr((X, y), tau, pen)
+    start = np.linalg.lstsq(X, y, rcond=None)[0]
+    theta, _, method = est._finish_exact(X[None], y[None], tau, pen,
+                                         start[None], 1e-6)
+    assert fit.method == "simplex" and method == ["simplex"]
+    assert np.all(np.abs(fit.theta - theta[0]) <= 1e-12)
+
+
+RANK_DEFICIENT = {"ones-6x2": (np.ones((6, 2)), np.arange(6.0)),
+                  "x2=2x1": (np.column_stack([np.ones(5), np.arange(5.0),
+                                              2.0 * np.arange(5.0)]),
+                             np.array([0.0, 2.0, 1.0, 5.0, 3.0])),
+                  "ones-2x3": (np.ones((2, 3)), np.arange(2.0))}
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1])
+@pytest.mark.parametrize("case", RANK_DEFICIENT)
+def test_rank_deficient_quantile_fits_certify(case, lam):
+    # an exactly singular X'X: the warm start takes the least-norm steps;
+    # an unpenalized pivot finds fewer than d independent rows and goes to
+    # the LP, the l1 rows make the augmented design full rank
+    X, y = RANK_DEFICIENT[case]
+    start = _admm.admm_batch(X[None], y[None], 0.5, 300)
+    assert np.isfinite(start).all()
+    pen = PenaltySpec("l1", lam=lam) if lam else NO_PENALTY
+    fit = fit_penalized_qr((X, y), 0.5, pen)
+    assert fit.method == ("simplex" if lam else "lp")
+    assert fit.optimality_residual <= 1e-6
+    lp = _lp_objective(X, y, 0.5, lam)
+    assert fit.objective <= lp + 1e-9 * (1.0 + abs(lp))
+
+
 # -- least squares ------------------------------------------------------------
 
 
