@@ -113,7 +113,7 @@ def active_set(Q, q, A, c, w, tau):
         tol = rtol * (np.linalg.norm(theta) + np.linalg.norm(theta + delta))
         cross = np.flatnonzero(~held & (np.where(pos, g, -g) > tol))
         t = np.maximum(res[cross] / g[cross], 0.0)
-        order = np.argsort(t, kind="stable")
+        order = _crossing_order(t[None], t.size)[0]
         cross, t = cross[order], t[order]
         jumps = np.cumsum(np.r_[0.0, w * np.abs(g[cross])])
         # the first crossing with right derivative >= 0 ends the search
@@ -157,10 +157,13 @@ def simplex_polish(X, y, theta, tau=0.5):
     along the edge that keeps the other basic residuals at zero, with the
     step chosen by the weighted-median rule on the crossing residuals
     (Barrodale & Roberts 1973; Koenker & d'Orey 1987).  One pivot steps
-    every rep still active with stacked solves, an argsort and a cumsum
-    along the rows; the arithmetic of each rep is that of pivoting it
-    alone.  A rep leaves the active set when it is optimal or stalls, and
-    the stack is compacted only then.
+    every rep still active with stacked solves, a sort and a cumsum along
+    the rows; the arithmetic of each rep is that of pivoting it alone.
+    The crossing rows are ranked by `_crossing_order`: the first
+    max(ncross) ranks of their stable (t, row) order, from numpy's
+    unstable SIMD sort with ties of equal t put back in row order.  A rep
+    leaves the active set when it is optimal or stalls, and the stack is
+    compacted only then.
 
     Pivoting is capped at n + 10 d pivots: the count grows with the rows
     the path crosses, and a fixed cap (500) stalled l1 fits at n = 10^4,
@@ -209,8 +212,8 @@ def simplex_polish(X, y, theta, tau=0.5):
             & ((t > 0.0) | (zero & ((g > 0.0) != neg)))
         # only crossing rows can enter: the first ncross ranks of a rep
         ncross = cross.sum(axis=1)
-        order = np.argsort(np.where(cross, t, np.inf), axis=1,
-                           kind="stable")[:, :max(1, ncross.max())]
+        order = _crossing_order(np.where(cross, t, np.inf),
+                                max(1, ncross.max()))
         # directional derivative of the objective after each crossing:
         # deriv0 plus the running sum of |g| / n in crossing order
         deriv = np.abs(g[col, order]) / n
@@ -238,6 +241,31 @@ def simplex_polish(X, y, theta, tau=0.5):
             rows, col = rows[:ids.size], col[:ids.size]
     stalled[ids] = True                      # the pivot cap was reached
     return theta, stalled
+
+
+def _crossing_order(key, count):
+    """The first `count` ranks of the stable argsort of each row of key
+    (R, n), for rows with at most `count` finite keys (inf marks the rows
+    that do not cross): the finite keys come first in (key, index) order;
+    the inf keys after them are in no set order.
+
+    A stack sorts unstably (numpy's SIMD sort) and re-sorts by index only
+    the rows where two equal finite keys meet within the prefix.  A single
+    row (R = 1: a single fit, `active_set`) sorts stably at once, since an
+    l1 fit's rows +-n lam e_j cross together and tie on every pivot."""
+    if len(key) == 1:
+        return np.argsort(key, axis=1, kind="stable")[:, :count]
+    order = np.argsort(key, axis=1)[:, :count]
+    ranked = np.take_along_axis(key, order, axis=1)
+    tied = ((ranked[:, 1:] == ranked[:, :-1])
+            & np.isfinite(ranked[:, 1:])).any(axis=1)
+    if tied.any():
+        r = np.flatnonzero(tied)
+        by_index = np.sort(order[r], axis=1)
+        again = np.argsort(np.take_along_axis(key[r], by_index, axis=1),
+                           axis=1, kind="stable")
+        order[r] = np.take_along_axis(by_index, again, axis=1)
+    return order
 
 
 def _solve_stack(a, b):

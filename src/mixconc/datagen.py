@@ -2,9 +2,13 @@
 linear / nonparametric simulation designs.
 
 Seeding contract: every random quantity is drawn from a Philox generator
-keyed by (master_seed, replication, stream) through numpy's SeedSequence
-spawn keys, so replications and streams are independent and results are
-bit-identical for a given master seed regardless of execution order.
+at counter 0 whose key is fixed by (master_seed, replication, stream): it
+is the key numpy's SeedSequence(master_seed, spawn_key=(replication,
+stream)) gives Philox.  `spawn_keys` derives the keys of many pairs in
+one vectorized pass of that hash, and the draws re-key one Philox per
+call, so replications and streams are independent and results are
+bit-identical for a given master seed regardless of execution order or
+of how the replications are batched.
 """
 
 import math
@@ -20,11 +24,112 @@ from .estimators import PopulationDesign
 _NOISE_MIX = 0.01                   # weight of the idiosyncratic shock
 STREAM_VARIANCE = 1.0 + _NOISE_MIX ** 2   # Var(block + mix * idiosyncratic)
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of
+# four uint32 words filled and mixed by hashmix / mix, read out by
+# generate_state.
+_POOL, _MASK32, _XSHIFT = 4, 0xFFFFFFFF, 16
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def spawn_keys(seed: int, rep, stream) -> np.ndarray:
+    """Philox keys of (replication, stream) pairs under one master seed.
+
+    rep and stream are broadcast against each other; the result has their
+    shape plus a last axis of 2 (uint64), and its entry at a pair equals
+    np.random.SeedSequence(seed, spawn_key=(rep, stream)).generate_state(
+    2, np.uint64), the key Philox takes from that SeedSequence.  The hash
+    runs on uint32 arrays, one pass for all pairs whose indices have the
+    same number of 32-bit words.  A negative or non-integer seed or index
+    raises DomainError."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
+    rep, stream = np.broadcast_arrays(np.asarray(rep), np.asarray(stream))
+    if rep.dtype.kind not in "iu" or stream.dtype.kind not in "iu" \
+            or (rep < 0).any() or (stream < 0).any():
+        raise DomainError("replication and stream indices must be "
+                          "integers >= 0")
+    # the seed's words, least significant first, padded to the pool
+    # (SeedSequence pads run entropy that way when a spawn key follows)
+    words, rest = [], int(seed)
+    while True:
+        words.append(np.array([rest & _MASK32], dtype=np.uint32))
+        rest >>= 32
+        if not rest:
+            break
+    words += [np.zeros(1, dtype=np.uint32)] * (_POOL - len(words))
+    shape = rep.shape
+    rep = rep.astype(np.uint64).ravel()
+    stream = stream.astype(np.uint64).ravel()
+    keys = np.empty((rep.size, 2), dtype=np.uint64)
+    wide_rep, wide_stream = rep > _MASK32, stream > _MASK32
+    for wr in (False, True):
+        for ws in (False, True):
+            pick = np.flatnonzero((wide_rep == wr) & (wide_stream == ws))
+            if not pick.size:
+                continue
+            tail = []
+            for value, wide in ((rep[pick], wr), (stream[pick], ws)):
+                tail.append((value & _MASK32).astype(np.uint32))
+                if wide:
+                    tail.append((value >> 32).astype(np.uint32))
+            keys[pick] = _seed_hash(words + tail)
+    return keys.reshape(shape + (2,))
+
+
+def _seed_hash(words) -> np.ndarray:
+    """SeedSequence's pool of the entropy words (uint32 arrays that
+    broadcast, at least _POOL of them), read out as generate_state(2,
+    np.uint64): the (N, 2) uint64 keys."""
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        out = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return out ^ (out >> _XSHIFT)
+
+    pool = [hashmix(w) for w in words[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    const, state = _INIT_B, []
+    for value in pool:
+        value = value ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        value = value * np.uint32(const)
+        state.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
+    # the little-endian pairs of the four words
+    return np.stack([state[0] | state[1] << np.uint64(32),
+                     state[2] | state[3] << np.uint64(32)], axis=-1)
+
 
 def substream(seed: int, rep: int, stream: int) -> np.random.Generator:
     """Counter-based generator for (master seed, replication, stream)."""
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(seed, spawn_key=(rep, stream))))
+    return np.random.Generator(np.random.Philox(key=spawn_keys(seed, rep,
+                                                               stream)))
+
+
+def _generator() -> np.random.Generator:
+    """A Philox generator for `_block_stream` to re-key."""
+    return np.random.Generator(np.random.Philox(key=np.zeros(2, np.uint64)))
+
+
+def _check_blocks(n: int, m: int) -> None:
+    if n < 1 or m < 1:
+        raise DomainError(f"n and m must be >= 1, got n={n}, m={m}")
+    if n % m:
+        raise DomainError("m must divide n")
 
 
 @dataclass
@@ -46,13 +151,33 @@ class Dataset:
         np.savetxt(path, cols, delimiter=",", header=header, comments="")
 
 
-def _block_stream(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
-    """One m-block stream of length n (m | n): V1, drawn first from rng,
-    repeated over blocks of length m, plus 0.01 times a per-observation
-    V2; its variance is STREAM_VARIANCE = 1 + 0.01^2, its within-block
-    covariance 1 and its covariance across blocks 0."""
-    return np.repeat(rng.standard_normal(n // m), m) \
-        + _NOISE_MIX * rng.standard_normal(n)
+_ZERO4 = np.zeros(4, dtype=np.uint64)
+
+
+def _block_stream(rng: np.random.Generator, keys: np.ndarray, m: int,
+                  out: np.ndarray) -> None:
+    """Fill out, of shape keys.shape[:-1] + (c, n), with m-block streams
+    (m | n): the c streams of out[i] are drawn in turn from rng's Philox
+    re-keyed to keys[i] (see `spawn_keys`) at counter 0.  A stream is V1,
+    drawn first, repeated over blocks of length m, plus 0.01 times a
+    per-observation V2; its variance is STREAM_VARIANCE = 1 + 0.01^2, its
+    within-block covariance 1 and its covariance across blocks 0.  out may
+    be a strided view (the columns of a design)."""
+    n = out.shape[-1]
+    shock, noise = np.empty(n // m), np.empty(n)
+    blocks = noise.reshape(-1, m)            # a view: noise by block
+    for i in np.ndindex(keys.shape[:-1]):
+        rng.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": _ZERO4, "key": keys[i]},
+            "buffer": _ZERO4, "buffer_pos": 4,   # the buffer is used up
+            "has_uint32": 0, "uinteger": 0}
+        for stream in out[i]:
+            rng.standard_normal(out=shock)
+            rng.standard_normal(out=noise)
+            noise *= _NOISE_MIX
+            blocks += shock[:, None]
+            stream[...] = noise
 
 
 def gen_block_gaussian(n: int, m: int, count: int, seed: int,
@@ -60,10 +185,14 @@ def gen_block_gaussian(n: int, m: int, count: int, seed: int,
                        stream_offset: int = 0) -> list[np.ndarray]:
     """`count` independent m-block-dependent standard-Gaussian streams, each
     from its own substream (see `_block_stream`)."""
-    if n % m:
-        raise DomainError("m must divide n")
-    return [_block_stream(substream(seed, rep, stream_offset + s), n, m)
-            for s in range(count)]
+    _check_blocks(n, m)
+    if count < 0:
+        raise DomainError("count must be >= 0")
+    out = np.empty((count, 1, n))
+    _block_stream(_generator(),
+                  spawn_keys(seed, rep, stream_offset + np.arange(count)),
+                  m, out)
+    return list(out[:, 0])
 
 
 _TRUNC = 6.0
@@ -107,19 +236,37 @@ def ma_autocovariance(coeffs, lag: int) -> float:
     return truncated_innovation_variance() * float(np.dot(th[:th.size - lag], th[lag:]))
 
 
-def make_linear_design(n: int, m: int, d: int = 3, seed: int = 0,
-                       rep: int = 0) -> Dataset:
-    """The linear simulation design: y = sum_j j^(-1/2) x_j + 0.5 u with
-    d independent block-Gaussian covariate streams and one error stream."""
-    streams = gen_block_gaussian(n, m, d + 1, seed, rep=rep)
-    X = np.stack(streams[:d], axis=1)
-    u = streams[d]
+def linear_design_stack(n: int, m: int, d: int, seed: int, reps) -> Dataset:
+    """`make_linear_design` for each replication in reps, stacked: X is
+    (R, n, d) and y (R, n).  The keys of all (rep, stream) pairs come from
+    one `spawn_keys` pass, and each stream is written in place, so the
+    stack holds no per-replication copies."""
+    _check_blocks(n, m)
+    if d < 1:
+        raise DomainError(f"d must be >= 1, got {d}")
+    reps = np.asarray(reps)
+    keys = spawn_keys(seed, reps[:, None], np.arange(d + 1))
+    X, y = np.empty((reps.size, n, d)), np.empty((reps.size, n))
+    rng = _generator()
+    _block_stream(rng, keys[:, :d], m, X.transpose(0, 2, 1)[:, :, None])
+    _block_stream(rng, keys[:, d:], m, y[:, None, None])   # the error u
     truth = np.arange(1, d + 1, dtype=float) ** -0.5
-    y = X @ truth + 0.5 * u
+    y *= 0.5
+    y += X @ truth
     design = PopulationDesign(sigma_x=STREAM_VARIANCE * np.eye(d),
                               noise_var=0.25 * STREAM_VARIANCE)
     return Dataset(y=y, X=X, truth=truth,
                    meta={"n": n, "m": m, "d": d, "design": design})
+
+
+def make_linear_design(n: int, m: int, d: int = 3, seed: int = 0,
+                       rep: int = 0) -> Dataset:
+    """The linear simulation design: y = sum_j j^(-1/2) x_j + 0.5 u with
+    d independent block-Gaussian covariate streams (streams 0..d-1) and
+    one error stream (stream d)."""
+    data = linear_design_stack(n, m, d, seed, (rep,))
+    data.X, data.y = data.X[0], data.y[0]
+    return data
 
 
 def np_target(w):
@@ -129,8 +276,18 @@ def np_target(w):
 
 
 def make_np_design(n: int, m: int, seed: int = 0, rep: int = 0) -> Dataset:
-    """The nonparametric design: w = 6x/(1+|x|), y = theta*(w) + 0.5u."""
-    x, u = gen_block_gaussian(n, m, 2, seed, rep=rep)
+    """The nonparametric design: w = 6x/(1+|x|), y = theta*(w) + 0.5u, with
+    x stream 0 and u stream 1."""
+    _check_blocks(n, m)
+    return _np_design(_generator(), spawn_keys(seed, rep, (0, 1)), n, m)
+
+
+def _np_design(rng: np.random.Generator, keys: np.ndarray, n: int,
+               m: int) -> Dataset:
+    """`make_np_design` from the (2, 2) keys of its two streams."""
+    streams = np.empty((2, 1, n))
+    _block_stream(rng, keys, m, streams)
+    x, u = streams[:, 0]
     w = 6.0 * x / (1.0 + np.abs(x))
     y = np_target(w) + 0.5 * u
     return Dataset(y=y, w=w, truth=np_target,

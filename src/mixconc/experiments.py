@@ -4,8 +4,9 @@ check, and the concentration-bound evaluators.
 The studies draw their data with `datagen`, fit and certify with
 `estimators` (the sieve study with `sieves.family_fits`), and choose sieve
 dimensions with `tuning`.  Replications are split into fixed-size chunks;
-each chunk derives its own substreams from (master_seed, global
-replication index), so reports are bit-identical for any worker count.
+each chunk derives the keys of its substreams from (master_seed, global
+replication index) in one `datagen.spawn_keys` pass, so reports are
+bit-identical for any worker count.
 A study maps the chunks of all its cells through one process pool.  The
 median fits of a tables 1-2 chunk are pivoted together, as one stack.
 """
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexity import UniversalConstants
-from .datagen import (_block_stream, gen_block_gaussian, make_linear_design,
-                      make_np_design, np_target, substream)
+from .datagen import (_block_stream, _generator, _np_design,
+                      linear_design_stack, np_target, spawn_keys)
 from .errors import DomainError, NonConvergence
 from .estimators import ABS_HALF, NO_PENALTY, SQUARED, _finish_exact, delta_p
 from .lattice import build_lattice
@@ -145,7 +146,10 @@ def snap_admissible(n: int, upsilon: int) -> int:
 
 def _snapped_grid(config: ExperimentConfig) -> list[tuple[int, int]]:
     """The study's (n, m) cells with n snapped to an admissible size; m
-    must divide the snapped n."""
+    must be >= 1 and divide the snapped n."""
+    for (n, m) in config.grid:
+        if m < 1:
+            raise DomainError(f"block length m={m} at n={n} must be >= 1")
     grid = [(snap_admissible(n, config.upsilon), m) for (n, m) in config.grid]
     for (n, m) in grid:
         if n % m:
@@ -184,12 +188,8 @@ def _run_cells(fn, cell_tasks, workers: int) -> list[list]:
 
 def _tables12_chunk(args):
     (n, m, d, seed, rep_range, tol) = args
-    draws = [make_linear_design(n, m, d, seed, rep=rep)
-             for rep in range(*rep_range)]
-    X = np.stack([data.X for data in draws])
-    y = np.stack([data.y for data in draws])
-    truth, design = draws[0].truth, draws[0].meta["design"]
-    del draws                        # X and y hold the data now
+    data = linear_design_stack(n, m, d, seed, range(*rep_range))
+    X, y, truth, design = data.X, data.y, data.truth, data.meta["design"]
     # mean regression: closed form
     G = np.einsum("rij,rik->rjk", X, X)
     b = np.einsum("rij,ri->rj", X, y)
@@ -214,6 +214,8 @@ def _tables12_chunk(args):
 def run_tables12(config: ExperimentConfig) -> list[ReportRow]:
     """Reproduce the location-regression tables: MC averages of the
     population criterion distance, x100, with sqrt(m)-scaled predictions."""
+    if config.d < 1:
+        raise DomainError(f"d must be >= 1, got {config.d}")
     grid = _snapped_grid(config)
     tasks = [[(n, m, config.d, config.master_seed + 1000 * hash_cell(n, m),
                rr, config.solver_tol)
@@ -274,8 +276,11 @@ def _tables34_chunk(args):
     grid = sieve_grid(SIEVE_KS)
     proxy = variance_proxy(grid, n // m)
     kF, chosen = [], []
-    for rep in range(*rep_range):
-        data = make_np_design(n, m, seed, rep=rep)
+    # the keys of the chunk in one pass; the draws stay per replication
+    keys = spawn_keys(seed, np.arange(*rep_range)[:, None], (0, 1))
+    rng = _generator()
+    for rep_keys in keys:
+        data = _np_design(rng, rep_keys, n, m)
         designs = family_designs(kind, SIEVE_KS, data.w)
         fits = [fit.theta for fit in family_fits(kind, designs, data.y)]
         k = feasible_k(grid, fits, proxy, s_n, grams, multiplier=mult).k_feasible
@@ -337,17 +342,23 @@ def run_tables34(config: ExperimentConfig,
 # least-squares toy concentration check
 
 
-def _whitened_design(n, mu0, d, seed, rep):
-    """Whitened mu0-block design and its noise stream.  The d covariate
-    columns are drawn in turn from the one substream 0, not one stream per
-    column as `gen_block_gaussian` draws them."""
-    rng = substream(seed, rep, 0)
-    X = np.column_stack([_block_stream(rng, n, mu0) for _ in range(d)])
+def _whitened_design(n, mu0, d, rng, keys):
+    """Whitened mu0-block design and its noise stream, from the (2, 2)
+    keys of a replication's streams 0 and 1 (`spawn_keys`), drawn with
+    rng.  The d covariate columns are drawn in turn from the one stream 0,
+    not one stream per column as `gen_block_gaussian` draws them."""
+    X, U = np.empty((n, d)), np.empty(n)
+    _block_stream(rng, keys[:1], mu0, X.T[None])
+    _block_stream(rng, keys[1:], mu0, U[None, None])
     S = X.T @ X / n
     evals, evecs = np.linalg.eigh(S)
     X = X @ evecs @ np.diag(evals ** -0.5) @ evecs.T
-    (U,) = gen_block_gaussian(n, mu0, 1, seed, rep=rep, stream_offset=1)
     return X, U
+
+
+def _tail_keys(seed, reps):
+    """The (reps, 2, 2) keys of streams 0 and 1 of replications 0..reps-1."""
+    return spawn_keys(seed, np.arange(reps)[:, None], (0, 1))
 
 
 #: fresh designs the tail check's moment oracle averages over
@@ -358,8 +369,9 @@ def ols_tail_moment_oracle(n, mu0, d, seed) -> float:
     """E[(block sum of x_l U / sqrt(mu0))^2 / mu0] over fresh designs."""
     total = 0.0
     count = 0
-    for rep in range(TAIL_MOMENT_DESIGNS):
-        X, U = _whitened_design(n, mu0, d, seed, rep)
+    rng = _generator()
+    for keys in _tail_keys(seed, TAIL_MOMENT_DESIGNS):
+        X, U = _whitened_design(n, mu0, d, rng, keys)
         q = n // mu0
         block = (X * U[:, None]).reshape(q, mu0, d).sum(axis=1)  # (q, d)
         total += float((block ** 2).sum()) / mu0
@@ -374,13 +386,14 @@ def run_ols_tail(config: ExperimentConfig) -> list[ReportRow]:
     n, d = config.tail_n, config.d
     build_lattice(n, 2)
     for mu0 in config.tail_mu0:
-        if n % mu0:
-            raise DomainError(f"mu0={mu0} does not divide n={n}")
+        if mu0 < 1 or n % mu0:
+            raise DomainError(f"mu0={mu0} must be >= 1 and divide n={n}")
         seed = config.master_seed + 13 * mu0
         Ehat = ols_tail_moment_oracle(n, mu0, d, seed + 1)
         errs = np.empty(config.mc_reps)
-        for rep in range(config.mc_reps):
-            X, U = _whitened_design(n, mu0, d, seed, rep)
+        rng = _generator()
+        for rep, keys in enumerate(_tail_keys(seed, config.mc_reps)):
+            X, U = _whitened_design(n, mu0, d, rng, keys)
             delta_theta = X.T @ U / n
             errs[rep] = np.linalg.norm(delta_theta)
         for u in config.tail_u:

@@ -267,6 +267,20 @@ def test_cli_simulate_bad_config_key(tmp_path, capsys, line, key):
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("study,lines,message", [
+    ("tables12", "grid = 50:0", "block length m=0 at n=50 must be >= 1"),
+    ("tables34", "grid = 50:0", "block length m=0 at n=50 must be >= 1"),
+    ("tables12", "grid = 50:-1", "block length m=-1 at n=50 must be >= 1"),
+    ("tables12", "grid = 50:1\nd = 0", "d must be >= 1"),
+], ids=["tables12-m0", "tables34-m0", "tables12-m-neg", "tables12-d0"])
+def test_cli_simulate_bad_grid_or_design(tmp_path, capsys, study, lines,
+                                          message):
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(f"{lines}\nmc_reps = 4\n")
+    assert main(["simulate", study, "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def _np_csv(path, edit=None):
     make_np_design(60, 1, seed=3).to_csv(path)
     lines = path.read_text().splitlines()

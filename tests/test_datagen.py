@@ -5,8 +5,11 @@ import pytest
 
 from mixconc import DomainError, gen_block_gaussian, gen_ma, make_linear_design, \
     make_np_design, substream
-from mixconc.datagen import (STREAM_VARIANCE, ma_autocovariance,
+from mixconc.datagen import (STREAM_VARIANCE, linear_design_stack,
+                             ma_autocovariance, spawn_keys,
                              truncated_innovation_variance)
+from mixconc.experiments import (TABLES12_GRID, TABLES34_GRID,
+                                 ExperimentConfig, hash_cell)
 
 
 def test_block_stream_m1_iid_variance():
@@ -119,3 +122,110 @@ def test_dataset_csv(tmp_path):
     path2 = tmp_path / "lin.csv"
     ds2.to_csv(path2)
     assert path2.read_text().splitlines()[0] == "y,x1,x2"
+
+
+# -- the keyed streams: numpy's SeedSequence is the oracle --------------------
+
+
+def _study_cell_seeds():
+    base = ExperimentConfig().master_seed
+    seeds = [base + 1000 * hash_cell(n, m) for (n, m) in TABLES12_GRID]
+    seeds += [base + 97 * hash_cell(n, m) + 7 * pspline
+              for (n, m) in TABLES34_GRID for pspline in (0, 1)]
+    seeds += [base + 13 * mu0 + extra for mu0 in (1, 4) for extra in (0, 1)]
+    return seeds
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5]
+                         + _study_cell_seeds())
+def test_spawn_keys_equal_seed_sequence(seed):
+    reps, streams = np.array([0, 2 ** 32 + 1]), np.arange(6)
+    keys = spawn_keys(seed, reps[:, None], streams)
+    assert keys.shape == (2, 6, 2) and keys.dtype == np.uint64
+    for i, rep in enumerate(reps):
+        for j, stream in enumerate(streams):
+            ss = np.random.SeedSequence(seed, spawn_key=(int(rep), int(stream)))
+            assert np.array_equal(keys[i, j], ss.generate_state(2, np.uint64))
+
+
+def _seed_sequence_linear_design(n, m, d, seed, rep):
+    """The linear design drawn stream by stream from SeedSequence-keyed
+    Philox generators, assembled with np.stack."""
+    streams = []
+    for stream in range(d + 1):
+        rng = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(seed, spawn_key=(rep, stream))))
+        streams.append(np.repeat(rng.standard_normal(n // m), m)
+                       + 0.01 * rng.standard_normal(n))
+    X = np.stack(streams[:d], axis=1)
+    return X, X @ np.arange(1, d + 1, dtype=float) ** -0.5 + 0.5 * streams[d]
+
+
+@pytest.mark.parametrize("n,m,d", [(50, 1, 3), (1000, 100, 3), (250, 5, 5),
+                                   (100, 100, 3)])
+def test_linear_design_stack_equals_each_replication(n, m, d):
+    seed, reps = 20240901 + 1000 * hash_cell(n, m), range(40, 56)
+    stack = linear_design_stack(n, m, d, seed, reps)
+    assert stack.X.shape == (16, n, d) and stack.y.shape == (16, n)
+    for r, rep in enumerate(reps):
+        one = make_linear_design(n, m, d, seed, rep=rep)
+        assert np.array_equal(stack.X[r], one.X)
+        assert np.array_equal(stack.y[r], one.y)
+        X, y = _seed_sequence_linear_design(n, m, d, seed, rep)
+        assert np.array_equal(one.X, X) and np.array_equal(one.y, y)
+
+
+def test_streams_equal_seed_sequence_draws():
+    x, u = gen_block_gaussian(30, 3, 2, seed=4, rep=6, stream_offset=2)
+    for stream, got in ((2, x), (3, u)):
+        rng = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(4, spawn_key=(6, stream))))
+        assert np.array_equal(got, np.repeat(rng.standard_normal(10), 3)
+                              + 0.01 * rng.standard_normal(30))
+    ref = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(4, spawn_key=(2 ** 32 + 1, 0))))
+    assert np.array_equal(substream(4, 2 ** 32 + 1, 0).random(5),
+                          ref.random(5))
+
+
+def test_raw_draws_are_pinned():
+    # a change of key derivation or of stream order fails here
+    ds = make_linear_design(20, 4, d=2, seed=7, rep=3)
+    assert ds.X[:2].tolist() == [[1.366864278338269, -0.9387896490497205],
+                                 [1.3938114014293403, -0.9288345434747072]]
+    assert ds.y[:2] == pytest.approx([-0.3295883022384618,
+                                      -0.28615078500522906], rel=1e-14)
+    ds = make_np_design(10, 2, seed=11, rep=1)
+    assert ds.w[:3].tolist() == [-0.003014801349412471, 0.010081130839223362,
+                                 -0.6840147492486978]
+    assert ds.y[:3] == pytest.approx([1.397028210860867, 1.4043427713543184,
+                                      0.9250665510224877], rel=1e-14)
+    assert substream(20240901, 2, 1).standard_normal(3).tolist() == [
+        -0.45690076996146073, 1.6132739226310713, 1.4938304704377072]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: make_linear_design(10, 0),
+    lambda: make_linear_design(10, -1),
+    lambda: make_linear_design(10, 1, d=0),
+    lambda: make_linear_design(10, 1, seed=-1),
+    lambda: make_linear_design(10, 1, rep=-1),
+    lambda: make_np_design(10, 0),
+    lambda: make_np_design(10, -2),
+    lambda: make_np_design(10, 1, seed=-1),
+    lambda: make_np_design(10, 1, rep=-1),
+    lambda: gen_block_gaussian(10, 0, 1, seed=0),
+    lambda: gen_block_gaussian(10, 1, 1, seed=-1),
+    lambda: gen_block_gaussian(10, 1, 1, seed=0, rep=-1),
+    lambda: gen_block_gaussian(10, 1, -1, seed=0),
+    lambda: gen_block_gaussian(0, 1, 1, seed=0),
+    lambda: substream(0, -1, 0),
+    lambda: spawn_keys(1.5, 0, 0),
+    lambda: spawn_keys(0, [0.5], 0),
+], ids=["linear-m0", "linear-m-neg", "linear-d0", "linear-seed", "linear-rep",
+        "np-m0", "np-m-neg", "np-seed", "np-rep", "block-m0", "block-seed",
+        "block-rep", "block-count", "block-n0", "substream-rep",
+        "float-seed", "float-rep"])
+def test_bad_design_arguments_raise_domain_error(call):
+    with pytest.raises(DomainError):
+        call()

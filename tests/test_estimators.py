@@ -651,6 +651,35 @@ def test_a_failed_lp_leaves_only_its_rep_uncertified(monkeypatch):
     assert cert[1] == np.inf and cert[0] <= 1e-6 and cert[2] <= 1e-6
 
 
+def _stable_prefix(key, count):
+    return np.argsort(key, axis=1, kind="stable")[:, :count]
+
+
+@pytest.mark.parametrize("case", ["ties", "signed-zeros", "all-inf", "R=1",
+                                  "random"])
+def test_crossing_order_equals_the_stable_argsort_prefix(case):
+    rng = np.random.default_rng(5)
+    key = np.where(rng.random((40, 300)) < 0.3,
+                   rng.integers(0, 6, (40, 300)) / 4.0, np.inf)
+    if case == "signed-zeros":
+        key[key == 0.0] = rng.choice([0.0, -0.0], size=int((key == 0.0).sum()))
+    elif case == "all-inf":
+        key[::3] = np.inf
+    elif case == "R=1":
+        key = key[:1]
+    elif case == "random":
+        key = np.where(np.isfinite(key), rng.random(key.shape), np.inf)
+    ncross = np.isfinite(key).sum(axis=1)
+    count = max(1, ncross.max())
+    got = _admm._crossing_order(key, count)
+    want = _stable_prefix(key, count)
+    assert got.shape == want.shape
+    for r in range(len(key)):                # the ranks of crossing rows
+        assert np.array_equal(got[r, :ncross[r]], want[r, :ncross[r]])
+    if case == "R=1":
+        assert np.array_equal(got, want)
+
+
 def test_a_singular_stacked_system_is_nan_in_its_rep_only():
     a = np.stack([np.eye(2), np.zeros((2, 2)), 2.0 * np.eye(2)])
     b = np.ones((3, 2))
