@@ -31,6 +31,7 @@ _POOL, _MASK32, _XSHIFT = 4, 0xFFFFFFFF, 16
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_ZERO4 = np.zeros(4, dtype=np.uint64)       # a Philox counter at 0
 
 
 def spawn_keys(seed: int, rep, stream) -> np.ndarray:
@@ -151,9 +152,6 @@ class Dataset:
         np.savetxt(path, cols, delimiter=",", header=header, comments="")
 
 
-_ZERO4 = np.zeros(4, dtype=np.uint64)
-
-
 def _block_stream(rng: np.random.Generator, keys: np.ndarray, m: int,
                   out: np.ndarray) -> None:
     """Fill out, of shape keys.shape[:-1] + (c, n), with m-block streams
@@ -164,19 +162,21 @@ def _block_stream(rng: np.random.Generator, keys: np.ndarray, m: int,
     within-block covariance 1 and its covariance across blocks 0.  out may
     be a strided view (the columns of a design)."""
     n = out.shape[-1]
-    shock, noise = np.empty(n // m), np.empty(n)
+    # V1 and then V2 from one call: the same draws as two calls in turn
+    draws = np.empty(n // m + n)
+    shock, noise = draws[:n // m, None], draws[n // m:]
     blocks = noise.reshape(-1, m)            # a view: noise by block
+    state = {"bit_generator": "Philox",
+             "state": {"counter": _ZERO4, "key": None},
+             "buffer": _ZERO4, "buffer_pos": 4,   # the buffer is used up
+             "has_uint32": 0, "uinteger": 0}
     for i in np.ndindex(keys.shape[:-1]):
-        rng.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": _ZERO4, "key": keys[i]},
-            "buffer": _ZERO4, "buffer_pos": 4,   # the buffer is used up
-            "has_uint32": 0, "uinteger": 0}
+        state["state"]["key"] = keys[i]
+        rng.bit_generator.state = state
         for stream in out[i]:
-            rng.standard_normal(out=shock)
-            rng.standard_normal(out=noise)
+            rng.standard_normal(out=draws)
             noise *= _NOISE_MIX
-            blocks += shock[:, None]
+            blocks += shock
             stream[...] = noise
 
 
@@ -251,7 +251,7 @@ def linear_design_stack(n: int, m: int, d: int, seed: int, reps) -> Dataset:
     _block_stream(rng, keys[:, :d], m, X.transpose(0, 2, 1)[:, :, None])
     _block_stream(rng, keys[:, d:], m, y[:, None, None])   # the error u
     truth = np.arange(1, d + 1, dtype=float) ** -0.5
-    y *= 0.5
+    y *= 0.5                                 # y = X truth + 0.5 u in place
     y += X @ truth
     design = PopulationDesign(sigma_x=STREAM_VARIANCE * np.eye(d),
                               noise_var=0.25 * STREAM_VARIANCE)
