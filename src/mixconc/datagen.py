@@ -40,10 +40,12 @@ def spawn_keys(seed: int, rep, stream) -> np.ndarray:
     rep and stream are broadcast against each other; the result has their
     shape plus a last axis of 2 (uint64), and its entry at a pair equals
     np.random.SeedSequence(seed, spawn_key=(rep, stream)).generate_state(
-    2, np.uint64), the key Philox takes from that SeedSequence.  The hash
-    runs on uint32 arrays, one pass for all pairs whose indices have the
-    same number of 32-bit words.  A negative or non-integer seed or index
-    raises DomainError."""
+    2, np.uint64), the key Philox takes from that SeedSequence.  The seed
+    is hashed once; the words of the pairs are hashed on uint64 arrays,
+    one pass for all pairs whose indices have the same number of 32-bit
+    words, or on Python ints pair by pair up to _FEW_KEYS pairs, where
+    that is cheaper than the pass's ~100 numpy calls.  A negative or
+    non-integer seed or index raises DomainError."""
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     rep, stream = np.broadcast_arrays(np.asarray(rep), np.asarray(stream))
@@ -51,16 +53,15 @@ def spawn_keys(seed: int, rep, stream) -> np.ndarray:
             or (rep < 0).any() or (stream < 0).any():
         raise DomainError("replication and stream indices must be "
                           "integers >= 0")
-    # the seed's words, least significant first, padded to the pool
-    # (SeedSequence pads run entropy that way when a spawn key follows)
-    words, rest = [], int(seed)
-    while True:
-        words.append(np.array([rest & _MASK32], dtype=np.uint32))
-        rest >>= 32
-        if not rest:
-            break
-    words += [np.zeros(1, dtype=np.uint32)] * (_POOL - len(words))
+    # SeedSequence pads the seed's words to the pool when a spawn key follows
+    words = _words(int(seed))
+    state = _absorb(words + [0] * (_POOL - len(words)))
     shape = rep.shape
+    if rep.size <= _FEW_KEYS:
+        return np.array([_key(_absorb(_words(r) + _words(s), *state))
+                         for r, s in zip(rep.ravel().tolist(),
+                                         stream.ravel().tolist())],
+                        dtype=np.uint64).reshape(shape + (2,))
     rep = rep.astype(np.uint64).ravel()
     stream = stream.astype(np.uint64).ravel()
     keys = np.empty((rep.size, 2), dtype=np.uint64)
@@ -72,47 +73,70 @@ def spawn_keys(seed: int, rep, stream) -> np.ndarray:
                 continue
             tail = []
             for value, wide in ((rep[pick], wr), (stream[pick], ws)):
-                tail.append((value & _MASK32).astype(np.uint32))
+                tail.append(value & _MASK32)
                 if wide:
-                    tail.append((value >> 32).astype(np.uint32))
-            keys[pick] = _seed_hash(words + tail)
+                    tail.append(value >> 32)
+            keys[pick] = np.stack(_key(_absorb(tail, *state)), axis=-1)
     return keys.reshape(shape + (2,))
 
 
-def _seed_hash(words) -> np.ndarray:
-    """SeedSequence's pool of the entropy words (uint32 arrays that
-    broadcast, at least _POOL of them), read out as generate_state(2,
-    np.uint64): the (N, 2) uint64 keys."""
-    const = _INIT_A
+#: spawn_keys hashes up to this many pairs one by one on Python ints
+_FEW_KEYS = 8
+
+
+def _words(value: int) -> list[int]:
+    """The 32-bit words of a non-negative int, least significant first."""
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _absorb(words, pool=(), const=_INIT_A):
+    """SeedSequence.mix_entropy continued from (pool, const) over more
+    entropy words: the first _POOL words fill the pool, which is then
+    mixed within; every later word is mixed into each pool word.  Returns
+    the new (pool, const).  The words are Python ints or uint64 arrays of
+    values below 2^32 that broadcast; every product stays below 2^64
+    before it is masked."""
+    pool = list(pool)
 
     def hashmix(value):
         nonlocal const
-        value = value ^ np.uint32(const)
+        value = value ^ const
         const = const * _MULT_A & _MASK32
-        value = value * np.uint32(const)
+        value = value * const & _MASK32
         return value ^ (value >> _XSHIFT)
 
     def mix(x, y):
-        out = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        out = (_MIX_L * x - _MIX_R * y) & _MASK32
         return out ^ (out >> _XSHIFT)
 
-    pool = [hashmix(w) for w in words[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in words[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(w))
-    const, state = _INIT_B, []
-    for value in pool:
-        value = value ^ np.uint32(const)
+    for word in words:
+        if len(pool) < _POOL:
+            pool.append(hashmix(word))
+            if len(pool) == _POOL:
+                for src in range(_POOL):
+                    for dst in range(_POOL):
+                        if src != dst:
+                            pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        else:
+            for dst in range(_POOL):
+                pool[dst] = mix(pool[dst], hashmix(word))
+    return pool, const
+
+
+def _key(state):
+    """SeedSequence.generate_state(2, np.uint64) of a full pool: the two
+    64-bit key words."""
+    const, out = _INIT_B, []
+    for value in state[0]:
+        value = value ^ const
         const = const * _MULT_B & _MASK32
-        value = value * np.uint32(const)
-        state.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
+        value = value * const & _MASK32
+        out.append(value ^ (value >> _XSHIFT))
     # the little-endian pairs of the four words
-    return np.stack([state[0] | state[1] << np.uint64(32),
-                     state[2] | state[3] << np.uint64(32)], axis=-1)
+    return out[0] | out[1] << 32, out[2] | out[3] << 32
 
 
 def substream(seed: int, rep: int, stream: int) -> np.random.Generator:

@@ -145,7 +145,9 @@ def test_spawn_keys_equal_seed_sequence(seed):
     for i, rep in enumerate(reps):
         for j, stream in enumerate(streams):
             ss = np.random.SeedSequence(seed, spawn_key=(int(rep), int(stream)))
-            assert np.array_equal(keys[i, j], ss.generate_state(2, np.uint64))
+            want = ss.generate_state(2, np.uint64)
+            assert np.array_equal(keys[i, j], want)      # the array pass
+            assert np.array_equal(spawn_keys(seed, rep, stream), want)
 
 
 def _seed_sequence_linear_design(n, m, d, seed, rep):
