@@ -122,17 +122,6 @@ def c_kq(k: int, q: float, p=1.0, b=1.0,
     return moment * series ** (1.0 / qs)
 
 
-def gauss_lq_moment_bounds(k: int, q: float, p=1.0) -> tuple[float, float]:
-    """Bracket for E||zeta||_{l^q(p)}: (E|z| S^{1/q}, (E|z|^q)^{1/q} S^{1/q})."""
-    if k < 1:
-        raise DomainError("k must be >= 1")
-    if q < 1:
-        raise DomainError("q must be >= 1")
-    p = _weights(k, p)
-    s = float(np.sum(p)) ** (1.0 / q)
-    return gauss_abs_moment(1.0) * s, gauss_abs_moment(q) ** (1.0 / q) * s
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo oracle for E sup over weighted lq balls
 

@@ -1,5 +1,5 @@
-"""Dependent data designs: m-block Gaussian streams, MA(q) noise, and the
-linear / nonparametric simulation designs.
+"""Dependent data designs: m-block Gaussian streams and the linear /
+nonparametric simulation designs.
 
 Seeding contract: every random quantity is drawn from a Philox generator
 at counter 0 whose key is fixed by (master_seed, replication, stream): it
@@ -11,12 +11,10 @@ bit-identical for a given master seed regardless of execution order or
 of how the replications are batched.
 """
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import DomainError
 from .estimators import PopulationDesign
@@ -139,12 +137,6 @@ def _key(state):
     return out[0] | out[1] << 32, out[2] | out[3] << 32
 
 
-def substream(seed: int, rep: int, stream: int) -> np.random.Generator:
-    """Counter-based generator for (master seed, replication, stream)."""
-    return np.random.Generator(np.random.Philox(key=spawn_keys(seed, rep,
-                                                               stream)))
-
-
 def _generator() -> np.random.Generator:
     """A Philox generator for `_block_stream` to re-key."""
     return np.random.Generator(np.random.Philox(key=np.zeros(2, np.uint64)))
@@ -208,7 +200,7 @@ def gen_block_gaussian(n: int, m: int, count: int, seed: int,
                        rep: int = 0,
                        stream_offset: int = 0) -> list[np.ndarray]:
     """`count` independent m-block-dependent standard-Gaussian streams, each
-    from its own substream (see `_block_stream`)."""
+    from its own key (see `_block_stream`)."""
     _check_blocks(n, m)
     if count < 0:
         raise DomainError("count must be >= 0")
@@ -217,47 +209,6 @@ def gen_block_gaussian(n: int, m: int, count: int, seed: int,
                   spawn_keys(seed, rep, stream_offset + np.arange(count)),
                   m, out)
     return list(out[:, 0])
-
-
-_TRUNC = 6.0
-_TAIL = ndtr(-_TRUNC)
-
-
-def _truncated_normal(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Standard normal conditioned on |z| <= 6, by inverse CDF (exact bound)."""
-    u = rng.random(size)
-    return ndtri(_TAIL + u * (1.0 - 2.0 * _TAIL))
-
-
-def truncated_innovation_variance() -> float:
-    """Variance of the +-6 truncated standard normal (just below 1)."""
-    phi6 = math.exp(-0.5 * _TRUNC ** 2) / math.sqrt(2.0 * math.pi)
-    return 1.0 - 2.0 * _TRUNC * phi6 / (1.0 - 2.0 * _TAIL)
-
-
-def gen_ma(n: int, q: int, coeffs, seed: int, rep: int = 0,
-           stream: int = 0) -> np.ndarray:
-    """MA(q) series U_i = e_i - sum_j coeffs[j] e_{i-j-1} with bounded
-    (+-6 truncated Gaussian) innovations; q-dependent by construction."""
-    if q < 1:
-        raise DomainError("q must be >= 1")
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (q,):
-        raise DomainError("coeffs must have length q")
-    rng = substream(seed, rep, stream)
-    eps = _truncated_normal(rng, n + q)
-    out = eps[q:].copy()
-    for j in range(q):
-        out -= coeffs[j] * eps[q - 1 - j:n + q - 1 - j]
-    return out
-
-
-def ma_autocovariance(coeffs, lag: int) -> float:
-    """Theoretical autocovariance of gen_ma at the given lag."""
-    th = np.r_[1.0, -np.asarray(coeffs, dtype=float)]
-    if lag >= th.size:
-        return 0.0
-    return truncated_innovation_variance() * float(np.dot(th[:th.size - lag], th[lag:]))
 
 
 def linear_design_stack(n: int, m: int, d: int, seed: int, reps) -> Dataset:

@@ -1,5 +1,5 @@
 """Penalized M-estimators: quantile regression and least squares, their
-certificates, and the population distance / bias evaluators.
+certificates, and the population distance.
 
 Every fit carries a certified optimality residual, and every `Fit` is
 built by `certified_fit`, which `fit_penalized` and `sieves.family_fits`
@@ -165,15 +165,9 @@ def subgradient_residual(X, y, theta, tau: float, pen: PenaltySpec) -> float:
     return float(np.linalg.norm(A @ sol.x + base))
 
 
-def gradient_residual_squared(X, y, theta, pen: PenaltySpec) -> float:
-    """Gradient norm of the smooth squared-loss objective."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return _squared_gradient(X, y - X @ theta, theta, pen)
-
-
 def _squared_gradient(X, res, theta, pen) -> float:
-    """`gradient_residual_squared` from the residuals res = y - X theta."""
+    """Gradient norm of the smooth squared-loss objective at theta, from
+    the residuals res = y - X theta."""
     n, d = X.shape
     g = X.T @ res
     if pen.kind == "none" or not pen.lam > 0:
@@ -383,7 +377,7 @@ def quantile_lp(X, y, tau=0.5):
 
 
 # ---------------------------------------------------------------------------
-# population distances and bias
+# population distances
 
 
 @dataclass(frozen=True)
@@ -434,6 +428,9 @@ def delta_p_mc(sampler, loss: LossSpec, theta_hat, theta_star,
 
     Returns (estimate of sqrt(Q(theta)-Q(theta*)), std error of the
     criterion difference).
+
+    Test oracle only, the independent check of `delta_p` in
+    tests/test_estimators.py::test_delta_p_median_matches_mc_oracle.
     """
     rng = np.random.default_rng(seed)
     X, y = sampler(draws, rng)
@@ -442,22 +439,3 @@ def delta_p_mc(sampler, loss: LossSpec, theta_hat, theta_star,
     mean = float(diff.mean())
     se = float(diff.std(ddof=1) / math.sqrt(draws))
     return math.sqrt(max(mean, 0.0)), se
-
-
-def bias_term(*, oracle=None, k: int | None = None,
-              pen: PenaltySpec | None = None, theta_star=None) -> float:
-    """The bias entering the concentration rate.
-
-    Sieve branch (oracle + k): the L2(P) distance between theta* and its
-    population projection on the k-term space, i.e. sqrt(B_k), which the
-    oracle (a `sieves.SieveMomentOracle`) computes as `oracle.bias(k)`.
-    Penalized linear branch (pen + theta_star): the closed bound
-    lambda * Pen(theta*) on B_k itself (the rate uses its square root).
-    """
-    if oracle is not None:
-        if k is None:
-            raise DomainError("sieve bias needs k")
-        return oracle.bias(k)
-    if pen is None or theta_star is None:
-        raise DomainError("need either (oracle, k) or (pen, theta_star)")
-    return pen.lam * pen.value(np.asarray(theta_star, dtype=float))

@@ -24,7 +24,7 @@ import numpy as np
 from .complexity import UniversalConstants
 from .datagen import (_block_stream, _generator, _np_design,
                       linear_design_stack, np_target, spawn_keys)
-from .errors import DomainError, NonConvergence
+from .errors import DomainError, InadmissibleN, NonConvergence
 from .estimators import ABS_HALF, NO_PENALTY, SQUARED, _finish_exact, delta_p
 from .lattice import build_lattice
 from .mixing import BetaMixingModel, effective_n
@@ -63,6 +63,13 @@ class ExperimentConfig:
     tail_mu0: tuple = (1, 4)
     tail_n: int = 64
     out: str | None = None
+
+    def __post_init__(self):
+        for name in ("mc_reps", "chunk_size"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise DomainError(f"{name} must be an integer >= 1, "
+                                  f"got {value!r}")
 
     def replace(self, **kw) -> "ExperimentConfig":
         return dataclasses.replace(self, **kw)
@@ -131,7 +138,6 @@ def write_manifest(config: ExperimentConfig, path) -> None:
 
 def snap_admissible(n: int, upsilon: int) -> int:
     """Nearest sample size admissible for the given upsilon (ties go down)."""
-    from .errors import InadmissibleN
     for offset in range(n):
         for cand in (n - offset, n + offset):
             if cand < 1:
@@ -158,12 +164,7 @@ def _snapped_grid(config: ExperimentConfig) -> list[tuple[int, int]]:
 
 
 def _chunks(total: int, size: int):
-    out = []
-    start = 0
-    while start < total:
-        out.append((start, min(start + size, total)))
-        start += size
-    return out
+    return [(s, min(s + size, total)) for s in range(0, total, size)]
 
 
 def _run_cells(fn, cell_tasks, workers: int) -> list[list]:

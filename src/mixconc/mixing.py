@@ -81,10 +81,12 @@ def beta_coeff(model: BetaMixingModel, q: int) -> float:
 
 
 def beta_inverse(model: BetaMixingModel, u: float) -> int:
-    """min{s in N0 : beta(s) <= u}; 0 for u > beta(0).
+    """min{s in N0 : beta(s) <= u}; 0 for u > beta(0).  beta -> 0
+    guarantees existence for every u > 0.
 
-    Used only for the sandwich checks on mu_q; beta -> 0 guarantees
-    existence for every u > 0.
+    Test oracle only, the independent side of the sandwich checks on mu_q
+    in tests/test_mixing.py::test_mu_sandwich and
+    tests/test_acceptance.py::test_norm_family_properties.
     """
     if u <= 0:
         raise DomainError("u must be > 0")
@@ -255,7 +257,12 @@ def effective_n(model: BetaMixingModel, lattice: SampleLattice,
 
 
 def b_r_factor(model: BetaMixingModel, q: int, r: float) -> float:
-    """Exact B_r(q) = sqrt(2) * (int mu_q^{r/(r-2)})^((r-2)/(2r))."""
+    """Exact B_r(q) = sqrt(2) * (int mu_q^{r/(r-2)})^((r-2)/(2r)).
+
+    Test oracle only, the exact value that `b_r_bounds` must bracket in
+    tests/test_mixing.py::test_b_r_bounds_sandwich and the B_r of
+    tests/test_mixing.py::test_effective_n_b_r_identity.
+    """
     if r <= 2:
         raise DomainError("r must exceed 2")
     return math.sqrt(2.0) * mu_integral(model, q, r / (r - 2.0)) ** ((r - 2.0) / (2 * r))

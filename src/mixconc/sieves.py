@@ -97,14 +97,6 @@ def _spline_basis(k: int) -> BSpline:
     return BSpline(knots, np.eye(k), deg, extrapolate=False)
 
 
-def polynomial_basis(k: int) -> SieveBasis:
-    return SieveBasis("polynomial", k)
-
-
-def pspline_basis(k: int) -> SieveBasis:
-    return SieveBasis("pspline", k)
-
-
 def is_nested(kind: str) -> bool:
     return kind == "polynomial"
 
@@ -266,16 +258,6 @@ class SieveMomentOracle:
         self._cache[k] = out
         return out
 
-    def cross_gram(self, k: int, kp: int) -> np.ndarray:
-        """E[q^k(W) q^kp(W)'] between two basis sizes (non-nested pairs)."""
-        if is_nested(self.kind):
-            M, _ = self.moments(max(k, kp))
-            return M[:k, :kp]
-        bk, bkp = SieveBasis(self.kind, k), SieveBasis(self.kind, kp)
-        w, wt = self._points(np.union1d(bk.interior_knots(),
-                                        bkp.interior_knots()))
-        return (bk.design(w) * wt[:, None]).T @ bkp.design(w)
-
     def _projection(self, k: int) -> tuple[np.ndarray, float, float]:
         """(nu_k, B_k, standard error of B_k): the population least-squares
         coefficients of theta* on the k-term basis and the squared L2(P)
@@ -308,16 +290,6 @@ class SieveMomentOracle:
         if val > 0 and se_b / (2.0 * val) > 0.01 * val:
             raise OracleVariance(f"bias({k}) oracle std error above 1% of value")
         return val
-
-    def bias_curve(self, ks) -> tuple[np.ndarray, bool]:
-        """Raw sqrt-bias values plus a flag: True when already non-increasing.
-
-        Non-nested spline spaces can wiggle; callers that need monotone
-        bias may apply a running minimum and should report the flag.
-        """
-        vals = np.array([self.bias(k) for k in ks])
-        monotone = bool(np.all(np.diff(vals) <= 1e-12))
-        return vals, monotone
 
     def l2_error(self, k: int, theta_hat: np.ndarray) -> float:
         """||theta_hat' q^k - theta*||_{L2(P)}, by Pythagoras about the

@@ -193,10 +193,3 @@ def default_s(n: int, m: int = 1) -> float:
     if n < 1 or m < 1 or n % m:
         raise DomainError("need n >= m >= 1 with m | n")
     return 0.5 * math.log(n / m)
-
-
-def alpha_calibrated_s(alpha: float, grid_size: int, g0_const: float) -> float:
-    """s solving 2 |K| g0(s) = alpha for the tail bound g0(s) = G0/s."""
-    if not (0.0 < alpha < 1.0):
-        raise DomainError("alpha must lie in (0, 1)")
-    return 2.0 * grid_size * g0_const / alpha

@@ -267,17 +267,29 @@ def test_cli_simulate_bad_config_key(tmp_path, capsys, line, key):
     assert key in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("study,lines,message", [
-    ("tables12", "grid = 50:0", "block length m=0 at n=50 must be >= 1"),
-    ("tables34", "grid = 50:0", "block length m=0 at n=50 must be >= 1"),
-    ("tables12", "grid = 50:-1", "block length m=-1 at n=50 must be >= 1"),
-    ("tables12", "grid = 50:1\nd = 0", "d must be >= 1"),
-], ids=["tables12-m0", "tables34-m0", "tables12-m-neg", "tables12-d0"])
+@pytest.mark.parametrize("study,lines,args,message", [
+    ("tables12", "grid = 50:0", [], "block length m=0 at n=50 must be >= 1"),
+    ("tables34", "grid = 50:0", [], "block length m=0 at n=50 must be >= 1"),
+    ("tables12", "grid = 50:-1", [],
+     "block length m=-1 at n=50 must be >= 1"),
+    ("tables12", "grid = 50:1\nd = 0", [], "d must be >= 1"),
+    ("tables12", "", ["--reps", "0"], "mc_reps must be an integer >= 1, got 0"),
+    ("tables34", "", ["--reps", "0"], "mc_reps must be an integer >= 1, got 0"),
+    ("ols-tail", "", ["--reps", "0"], "mc_reps must be an integer >= 1, got 0"),
+    ("tables12", "", ["--reps", "-3"],
+     "mc_reps must be an integer >= 1, got -3"),
+    ("tables12", "chunk_size = 0", [],
+     "chunk_size must be an integer >= 1, got 0"),
+    ("ols-tail", "chunk_size = 2.5", [],
+     "chunk_size must be an integer >= 1, got 2.5"),
+], ids=["tables12-m0", "tables34-m0", "tables12-m-neg", "tables12-d0",
+        "tables12-reps0", "tables34-reps0", "ols-tail-reps0",
+        "tables12-reps-neg", "tables12-chunk0", "ols-tail-chunk-float"])
 def test_cli_simulate_bad_grid_or_design(tmp_path, capsys, study, lines,
-                                          message):
+                                          args, message):
     cfg = tmp_path / "t.cfg"
     cfg.write_text(f"{lines}\nmc_reps = 4\n")
-    assert main(["simulate", study, "--config", str(cfg)]) == 2
+    assert main(["simulate", study, "--config", str(cfg), *args]) == 2
     assert message in capsys.readouterr().err
 
 
@@ -369,7 +381,7 @@ def test_cli_tune_fits_a_rank_deficient_spline_design(tmp_path, capsys,
     np.savetxt(path, np.column_stack((y, w)), delimiter=",", header="y,w",
                comments="")
     y, w = np.loadtxt(path, delimiter=",", skiprows=1).T
-    basis = mixconc.pspline_basis(8)
+    basis = mixconc.SieveBasis("pspline", 8)
     assert np.linalg.matrix_rank(basis.design(w)) == 4
     fit = mixconc.family_fits("pspline", [basis.design(w)], y)[0]
     assert fit.optimality_residual <= mixconc.SolverOptions().tol

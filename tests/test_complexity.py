@@ -6,8 +6,8 @@ import pytest
 from mixconc import (DomainError, MaxVariant, MonotonicityViolation,
                      NoSolution, UniversalConstants, VarianceInputs,
                      WeightedSetSpec, c_kq, gamma_bound_l1, gamma_bound_l2p,
-                     gauss_lq_moment_bounds, gauss_max_bound, gauss_max_lower,
-                     gauss_sup_lower, gauss_sup_oracle, variance_term,
+                     gauss_max_bound, gauss_max_lower, gauss_sup_lower,
+                     gauss_sup_oracle, variance_term,
                      variance_term_fixed_point)
 from mixconc.complexity import gauss_abs_moment
 
@@ -57,22 +57,6 @@ def test_c_kq_examples():
     assert c_kq(2, 1.0) == pytest.approx(math.sqrt(math.log(4)))
     with pytest.raises(DomainError):
         c_kq(3, 0.5)
-
-
-def test_gauss_lq_moment_bounds():
-    lo, hi = gauss_lq_moment_bounds(1, 1.0)
-    assert lo == pytest.approx(SQRT_2_PI)
-    assert hi == pytest.approx(SQRT_2_PI)
-    lo, hi = gauss_lq_moment_bounds(4, 2.0)
-    assert lo == pytest.approx(SQRT_2_PI * 2.0)
-    assert hi == pytest.approx(2.0)
-    # bracket validated against Monte Carlo
-    rng = np.random.default_rng(11)
-    z = rng.standard_normal((200_000, 4))
-    for q in (1.0, 1.5, 3.0):
-        mc = np.mean(np.sum(np.abs(z) ** q, axis=1) ** (1.0 / q))
-        lo, hi = gauss_lq_moment_bounds(4, q)
-        assert lo - 1e-2 <= mc <= hi + 1e-2
 
 
 def test_oracle_examples():

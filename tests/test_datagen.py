@@ -3,11 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from mixconc import DomainError, gen_block_gaussian, gen_ma, make_linear_design, \
-    make_np_design, substream
-from mixconc.datagen import (STREAM_VARIANCE, linear_design_stack,
-                             ma_autocovariance, spawn_keys,
-                             truncated_innovation_variance)
+from mixconc import DomainError, gen_block_gaussian, make_linear_design, \
+    make_np_design
+from mixconc.datagen import STREAM_VARIANCE, linear_design_stack, spawn_keys
 from mixconc.experiments import (TABLES12_GRID, TABLES34_GRID,
                                  ExperimentConfig, hash_cell)
 
@@ -45,34 +43,11 @@ def test_block_stream_determinism_and_substreams():
     assert all((a == b).all() for a, b in zip(x1, x2))
     y = gen_block_gaussian(1000, 4, 2, seed=9, rep=6)
     assert not (x1[0] == y[0]).all()
-    r1 = substream(9, 5, 0).standard_normal(8)
-    r2 = substream(9, 5, 0).standard_normal(8)
-    assert (r1 == r2).all()
 
 
 def test_block_requires_divisibility():
     with pytest.raises(DomainError):
         gen_block_gaussian(10, 3, 1, seed=0)
-
-
-def test_ma_zero_coeffs_iid():
-    u = gen_ma(100_000, 1, [0.0], seed=4)
-    assert u.var() == pytest.approx(truncated_innovation_variance(), rel=0.02)
-    assert np.abs(u).max() <= 6.0
-    assert abs(np.corrcoef(u[:-1], u[1:])[0, 1]) <= 3.0 / math.sqrt(u.size)
-
-
-def test_ma_autocovariances():
-    coeffs = [0.6, -0.3]
-    n = 400_000
-    u = gen_ma(n, 2, coeffs, seed=5)
-    for lag in (0, 1, 2):
-        sample = np.mean(u[:n - lag] * u[lag:]) if lag else u.var()
-        theory = ma_autocovariance(coeffs, lag)
-        assert sample == pytest.approx(theory, abs=4.0 / math.sqrt(n) * 3)
-    # q-dependence: lag q+1 correlation vanishes
-    rho3 = np.corrcoef(u[:-3], u[3:])[0, 1]
-    assert abs(rho3) <= 3.0 / math.sqrt(n)
 
 
 def test_linear_design():
@@ -184,10 +159,6 @@ def test_streams_equal_seed_sequence_draws():
             np.random.SeedSequence(4, spawn_key=(6, stream))))
         assert np.array_equal(got, np.repeat(rng.standard_normal(10), 3)
                               + 0.01 * rng.standard_normal(30))
-    ref = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(4, spawn_key=(2 ** 32 + 1, 0))))
-    assert np.array_equal(substream(4, 2 ** 32 + 1, 0).random(5),
-                          ref.random(5))
 
 
 def test_raw_draws_are_pinned():
@@ -202,8 +173,6 @@ def test_raw_draws_are_pinned():
                                  -0.6840147492486978]
     assert ds.y[:3] == pytest.approx([1.397028210860867, 1.4043427713543184,
                                       0.9250665510224877], rel=1e-14)
-    assert substream(20240901, 2, 1).standard_normal(3).tolist() == [
-        -0.45690076996146073, 1.6132739226310713, 1.4938304704377072]
 
 
 @pytest.mark.parametrize("call", [
@@ -221,13 +190,12 @@ def test_raw_draws_are_pinned():
     lambda: gen_block_gaussian(10, 1, 1, seed=0, rep=-1),
     lambda: gen_block_gaussian(10, 1, -1, seed=0),
     lambda: gen_block_gaussian(0, 1, 1, seed=0),
-    lambda: substream(0, -1, 0),
     lambda: spawn_keys(1.5, 0, 0),
     lambda: spawn_keys(0, [0.5], 0),
 ], ids=["linear-m0", "linear-m-neg", "linear-d0", "linear-seed", "linear-rep",
         "np-m0", "np-m-neg", "np-seed", "np-rep", "block-m0", "block-seed",
-        "block-rep", "block-count", "block-n0", "substream-rep",
-        "float-seed", "float-rep"])
+        "block-rep", "block-count", "block-n0", "float-seed",
+        "float-rep"])
 def test_bad_design_arguments_raise_domain_error(call):
     with pytest.raises(DomainError):
         call()

@@ -13,14 +13,13 @@ from mixconc import (ABS_HALF, NO_PENALTY, SQUARED, DomainError, LossSpec,
                      MixconcError, NonConvergence, NonFinite, PenaltySpec,
                      PopulationDesign, ShapeMismatch, SieveMomentOracle,
                      SingularDesign,
-                     SolverOptions, bias_term, delta_p, delta_p_mc,
-                     empirical_criterion, fit_ols, fit_penalized,
-                     fit_penalized_qr, fit_sieve_ls, make_linear_design,
-                     np_target, polynomial_basis, pspline_basis,
-                     quantile_loss, subgradient_residual)
+                     SolverOptions, delta_p, delta_p_mc, empirical_criterion,
+                     fit_ols, fit_penalized, fit_penalized_qr, fit_sieve_ls,
+                     make_linear_design, np_target, quantile_loss,
+                     subgradient_residual)
 from mixconc import _admm
 from mixconc import estimators as est
-from mixconc.estimators import gradient_residual_squared
+from mixconc.sieves import SieveBasis, is_nested
 
 
 # -- criterion ------------------------------------------------------------------
@@ -884,7 +883,8 @@ def test_solver_tol_must_lie_in_the_open_half_line(tol):
 # -- sieve least squares --------------------------------------------------------
 
 
-@pytest.mark.parametrize("basis", [polynomial_basis(4), pspline_basis(5)],
+@pytest.mark.parametrize("basis", [SieveBasis("polynomial", 4),
+                                   SieveBasis("pspline", 5)],
                          ids=["polynomial", "pspline"])
 def test_sieve_fit_rejects_non_finite_w(basis):
     rng = np.random.default_rng(13)
@@ -901,10 +901,11 @@ def test_sieve_fit_rejects_non_finite_w(basis):
 def test_sieve_polynomial_line():
     w = np.linspace(-5, 5, 40)
     y = 1.5 - 0.5 * w
-    fit = fit_sieve_ls(polynomial_basis(2), w, y)
+    basis = SieveBasis("polynomial", 2)
+    fit = fit_sieve_ls(basis, w, y)
     assert fit.objective <= 1e-20
     # scaled monomials: function values must match exactly
-    assert np.allclose(polynomial_basis(2).design(w) @ fit.theta, y)
+    assert np.allclose(basis.design(w) @ fit.theta, y)
 
 
 def test_sieve_polynomial_exact_recovery():
@@ -912,15 +913,16 @@ def test_sieve_polynomial_exact_recovery():
     w = rng.uniform(-6, 6, 80)
     y = 0.3 + 0.2 * w - 0.05 * w ** 2 + 0.01 * w ** 3
     for k in (4, 6, 8):
-        fit = fit_sieve_ls(polynomial_basis(k), w, y)
-        assert np.abs(polynomial_basis(k).design(w) @ fit.theta - y).max() <= 1e-8
+        basis = SieveBasis("polynomial", k)
+        fit = fit_sieve_ls(basis, w, y)
+        assert np.abs(basis.design(w) @ fit.theta - y).max() <= 1e-8
 
 
 def test_sieve_pspline_partition_of_unity():
     rng = np.random.default_rng(10)
     w = rng.uniform(-6, 6, 100)
     for k in (3, 5, 8):
-        basis = pspline_basis(k)
+        basis = SieveBasis("pspline", k)
         assert np.allclose(basis.design(w).sum(axis=1), 1.0, atol=1e-12)
         fit = fit_sieve_ls(basis, w, np.full(100, 4.2))
         assert np.allclose(basis.design(w) @ fit.theta, 4.2, atol=1e-8)
@@ -930,18 +932,20 @@ def test_sieve_certificate_is_the_least_squares_gradient():
     rng = np.random.default_rng(12)
     w = rng.uniform(-6, 6, 150)
     y = np_target(w) + rng.standard_normal(150)
-    for basis in (polynomial_basis(5), pspline_basis(7)):
+    for basis in (SieveBasis("polynomial", 5), SieveBasis("pspline", 7)):
         fit = fit_sieve_ls(basis, w, y)
-        assert fit.optimality_residual == gradient_residual_squared(
-            basis.design(w), y, fit.theta, NO_PENALTY)
+        Q = basis.design(w)
+        assert fit.optimality_residual == est._squared_gradient(
+            Q, y - Q @ fit.theta, fit.theta, NO_PENALTY)
 
 
 def test_sieve_normal_equations_residual():
     rng = np.random.default_rng(11)
     w = rng.uniform(-6, 6, 200)
     y = np_target(w) + rng.standard_normal(200)
-    fit = fit_sieve_ls(pspline_basis(6), w, y)
-    Q = pspline_basis(6).design(w)
+    basis = SieveBasis("pspline", 6)
+    fit = fit_sieve_ls(basis, w, y)
+    Q = basis.design(w)
     rel = np.linalg.norm(Q.T @ Q @ fit.theta - Q.T @ y) / np.linalg.norm(Q.T @ y)
     assert rel <= 1e-8
 
@@ -998,8 +1002,8 @@ def test_bias_term_sieve():
     oracle = SieveMomentOracle("polynomial", np_target)
     # exactly representable target: w is in the k = 2 span
     lin_oracle = SieveMomentOracle("polynomial", lambda w: 0.5 * w)
-    assert bias_term(oracle=lin_oracle, k=2) <= 1e-6  # sqrt of cancellation noise
-    vals = [bias_term(oracle=oracle, k=k) for k in range(3, 9)]
+    assert lin_oracle.bias(2) <= 1e-6  # sqrt of cancellation noise
+    vals = [oracle.bias(k) for k in range(3, 9)]
     # non-increasing, strictly smaller whenever an even power enters
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
     assert vals[2] < vals[1] * 0.5   # k=5 adds w^4
@@ -1009,21 +1013,11 @@ def test_bias_term_sieve():
     assert vals[3] == pytest.approx(vals[2], rel=1e-9)
 
 
-def test_bias_term_penalty():
-    pen = PenaltySpec("l1", lam=0.2)
-    theta = np.array([1.0, -2.0, 0.5])
-    assert bias_term(pen=pen, theta_star=theta) == pytest.approx(0.2 * 3.5)
-    assert math.sqrt(bias_term(pen=pen, theta_star=theta)) == \
-        pytest.approx(math.sqrt(0.2 * np.abs(theta).sum()))
-    with pytest.raises(DomainError):
-        bias_term(pen=pen)
-
-
 def test_pspline_bias_nonmonotone_flagged():
     oracle = SieveMomentOracle("pspline", np_target)
-    vals, monotone = oracle.bias_curve(range(3, 9))
-    assert not monotone          # spline spaces are not nested
-    assert vals[3] > vals[2]     # k=6 above k=5
+    vals = [oracle.bias(k) for k in range(3, 9)]
+    assert not is_nested("pspline")   # spline spaces are not nested
+    assert vals[3] > vals[2]          # k=6 above k=5
 
 
 def test_oracle_backends_agree():
@@ -1055,6 +1049,7 @@ def test_certified_fit_matches_the_public_objective_and_certificate():
     theta = fit_penalized((X, y), SQUARED, pen).theta
     fit = est.certified_fit(X, y, theta, "closed_form", SQUARED, pen)
     assert fit.objective == empirical_criterion(SQUARED, pen, (X, y), theta)
-    assert fit.optimality_residual == gradient_residual_squared(X, y, theta, pen)
+    assert fit.optimality_residual == est._squared_gradient(
+        X, y - X @ theta, theta, pen)
     with pytest.raises(NonConvergence, match="closed_form fit: residual"):
         est.certified_fit(X, y, theta + 1.0, "closed_form")

@@ -8,7 +8,7 @@ from mixconc import (NO_PENALTY, SQUARED, DomainError, NonConvergence,
                      NonFinite, ShapeMismatch, SieveMomentOracle,
                      SingularDesign, SolverOptions, empirical_criterion,
                      make_np_design, np_target)
-from mixconc.estimators import gradient_residual_squared
+from mixconc import estimators as est
 from mixconc.experiments import hash_cell
 from mixconc.sieves import SieveBasis, family_designs, family_fits, is_nested
 
@@ -174,8 +174,8 @@ def test_family_fits_objective_and_certificate_of_each_design():
         for Q, fit in zip(designs, family_fits(kind, designs, data.y)):
             assert fit.objective == empirical_criterion(SQUARED, NO_PENALTY,
                                                         (Q, data.y), fit.theta)
-            assert fit.optimality_residual == gradient_residual_squared(
-                Q, data.y, fit.theta, NO_PENALTY)
+            assert fit.optimality_residual == est._squared_gradient(
+                Q, data.y - Q @ fit.theta, fit.theta, NO_PENALTY)
 
 
 def test_polynomial_design_is_the_monomial_table():
@@ -201,18 +201,18 @@ def test_frozen_bias_values():
 
 
 def test_gram_positive_definite_and_cross():
+    mean = {}
     for kind in ("polynomial", "pspline"):
         oracle = SieveMomentOracle(kind, np_target)
         for k in (3, 6, 8):
             M, c = oracle.moments(k)
             assert np.all(np.linalg.eigvalsh(M) > 0)
             assert c.shape == (k,)
-        C = oracle.cross_gram(4, 7)
-        assert C.shape == (4, 7)
-        # consistency with the square grams on the diagonal blocks
-        if kind == "polynomial":
-            M7, _ = oracle.moments(7)
-            assert np.allclose(C, M7[:4, :7])
+            # both families span the constants: the first monomial and the
+            # splines' partition of unity each give E theta*(W) from c
+            mean.setdefault(kind, []).append(c[0] if is_nested(kind)
+                                             else c.sum())
+    assert mean["pspline"] == pytest.approx(mean["polynomial"], rel=1e-10)
 
 
 def test_l2_error_at_projection_is_bias():

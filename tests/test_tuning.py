@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mixconc import (DomainError, EmptyIdealSet, EmptyTestSet, NonFinite,
-                     ShapeMismatch, TuningGrid, alpha_calibrated_s, default_s, feasible_k,
+                     ShapeMismatch, TuningGrid, default_s, feasible_k,
                      ideal_k, lambda_grid, sieve_grid, variance_proxy)
 from mixconc.tuning import test_set as pairwise_test_set
 
@@ -223,5 +223,3 @@ def test_selection_scale_invariance():
 def test_s_helpers():
     assert default_s(1000, 1) == pytest.approx(0.5 * math.log(1000))
     assert default_s(3000, 6) == pytest.approx(0.5 * math.log(500))
-    assert alpha_calibrated_s(0.05, 6, 82.54) == pytest.approx(
-        2 * 6 * 82.54 / 0.05)
