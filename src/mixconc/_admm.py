@@ -162,8 +162,9 @@ def simplex_polish(X, y, theta, tau=0.5):
     The crossing rows are ranked by `_crossing_order`: the first
     max(ncross) ranks of their stable (t, row) order, from numpy's
     unstable SIMD sort with ties of equal t put back in row order.  A rep
-    leaves the active set when it is optimal or stalls, and the stack is
-    compacted only then.
+    leaves the stack as soon as the dual test finds it optimal, before
+    the edge, crossing sort and cumsum of that pivot, and a rep that
+    stalls leaves it at the end of its pivot.
 
     Pivoting is capped at n + 10 d pivots: the count grows with the rows
     the path crosses, and a fixed cap (500) stalled l1 fits at n = 10^4,
@@ -201,6 +202,16 @@ def simplex_polish(X, y, theta, tau=0.5):
         viol = np.maximum(over, under)
         j = np.argmax(viol, axis=1)
         done = (viol[rows, j] <= 1e-12) & np.isfinite(th).all(axis=1)
+        if done.any():                       # optimal: out before the edge
+            theta[ids[done]] = th[done]
+            keep = ~done
+            ids, X, y, A, XA = ids[keep], X[keep], y[keep], A[keep], XA[keep]
+            ztol, nonbasic, neg = ztol[keep], nonbasic[keep], neg[keep]
+            res, zero, s, j = res[keep], zero[keep], s[keep], j[keep]
+            over, under = over[keep], under[keep]
+            rows, col = rows[:ids.size], col[:ids.size]
+            if not ids.size:
+                break
         sigma = np.where(over[rows, j] >= under[rows, j], -1.0, 1.0)
         w = _solve_stack(XA, eye[j])         # the edge: XA w = e_j
         g = sigma[:, None] * (X @ w[..., None])[..., 0]
@@ -222,7 +233,7 @@ def simplex_polish(X, y, theta, tau=0.5):
         deriv = np.cumsum(deriv, axis=1)
         past = (deriv >= -1e-15) & (ranks[:order.shape[1]] < ncross[:, None])
         k = np.argmax(past, axis=1)          # the entering row's rank
-        stuck = ~done & ~past[rows, k]       # stalled (a singular basis too)
+        stuck = ~past[rows, k]               # stalled (a singular basis too)
         enter = order[rows, k]
         # the rows crossed before the entering one change side
         te = t[rows, enter][:, None]
@@ -232,10 +243,9 @@ def simplex_polish(X, y, theta, tau=0.5):
         nonbasic[rows, leave] = True
         nonbasic[rows, enter] = False
         A[rows, j] = enter
-        keep = ~(done | stuck)
-        if not keep.all():
-            theta[ids[done]] = th[done]
+        if stuck.any():
             stalled[ids[stuck]] = True
+            keep = ~stuck
             ids, X, y, A = ids[keep], X[keep], y[keep], A[keep]
             ztol, nonbasic, neg = ztol[keep], nonbasic[keep], neg[keep]
             rows, col = rows[:ids.size], col[:ids.size]

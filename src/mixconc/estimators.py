@@ -8,8 +8,11 @@ certificate is the gradient norm of the objective.  For the nonsmooth
 quantile loss it is the Euclidean distance from zero to the
 subdifferential of the objective, with the interval freedom at zero
 residuals (and at zero coefficients under the l1 penalty) resolved by a
-small box-constrained least-squares problem.  This module does not know
-the sieve bases: `sieves` imports it, not the other way round.
+small box-constrained least-squares problem.  Both certificates take a
+stack of fits of one shape as well as a single fit, so the tables 1-2
+study certifies a chunk's median fits, and its mean fits, in one call
+each.  This module does not know the sieve bases: `sieves` imports it,
+not the other way round.
 """
 
 import math
@@ -120,58 +123,95 @@ _ACTIVE_TOL = 1e-7
 _ZERO_TOL = 1e-9
 
 
-def subgradient_residual(X, y, theta, tau: float, pen: PenaltySpec) -> float:
+def subgradient_residual(X, y, theta, tau: float, pen: PenaltySpec):
     """Set-distance from 0 to the subdifferential of the quantile objective.
 
     Interpolated observations (see _ACTIVE_TOL) contribute a free
     subgradient in [tau-1, tau]; under the l1 penalty, zero coefficients
     (see _ZERO_TOL) contribute a free sign in [-1, 1].  The distance
-    is a box-constrained linear least-squares problem.  At a vertex (exactly
-    d free columns) it is first tried as the square system; when that
-    solution lies in the box it is the minimizer, otherwise bvls decides.
+    is a box-constrained linear least-squares problem.
+
+    X (R, n, d), y (R, n) and theta (R, d) certify a stack of R fits of
+    one shape and return the (R,) distances; a 2-D X (one fit) returns a
+    float, the same value as the stack of one.  One pass over the stack
+    finds the residuals, the interpolated rows, the zero coefficients and
+    the fixed part of the subgradient.  Every rep with exactly d free
+    columns (a vertex) solves its square system in one batched solve; when
+    that solution lies in the box it is the minimizer.  A rep with no free
+    column reads the norm of the fixed part, and every other rep goes to
+    bvls on its own.  Only (X, y, theta) are read, never a solver's dual.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    n, d = X.shape
-    res = y - X @ theta
-    scale = _ACTIVE_TOL * (1.0 + float(np.abs(y).max(initial=0.0)))
-    act = np.abs(res) <= scale
-    sgn = tau - (res <= 0).astype(float)
-    base = -(X[~act].T @ sgn[~act]) / n
-
-    A = -X[act].T / n                        # free s_i in [tau-1, tau]
-    lo = np.full(A.shape[1], tau - 1.0)
-    hi = np.full(A.shape[1], tau)
+    single = X.ndim == 2
+    if single:
+        X, y, theta = X[None], y[None], theta[None]
+    R, n, d = X.shape
+    res = y - (X @ theta[..., None])[..., 0]
+    scale = _ACTIVE_TOL * (1.0 + np.abs(y).max(axis=1, initial=0.0))
+    act = np.abs(res) <= scale[:, None]
+    sgn = np.where(res > 0, tau, tau - 1.0)
+    sgn[act] = 0.0
+    base = (sgn[:, None] @ X)[:, 0] / -n
+    free = act.sum(axis=1)
+    lo, hi, zero = tau - 1.0, tau, None
     if pen.kind == "l1" and pen.lam > 0:
         zero = np.abs(theta) <= _ZERO_TOL
         base = base + pen.lam * np.sign(theta) * (~zero)
-        A = np.hstack([A, pen.lam * np.eye(d)[:, zero]])   # free signs
-        lo = np.r_[lo, np.full(zero.sum(), -1.0)]             # in [-1, 1]
-        hi = np.r_[hi, np.full(zero.sum(), 1.0)]
+        free += zero.sum(axis=1)
+        act = np.hstack([act, zero])     # free column n + j: the sign of j
     elif pen.kind == "weighted_l2" and pen.lam > 0:
         base = base + pen.lam * 2.0 * pen.weights(d) * theta
+    # the free columns: -x_i / n of each interpolated row i, in [tau-1, tau],
+    # then lam e_j of each zero coefficient j (l1), in [-1, 1]; grad is the
+    # subgradient nearest zero
+    grad = base.copy()
+    square = np.flatnonzero(free == d)
+    boxed = np.flatnonzero((free != d) & (free != 0))
+    if square.size:
+        cols = np.nonzero(act[square])[1].reshape(-1, d)   # ascending
+        rows = cols if zero is None else np.minimum(cols, n - 1)
+        A = X[square[:, None], rows].transpose(0, 2, 1) / -n
+        if zero is not None:
+            coef = cols >= n                 # the sign columns
+            A.transpose(0, 2, 1)[coef] = pen.lam * np.eye(d)[cols[coef] - n]
+            lo, hi = np.where(coef, -1.0, lo), np.where(coef, 1.0, hi)
+        b = base[square]
+        s = _admm._solve_stack(A, -b)        # nan when singular
+        # a rep whose s leaves the box is done again by bvls below
+        grad[square] = (A @ s[..., None])[..., 0] + b
+        inside = ((s >= lo - 1e-12) & (s <= hi + 1e-12)).all(axis=1)
+        if not inside.all():
+            boxed = np.r_[boxed, square[~inside]]
+    for r in boxed:
+        A = X[r, act[r, :n]].T / -n
+        signs = free[r] - A.shape[1]
+        lo = np.r_[np.full(A.shape[1], tau - 1.0), np.full(signs, -1.0)]
+        hi = np.r_[np.full(A.shape[1], tau), np.full(signs, 1.0)]
+        if zero is not None:
+            A = np.hstack([A, pen.lam * np.eye(d)[:, zero[r]]])
+        sol = lsq_linear(A, -base[r], bounds=(lo, hi), method="bvls")
+        grad[r] = A @ sol.x + base[r]
+    out = np.sqrt((grad[:, None] @ grad[..., None])[:, 0, 0])
+    return float(out[0]) if single else out
 
-    if A.shape[1] == 0:
-        return float(np.linalg.norm(base))
-    if A.shape[1] == d:
-        try:
-            s = np.linalg.solve(A, -base)
-        except np.linalg.LinAlgError:
-            s = None
-        if s is not None and np.all(s >= lo - 1e-12) and np.all(s <= hi + 1e-12):
-            return float(np.linalg.norm(A @ s + base))
-    sol = lsq_linear(A, -base, bounds=(lo, hi), method="bvls")
-    return float(np.linalg.norm(A @ sol.x + base))
 
-
-def _squared_gradient(X, res, theta, pen) -> float:
+def _squared_gradient(X, res, theta, pen):
     """Gradient norm of the smooth squared-loss objective at theta, from
-    the residuals res = y - X theta."""
-    n, d = X.shape
-    g = X.T @ res
+    the residuals res = y - X theta.  X (R, n, d), res (R, n) and theta
+    (R, d) give the (R,) norms of a stack of R fits, one BLAS dot product
+    per rep; a 2-D X gives a float."""
+    if X.ndim == 2:
+        n, d = X.shape
+        g = X.T @ res
+    else:
+        n, d = X.shape[1:]
+        g = (res[:, None] @ X)[:, 0]
     if pen.kind == "none" or not pen.lam > 0:
-        return 2.0 * math.sqrt(g.dot(g)) / n      # the norm of -2 g / n
+        if g.ndim == 1:
+            return 2.0 * math.sqrt(g.dot(g)) / n      # the norm of -2 g / n
+        return 2.0 * np.sqrt((g[:, None] @ g[..., None])[:, 0, 0]) / n
     g = -2.0 * g / n
     if pen.kind == "weighted_l2":
         g = g + 2.0 * pen.lam * pen.weights(d) * theta
@@ -180,7 +220,9 @@ def _squared_gradient(X, res, theta, pen) -> float:
         zero = np.abs(theta) <= _ZERO_TOL
         g = g + pen.lam * np.sign(theta) * (~zero)
         g[zero] = np.maximum(np.abs(g[zero]) - pen.lam, 0.0) * np.sign(g[zero])
-    return math.sqrt(g.dot(g))
+    if g.ndim == 1:
+        return math.sqrt(g.dot(g))
+    return np.sqrt((g[:, None] @ g[..., None])[:, 0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +264,8 @@ def fit_penalized(data, loss: LossSpec, pen: PenaltySpec = NO_PENALTY,
       them, a pseudo-inverse when X'X is singular) warm-start the exact
       simplex pivot (`method == "simplex"`), the l1 penalty as data
       augmented with the rows +-n lam e_j, through `_finish_exact` as a
-      stack of one (the tables 1-2 study passes it a whole chunk); when the
+      stack of one (the tables 1-2 study passes it a whole chunk), which
+      certifies the stack with one `subgradient_residual` call; when the
       pivot stalls (a rank-deficient unpenalized design does) or its
       certificate exceeds tol, the HiGHS LP solves the same problem
       (`"lp"`), and an LP that fails leaves the fit uncertified
@@ -304,9 +347,11 @@ def _finish_exact(X, y, tau, pen, theta0, tol):
 
     Every rep gets the l1 penalty's augmented rows.  The simplex pivot
     steps the stack in slices of max(1, _admm.SLICE_ROWS // rows) reps,
-    the augmented rows counted.  Each rep is certified by
-    `subgradient_residual`, and a rep whose pivot stalls or whose
-    certificate exceeds tol goes to the LP on its own.
+    the augmented rows counted.  One `subgradient_residual` call
+    certifies every rep whose pivot did not stall, the whole stack at
+    once (R = 1 for a single fit).  A rep whose pivot stalls or whose
+    certificate exceeds tol goes to the LP on its own, and its LP fit is
+    certified on its own.
     Returns the (R, d) thetas, the (R,) certificates and the R methods
     ("simplex" or "lp"); a rep whose LP fails is returned uncertified
     (certificate inf) instead of raising, so one bad rep does not end a
@@ -326,12 +371,12 @@ def _finish_exact(X, y, tau, pen, theta0, tol):
         theta[part], stalled[part] = _admm.simplex_polish(
             Xs[part], ys[part], theta0[part], tau)
     certificate, method = np.full(R, np.inf), ["simplex"] * R
-    for r in range(R):
-        if not stalled[r]:
-            certificate[r] = subgradient_residual(X[r], y[r], theta[r], tau,
-                                                  pen)
-        if certificate[r] <= tol:
-            continue
+    live = np.flatnonzero(~stalled)
+    if live.size:
+        part = slice(None) if live.size == R else live   # a view if all
+        certificate[part] = subgradient_residual(X[part], y[part],
+                                                 theta[part], tau, pen)
+    for r in np.flatnonzero(~(certificate <= tol)):
         method[r] = "lp"
         try:
             theta[r] = quantile_lp(Xs[r], ys[r], tau)

@@ -8,7 +8,8 @@ each chunk derives the keys of its substreams from (master_seed, global
 replication index) in one `datagen.spawn_keys` pass, so reports are
 bit-identical for any worker count.
 A study maps the chunks of all its cells through one process pool.  The
-median fits of a tables 1-2 chunk are pivoted together, as one stack.
+median fits of a tables 1-2 chunk are pivoted and certified together, as
+one stack, and its mean fits are certified as one stack too.
 """
 
 import csv
@@ -25,7 +26,8 @@ from .complexity import UniversalConstants
 from .datagen import (_block_stream, _generator, _np_design,
                       linear_design_stack, np_target, spawn_keys)
 from .errors import DomainError, InadmissibleN, NonConvergence
-from .estimators import ABS_HALF, NO_PENALTY, SQUARED, _finish_exact, delta_p
+from .estimators import (ABS_HALF, NO_PENALTY, SQUARED, _finish_exact,
+                         _squared_gradient, delta_p)
 from .lattice import build_lattice
 from .mixing import BetaMixingModel, effective_n
 from .sieves import SieveMomentOracle, family_designs, family_fits
@@ -191,19 +193,22 @@ def _tables12_chunk(args):
     (n, m, d, seed, rep_range, tol) = args
     data = linear_design_stack(n, m, d, seed, range(*rep_range))
     X, y, truth, design = data.X, data.y, data.truth, data.meta["design"]
-    # mean regression: closed form
-    G = np.einsum("rij,rik->rjk", X, X)
-    b = np.einsum("rij,ri->rj", X, y)
-    theta_mean = np.linalg.solve(G, b[..., None])[..., 0]
+    # mean regression: the normal equations by batched BLAS products,
+    # certified by the gradient norm 2 |X'r| / n
+    Xt = X.transpose(0, 2, 1)
+    theta_mean = np.linalg.solve(Xt @ X, Xt @ y[..., None])[..., 0]
+    mean_resid = _squared_gradient(X, y - (X @ theta_mean[..., None])[..., 0],
+                                   theta_mean, NO_PENALTY)
     delta_mean = delta_p(design, SQUARED, theta_mean, truth)
     # median regression: exact pivot over the chunk from the least-squares
-    # fits, LP fallback per rep
+    # fits, certified as one stack, LP fallback per rep
     theta_med, resid, _ = _finish_exact(X, y, 0.5, NO_PENALTY, theta_mean, tol)
     ok = resid <= tol
     delta_med = delta_p(design, ABS_HALF, theta_med, truth)
     return {
         "mean_sum": float(delta_mean.sum()),
         "mean_sumsq": float((delta_mean ** 2).sum()),
+        "mean_ok": int((mean_resid <= tol).sum()),
         "med_sum": float(delta_med[ok].sum()),
         "med_sumsq": float((delta_med[ok] ** 2).sum()),
         "med_ok": int(ok.sum()),
@@ -218,6 +223,10 @@ def run_tables12(config: ExperimentConfig) -> list[ReportRow]:
     if config.d < 1:
         raise DomainError(f"d must be >= 1, got {config.d}")
     grid = _snapped_grid(config)
+    for (n, m) in grid:
+        if (n, 1) not in grid:
+            raise DomainError(f"the sqrt(m) prediction at (n={n}, m={m}) "
+                              f"needs the cell (n={n}, m=1) in the grid")
     tasks = [[(n, m, config.d, config.master_seed + 1000 * hash_cell(n, m),
                rr, config.solver_tol)
               for rr in _chunks(config.mc_reps, config.chunk_size)]
@@ -231,6 +240,9 @@ def run_tables12(config: ExperimentConfig) -> list[ReportRow]:
         if n_failed > 0.001 * config.mc_reps:
             raise NonConvergence(
                 f"{n_failed} uncertified median fits at (n={n}, m={m})")
+        if agg["mean_ok"] < agg["reps"]:
+            raise NonConvergence(f"{agg['reps'] - agg['mean_ok']} uncertified"
+                                 f" mean fits at (n={n}, m={m})")
         cells[(n, m)] = agg
 
     rows = []

@@ -282,9 +282,12 @@ def test_cli_simulate_bad_config_key(tmp_path, capsys, line, key):
      "chunk_size must be an integer >= 1, got 0"),
     ("ols-tail", "chunk_size = 2.5", [],
      "chunk_size must be an integer >= 1, got 2.5"),
+    ("tables12", "grid = 50:25,50:50", [],
+     "at (n=50, m=25) needs the cell (n=50, m=1)"),
 ], ids=["tables12-m0", "tables34-m0", "tables12-m-neg", "tables12-d0",
         "tables12-reps0", "tables34-reps0", "ols-tail-reps0",
-        "tables12-reps-neg", "tables12-chunk0", "ols-tail-chunk-float"])
+        "tables12-reps-neg", "tables12-chunk0", "ols-tail-chunk-float",
+        "tables12-no-m1"])
 def test_cli_simulate_bad_grid_or_design(tmp_path, capsys, study, lines,
                                           args, message):
     cfg = tmp_path / "t.cfg"

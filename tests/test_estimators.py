@@ -222,6 +222,119 @@ def test_certificate_is_exact_with_over_200_interpolated_rows(box_solves):
     assert fit.optimality_residual <= 1e-12
 
 
+def _per_rep_certificate(X, y, theta, tau, pen):
+    """The certificate of one fit as `subgradient_residual` computed it rep
+    by rep before it took stacks: the fixed part of the subgradient from
+    the rows off the fit, the square system at a vertex when its solution
+    lies in the box, bvls otherwise.  The oracle of the stacked
+    certificate tests below."""
+    n, d = X.shape
+    res = y - X @ theta
+    act = np.abs(res) <= 1e-7 * (1.0 + np.abs(y).max())
+    base = -(X[~act].T @ (tau - (res[~act] <= 0))) / n
+    A = -X[act].T / n
+    lo, hi = [tau - 1.0] * A.shape[1], [tau] * A.shape[1]
+    if pen.kind == "l1" and pen.lam > 0:
+        zero = np.abs(theta) <= 1e-9
+        base = base + pen.lam * np.sign(theta) * (~zero)
+        A = np.hstack([A, pen.lam * np.eye(d)[:, zero]])
+        lo, hi = lo + [-1.0] * int(zero.sum()), hi + [1.0] * int(zero.sum())
+    elif pen.kind == "weighted_l2" and pen.lam > 0:
+        base = base + pen.lam * 2.0 * pen.weights(d) * theta
+    if A.shape[1] == 0:
+        return float(np.linalg.norm(base))
+    if A.shape[1] == d:
+        s = np.linalg.solve(A, -base)
+        if np.all(s >= np.array(lo) - 1e-12) and np.all(s <= np.array(hi) + 1e-12):
+            return float(np.linalg.norm(A @ s + base))
+    sol = lsq_linear(A, -base, bounds=(lo, hi), method="bvls")
+    return float(np.linalg.norm(A @ sol.x + base))
+
+
+def _assert_stack_matches_per_rep(X, y, theta, tau, pen):
+    """The stacked certificate against the per-rep oracle, and each rep's
+    2-D call against its entry of the stack."""
+    stacked = subgradient_residual(X, y, theta, tau, pen)
+    assert stacked.shape == (len(X),)
+    for r in range(len(X)):
+        single = subgradient_residual(X[r], y[r], theta[r], tau, pen)
+        assert isinstance(single, float) and single == stacked[r]
+        assert abs(stacked[r] - _per_rep_certificate(X[r], y[r], theta[r], tau,
+                                                     pen)) <= 1e-16
+    return stacked
+
+
+def test_stacked_certificate_of_every_tables12_cell():
+    # the first 40 reps of each cell of the tables 1-2 study at its default
+    # master seed, fitted as the study fits them
+    from mixconc.datagen import linear_design_stack
+    from mixconc.experiments import TABLES12_GRID, hash_cell
+    for n, m in TABLES12_GRID:
+        data = linear_design_stack(n, m, 3, 20240901 + 1000 * hash_cell(n, m),
+                                   range(40))
+        X, y = data.X, data.y
+        start = np.linalg.solve(X.transpose(0, 2, 1) @ X,
+                                X.transpose(0, 2, 1) @ y[..., None])[..., 0]
+        theta, cert, method = est._finish_exact(X, y, 0.5, NO_PENALTY, start,
+                                                1e-6)
+        assert method == ["simplex"] * 40
+        stacked = _assert_stack_matches_per_rep(X, y, theta, 0.5, NO_PENALTY)
+        assert np.array_equal(stacked, cert) and stacked.max() <= 1e-15
+
+
+def test_stacked_certificate_with_l1_zero_coefficients(box_solves):
+    # sparse truth: the l1 fits put some coefficients at zero, so the free
+    # columns of a vertex mix interpolated rows and zero signs
+    rng = np.random.default_rng(43)
+    X = rng.standard_normal((6, 200, 5))
+    y = X @ np.array([1.0, -0.6, 0.0, 0.0, 0.3]) \
+        + rng.standard_normal((6, 200))
+    pen = PenaltySpec("l1", lam=0.05)
+    theta = np.stack([fit_penalized_qr((X[r], y[r]), 0.3, pen).theta
+                      for r in range(6)])
+    zeros = np.sum(np.abs(theta) <= 1e-9, axis=1)
+    assert zeros.min() > 0 and zeros.max() < 5
+    box_solves.clear()
+    stacked = subgradient_residual(X, y, theta, 0.3, pen)
+    assert not box_solves and stacked.max() <= 1e-12
+    _assert_stack_matches_per_rep(X, y, theta, 0.3, pen)
+
+
+def test_stacked_certificate_with_weighted_l2():
+    X, y = _stacked_draws(150, 5, 4, 29, 5)
+    pen = PenaltySpec("weighted_l2", lam=0.02, m=1.5)
+    theta = np.stack([fit_penalized_qr((X[r], y[r]), 0.6, pen).theta
+                      for r in range(5)])
+    stacked = _assert_stack_matches_per_rep(X, y, theta, 0.6, pen)
+    assert stacked.max() <= 1e-6
+
+
+def test_stacked_certificate_sends_non_vertex_reps_to_bvls(box_solves):
+    # six reps: vertices (the median fit, and an out-of-box vertex through
+    # the three largest responses) and non-vertices (d - 1 interpolated rows,
+    # none, and a rounded design where one theta interpolates many rows)
+    X, y = _stacked_draws(60, 1, 3, 31, 6)
+    X[5], y[5] = np.round(X[5]), np.round(y[5])
+    theta = np.stack([fit_penalized_qr((X[r], y[r]), 0.5).theta
+                      for r in range(6)])
+    top = np.argsort(y[1])[-3:]
+    theta[1] = np.linalg.solve(X[1, top], y[1, top])
+    # through rows 0 and 1 of rep 2 only: move along their null direction
+    theta[2] = np.linalg.lstsq(X[2, :2], y[2, :2], rcond=None)[0] \
+        + 0.37 * np.cross(X[2, 0], X[2, 1])
+    theta[3] = theta[3] + 0.01
+    theta[5] = np.array([1.0, 0.0, 0.0])
+    res = y - (X @ theta[..., None])[..., 0]
+    free = np.sum(np.abs(res) <= 1e-7 * (1 + np.abs(y).max(axis=1))[:, None],
+                  axis=1)
+    assert free[[0, 1, 4]].tolist() == [3, 3, 3] and free[2] == 2
+    assert free[3] == 0 and free[5] > 3
+    box_solves.clear()
+    stacked = _assert_stack_matches_per_rep(X, y, theta, 0.5, NO_PENALTY)
+    assert len(box_solves) == 2 * 3          # reps 1, 2 and 5, stack and oracle
+    assert stacked[[0, 4]].max() <= 1e-12 and stacked[[1, 2, 3]].min() > 1e-3
+
+
 def test_quantile_tau_off_center():
     rng = np.random.default_rng(5)
     X = np.ones((201, 1))

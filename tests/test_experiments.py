@@ -9,8 +9,9 @@ from mixconc import (BetaMixingModel, BoundParams, ExperimentConfig,
                      l1_envelope, make_np_design, run_ols_tail, run_tables12,
                      run_tables34, sieve_grid, variance_proxy, write_csv,
                      write_manifest)
-from mixconc.experiments import (SIEVE_KS, TABLES34_TEST_MULTIPLIER,
-                                 ReportRow, _tables34_chunk,
+from mixconc.experiments import (SIEVE_KS, TABLES12_GRID,
+                                 TABLES34_TEST_MULTIPLIER, ReportRow,
+                                 _tables34_chunk,
                                  build_sieve_oracle, hash_cell,
                                  snap_admissible)
 
@@ -70,34 +71,41 @@ def test_one_process_pool_per_study(monkeypatch):
     assert len(starts) == 2
 
 
-def test_tables12_chunk_matches_rep_by_rep_fits():
-    # one whole chunk (n = 250: two pivot slices) against its reps fitted
-    # one at a time, R = 1
-    from mixconc import (ABS_HALF, NO_PENALTY, SQUARED, delta_p, experiments,
-                         make_linear_design)
-    from mixconc.estimators import _finish_exact
-    n, m, seed, reps = 250, 5, 20240901, (0, 250)
-    got = experiments._tables12_chunk((n, m, 3, seed, reps, 1e-6))
-    draws = [make_linear_design(n, m, 3, seed, rep=r) for r in range(*reps)]
-    X = np.stack([data.X for data in draws])
-    y = np.stack([data.y for data in draws])
-    G = np.einsum("rij,rik->rjk", X, X)
-    b = np.einsum("rij,ri->rj", X, y)
-    theta_mean = np.linalg.solve(G, b[..., None])[..., 0]
-    fits = [_finish_exact(X[r:r + 1], y[r:r + 1], 0.5, NO_PENALTY,
-                          theta_mean[r:r + 1], 1e-6) for r in range(len(X))]
-    theta_med = np.concatenate([fit[0] for fit in fits])
-    resid = np.concatenate([fit[1] for fit in fits])
-    design, truth = draws[0].meta["design"], draws[0].truth
-    delta_mean = delta_p(design, SQUARED, theta_mean, truth)
-    delta_med = delta_p(design, ABS_HALF, theta_med, truth)
-    assert np.all(resid <= 1e-6)
-    assert got == {"mean_sum": float(delta_mean.sum()),
-                   "mean_sumsq": float((delta_mean ** 2).sum()),
-                   "med_sum": float(delta_med.sum()),
-                   "med_sumsq": float((delta_med ** 2).sum()),
-                   "med_ok": 250, "worst_resid": float(resid.max()),
-                   "reps": 250}
+def test_tables12_chunk_matches_rep_by_rep_fits(monkeypatch):
+    # a chunk of 8 reps of every cell, pivoted in slices of max(1, 1000 // n)
+    # reps, against its reps fitted one at a time, R = 1
+    from mixconc import (ABS_HALF, NO_PENALTY, SQUARED, _admm, delta_p,
+                         experiments, make_linear_design)
+    from mixconc.estimators import _finish_exact, _squared_gradient
+    monkeypatch.setattr(_admm, "SLICE_ROWS", 1000)
+    reps, tol = (0, 8), 1e-6
+    for n, m in TABLES12_GRID:
+        seed = 20240901 + 1000 * hash_cell(n, m)
+        got = experiments._tables12_chunk((n, m, 3, seed, reps, tol))
+        draws = [make_linear_design(n, m, 3, seed, rep=r)
+                 for r in range(*reps)]
+        X = np.stack([data.X for data in draws])
+        y = np.stack([data.y for data in draws])
+        Xt = X.transpose(0, 2, 1)
+        theta_mean = np.linalg.solve(Xt @ X, Xt @ y[..., None])[..., 0]
+        mean_resid = [_squared_gradient(X[r], y[r] - X[r] @ theta_mean[r],
+                                        theta_mean[r], NO_PENALTY)
+                      for r in range(len(X))]
+        fits = [_finish_exact(X[r:r + 1], y[r:r + 1], 0.5, NO_PENALTY,
+                              theta_mean[r:r + 1], tol) for r in range(len(X))]
+        theta_med = np.concatenate([fit[0] for fit in fits])
+        resid = np.concatenate([fit[1] for fit in fits])
+        design, truth = draws[0].meta["design"], draws[0].truth
+        delta_mean = delta_p(design, SQUARED, theta_mean, truth)
+        delta_med = delta_p(design, ABS_HALF, theta_med, truth)
+        assert np.all(resid <= tol) and max(mean_resid) <= 1e-12
+        assert got == {"mean_sum": float(delta_mean.sum()),
+                       "mean_sumsq": float((delta_mean ** 2).sum()),
+                       "mean_ok": 8,
+                       "med_sum": float(delta_med.sum()),
+                       "med_sumsq": float((delta_med ** 2).sum()),
+                       "med_ok": 8, "worst_resid": float(resid.max()),
+                       "reps": 8}, (n, m)
 
 
 def test_uncertified_median_fits_fail_the_cell(monkeypatch):
@@ -107,6 +115,20 @@ def test_uncertified_median_fits_fail_the_cell(monkeypatch):
         return theta0, np.full(len(X), np.inf), ["lp"] * len(X)
     monkeypatch.setattr(experiments, "_finish_exact", uncertified)
     with pytest.raises(NonConvergence, match=r"20 uncertified .*n=50, m=1"):
+        run_tables12(ExperimentConfig(grid=((50, 1),), mc_reps=20,
+                                      chunk_size=10))
+
+
+def test_uncertified_mean_fits_fail_the_cell(monkeypatch):
+    from mixconc import NonConvergence, experiments
+    certify = experiments._squared_gradient
+
+    def one_uncertified(X, res, theta, pen):
+        out = certify(X, res, theta, pen)
+        out[0] = np.inf                      # the first rep of each chunk
+        return out
+    monkeypatch.setattr(experiments, "_squared_gradient", one_uncertified)
+    with pytest.raises(NonConvergence, match=r"2 uncertified mean .*n=50, m=1"):
         run_tables12(ExperimentConfig(grid=((50, 1),), mc_reps=20,
                                       chunk_size=10))
 
