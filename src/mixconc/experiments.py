@@ -25,10 +25,10 @@ import numpy as np
 from .complexity import UniversalConstants
 from .datagen import (_block_stream, _generator, _np_design,
                       linear_design_stack, np_target, spawn_keys)
-from .errors import DomainError, InadmissibleN, NonConvergence
+from .errors import DomainError, NonConvergence
 from .estimators import (ABS_HALF, NO_PENALTY, SQUARED, _finish_exact,
                          _squared_gradient, delta_p)
-from .lattice import build_lattice
+from .lattice import _integer, admissible_sizes, build_lattice
 from .mixing import BetaMixingModel, effective_n
 from .sieves import SieveMomentOracle, family_designs, family_fits
 from .tuning import (default_s, feasible_k, ideal_k, sieve_grid,
@@ -139,23 +139,20 @@ def write_manifest(config: ExperimentConfig, path) -> None:
 
 
 def snap_admissible(n: int, upsilon: int) -> int:
-    """Nearest sample size admissible for the given upsilon (ties go down)."""
-    for offset in range(n):
-        for cand in (n - offset, n + offset):
-            if cand < 1:
-                continue
-            try:
-                build_lattice(cand, upsilon)
-                return cand
-            except InadmissibleN:
-                continue
-    return 1
+    """Nearest sample size admissible for the given upsilon (ties go down);
+    1 for n < 1.  A power of two lies in [n, 2n], so the nearest is among
+    the admissible sizes up to 2n."""
+    n = _integer(n, "n")
+    return min(admissible_sizes(2 * max(n, 1), upsilon),
+               key=lambda k: (abs(k - n), k))
 
 
 def _snapped_grid(config: ExperimentConfig) -> list[tuple[int, int]]:
-    """The study's (n, m) cells with n snapped to an admissible size; m
-    must be >= 1 and divide the snapped n."""
+    """The study's (n, m) cells with n snapped to an admissible size; n
+    and m must be >= 1 and m must divide the snapped n."""
     for (n, m) in config.grid:
+        if n < 1:
+            raise DomainError(f"sample size n={n} must be >= 1")
         if m < 1:
             raise DomainError(f"block length m={m} at n={n} must be >= 1")
     grid = [(snap_admissible(n, config.upsilon), m) for (n, m) in config.grid]
@@ -224,6 +221,9 @@ def run_tables12(config: ExperimentConfig) -> list[ReportRow]:
         raise DomainError(f"d must be >= 1, got {config.d}")
     grid = _snapped_grid(config)
     for (n, m) in grid:
+        if n < config.d:
+            raise DomainError(f"cell (n={n}, m={m}): the snapped n is below "
+                              f"d={config.d}")
         if (n, 1) not in grid:
             raise DomainError(f"the sqrt(m) prediction at (n={n}, m={m}) "
                               f"needs the cell (n={n}, m=1) in the grid")

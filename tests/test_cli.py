@@ -284,10 +284,15 @@ def test_cli_simulate_bad_config_key(tmp_path, capsys, line, key):
      "chunk_size must be an integer >= 1, got 2.5"),
     ("tables12", "grid = 50:25,50:50", [],
      "at (n=50, m=25) needs the cell (n=50, m=1)"),
+    ("tables12", "grid = 2:1", [], "cell (n=2, m=1): the snapped n is below d=3"),
+    ("tables12", "grid = 0:1", [], "sample size n=0 must be >= 1"),
+    ("tables34", "grid = -5:1", [], "sample size n=-5 must be >= 1"),
+    ("tables12", "grid = 50:1\nupsilon = 0", [], "upsilon must be positive"),
 ], ids=["tables12-m0", "tables34-m0", "tables12-m-neg", "tables12-d0",
         "tables12-reps0", "tables34-reps0", "ols-tail-reps0",
         "tables12-reps-neg", "tables12-chunk0", "ols-tail-chunk-float",
-        "tables12-no-m1"])
+        "tables12-no-m1", "tables12-n-below-d", "tables12-n0",
+        "tables34-n-neg", "tables12-upsilon0"])
 def test_cli_simulate_bad_grid_or_design(tmp_path, capsys, study, lines,
                                           args, message):
     cfg = tmp_path / "t.cfg"

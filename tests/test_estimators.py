@@ -727,6 +727,30 @@ def test_stacked_pivot_slices_do_not_change_the_fits(monkeypatch):
     assert np.array_equal(whole[1], sliced[1]) and whole[2] == sliced[2]
 
 
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(reps=st.integers(2, 6), k=st.integers(6, 40),
+       m=st.sampled_from([1, 2, 5]), d=st.integers(2, 5),
+       seed=st.integers(0, 2 ** 20),
+       tau=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       lasso=st.booleans(), lam=st.sampled_from([0.002, 0.02, 0.2]),
+       digits=st.sampled_from([0, 1]), dup=st.integers(0, 5))
+def test_stacked_exact_fits_equal_each_rep_alone(reps, k, m, d, seed, tau,
+                                                 lasso, lam, digits, dup):
+    # rounded X and y put rows and responses on ties; rep `dup` has two
+    # equal columns, so its unpenalized pivot stalls and goes to the LP
+    X, y = _stacked_draws(m * k, m, d, seed, reps)
+    X, y = np.round(X, digits), np.round(y, digits)
+    dup %= reps
+    X[dup, :, 1] = X[dup, :, 0]
+    pen = PenaltySpec("l1", lam=lam) if lasso else NO_PENALTY
+    theta0 = _lstsq_starts(X, y)
+    (theta, cert, method), alone = _alone_and_stacked(X, y, tau, pen, theta0)
+    for r, (theta_r, cert_r, method_r) in enumerate(alone):
+        assert np.array_equal(theta[r], theta_r[0])
+        assert cert[r] == cert_r[0] and method[r] == method_r[0]
+    assert pen is not NO_PENALTY or method[dup] == "lp"
+
+
 def _batch_with_a_rank_one_rep(n=80, d=3):
     """Three reps of one shape; the middle one has rank-one rows, so no d
     of them are independent."""
