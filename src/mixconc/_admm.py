@@ -11,7 +11,8 @@ pivots a stack of R problems of one shape at once, X (R, n, d), y (R, n)
 and starts (R, d), and returns the (R, d) solutions with an (R,) mask of
 the reps that stalled; a single fit is R = 1.  Its memory grows with
 R n, so callers walk a larger stack in slices of max(1, SLICE_ROWS // n)
-reps.
+reps; the tables 1-2 study draws and fits its replications in slices of
+that size, so it never holds a larger stack.
 
 `active_set` solves quantile + weighted-l2 and squared + l1 exactly.
 `admm_batch` (unpenalized ADMM sweeps) only warm-starts a single fit's
@@ -137,7 +138,8 @@ def active_set(Q, q, A, c, w, tau):
 
 
 #: simplex_polish holds a few R x n arrays per call; callers pass it
-#: slices of max(1, SLICE_ROWS // n) reps, about 256 KiB per array.
+#: slices of max(1, SLICE_ROWS // n) reps, about 256 KiB per array.  The
+#: tables 1-2 study draws its replications in slices of the same size.
 SLICE_ROWS = 2 ** 15
 
 

@@ -168,6 +168,8 @@ def _cmd_tune(args) -> int:
     names = data.dtype.names or ()
     y = _column(data, "y")
     n = y.size
+    if args.m < 1:
+        raise MixconcError("block length m must be >= 1")
     if n % args.m:
         raise MixconcError("block length m must divide the sample size")
     nbeta = n // args.m

@@ -347,7 +347,8 @@ def _finish_exact(X, y, tau, pen, theta0, tol):
 
     Every rep gets the l1 penalty's augmented rows.  The simplex pivot
     steps the stack in slices of max(1, _admm.SLICE_ROWS // rows) reps,
-    the augmented rows counted.  One `subgradient_residual` call
+    the augmented rows counted; a tables 1-2 chunk passes one such slice
+    per call, so the loop runs once there.  One `subgradient_residual` call
     certifies every rep whose pivot did not stall, the whole stack at
     once (R = 1 for a single fit).  A rep whose pivot stalls or whose
     certificate exceeds tol goes to the LP on its own, and its LP fit is

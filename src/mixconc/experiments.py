@@ -3,25 +3,30 @@ check, and the concentration-bound evaluators.
 
 The studies draw their data with `datagen`, fit and certify with
 `estimators` (the sieve study with `sieves.family_fits`), and choose sieve
-dimensions with `tuning`.  Replications are split into fixed-size chunks;
-each chunk derives the keys of its substreams from (master_seed, global
-replication index) in one `datagen.spawn_keys` pass, so reports are
-bit-identical for any worker count.
-A study maps the chunks of all its cells through one process pool.  The
-median fits of a tables 1-2 chunk are pivoted and certified together, as
-one stack, and its mean fits are certified as one stack too.
+dimensions with `tuning`.  Replications are split into fixed-size chunks.
+The keys of a replication's substreams derive from (master_seed, global
+replication index), one `datagen.spawn_keys` pass per chunk (per slice in
+tables 1-2), so reports are bit-identical for any worker count.
+A study maps the chunks of all its cells through one process pool; the
+chunk is the pool's grain and the unit of the report sums.  A tables 1-2
+chunk walks its replications in slices of the pivot's size
+(`_admm.SLICE_ROWS`): each slice is drawn, its mean fits are solved and
+certified as one stack, and its median fits are pivoted and certified as
+one stack, so a chunk's memory is bounded whatever its size.
 """
 
 import csv
 import dataclasses
 import json
 import math
+import numbers
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _admm
 from .complexity import UniversalConstants
 from .datagen import (_block_stream, _generator, _np_design,
                       linear_design_stack, np_target, spawn_keys)
@@ -187,30 +192,46 @@ def _run_cells(fn, cell_tasks, workers: int) -> list[list]:
 
 
 def _tables12_chunk(args):
-    (n, m, d, seed, rep_range, tol) = args
-    data = linear_design_stack(n, m, d, seed, range(*rep_range))
-    X, y, truth, design = data.X, data.y, data.truth, data.meta["design"]
-    # mean regression: the normal equations by batched BLAS products,
-    # certified by the gradient norm 2 |X'r| / n
-    Xt = X.transpose(0, 2, 1)
-    theta_mean = np.linalg.solve(Xt @ X, Xt @ y[..., None])[..., 0]
-    mean_resid = _squared_gradient(X, y - (X @ theta_mean[..., None])[..., 0],
-                                   theta_mean, NO_PENALTY)
-    delta_mean = delta_p(design, SQUARED, theta_mean, truth)
-    # median regression: exact pivot over the chunk from the least-squares
-    # fits, certified as one stack, LP fallback per rep
-    theta_med, resid, _ = _finish_exact(X, y, 0.5, NO_PENALTY, theta_mean, tol)
+    """The report sums of one chunk of a tables 1-2 cell.
+
+    The chunk's reps are drawn, fitted and certified in slices of the
+    pivot's own size, max(1, _admm.SLICE_ROWS // n) reps (32 at n = 1000,
+    the whole chunk at n <= 131), so a chunk holds one slice of draws at a
+    time whatever its size.  Each slice keeps only per-rep vectors: the two
+    distances, the median certificates and the mean-ok mask.  The sums are
+    taken over the chunk's concatenated vectors, so they do not depend on
+    the slicing."""
+    (n, m, d, seed, (start, stop), tol) = args
+    step = max(1, _admm.SLICE_ROWS // n)
+    parts = []
+    for lo in range(start, stop, step):
+        reps = range(lo, min(lo + step, stop))
+        data = linear_design_stack(n, m, d, seed, reps)
+        X, y, truth, design = data.X, data.y, data.truth, data.meta["design"]
+        # mean regression: the normal equations by batched BLAS products,
+        # certified by the gradient norm 2 |X'r| / n
+        Xt = X.transpose(0, 2, 1)
+        theta_mean = np.linalg.solve(Xt @ X, Xt @ y[..., None])[..., 0]
+        mean_resid = _squared_gradient(
+            X, y - (X @ theta_mean[..., None])[..., 0], theta_mean, NO_PENALTY)
+        # median regression: exact pivot over the slice from the
+        # least-squares fits, certified as one stack, LP fallback per rep
+        theta_med, resid, _ = _finish_exact(X, y, 0.5, NO_PENALTY, theta_mean,
+                                            tol)
+        parts.append((delta_p(design, SQUARED, theta_mean, truth),
+                      mean_resid <= tol,
+                      delta_p(design, ABS_HALF, theta_med, truth), resid))
+    delta_mean, mean_ok, delta_med, resid = map(np.concatenate, zip(*parts))
     ok = resid <= tol
-    delta_med = delta_p(design, ABS_HALF, theta_med, truth)
     return {
         "mean_sum": float(delta_mean.sum()),
         "mean_sumsq": float((delta_mean ** 2).sum()),
-        "mean_ok": int((mean_resid <= tol).sum()),
+        "mean_ok": int(mean_ok.sum()),
         "med_sum": float(delta_med[ok].sum()),
         "med_sumsq": float((delta_med[ok] ** 2).sum()),
         "med_ok": int(ok.sum()),
         "worst_resid": float(resid[ok].max(initial=0.0)),
-        "reps": rep_range[1] - rep_range[0],
+        "reps": stop - start,
     }
 
 
@@ -457,7 +478,12 @@ def l1_envelope(rho: float, D: float, g0: float) -> tuple[float, float]:
 
 
 def eval_bound(params: BoundParams) -> dict:
-    """Numeric right-hand side of the concentration bound, with components."""
+    """Numeric right-hand side of the concentration bound, with components.
+    Every numeric parameter must be finite."""
+    for f in dataclasses.fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, numbers.Real) and not math.isfinite(value):
+            raise DomainError(f"{f.name} must be finite, got {value!r}")
     if params.d < 1:
         raise DomainError("d must be >= 1")
     if not 0.0 < params.tau < 1.0:

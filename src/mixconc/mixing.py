@@ -7,7 +7,9 @@ The weight function
 
 is a step function of u; every integral against it is computed exactly by
 summing level * segment-length over its finitely many plateaus, never by
-sampling, so all downstream bounds are deterministic.
+sampling, so all downstream bounds are deterministic.  Only the analytic
+quantile functions integrate numerically; `scipy.integrate` is imported
+inside its two users, so importing the package does not load it.
 """
 
 import math
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError, NonFinite, UnsupportedModel
 from .lattice import SampleLattice
@@ -47,10 +48,12 @@ class BetaMixingModel:
     def __post_init__(self):
         if self.kind not in ("indicator", "polynomial", "iid"):
             raise DomainError(f"unknown kind {self.kind!r}")
-        if self.kind == "indicator" and (self.M is None or self.M < 1):
+        if self.kind == "indicator" and (self.M is None
+                                         or not 1 <= self.M < math.inf):
             raise DomainError("indicator model needs a positive integer M")
-        if self.kind == "polynomial" and (self.m0 is None or self.m0 <= 0):
-            raise DomainError("polynomial model needs m0 > 0")
+        if self.kind == "polynomial" and (self.m0 is None
+                                          or not 0 < self.m0 < math.inf):
+            raise DomainError("polynomial model needs a finite m0 > 0")
         if self.beta0 not in (1.0, 2.0):
             raise DomainError("beta0 must be 1 or 2")
 
@@ -188,6 +191,7 @@ class QuantileFn:
         """The L^r norm of |f| implied by this quantile function."""
         if self.sample is not None:
             return float(np.mean(self.sample ** r) ** (1.0 / r))
+        from scipy import integrate
         val, _ = integrate.quad(lambda u: self.fn(u) ** r, 0.0, 1.0, limit=200)
         return val ** (1.0 / r)
 
@@ -217,6 +221,8 @@ def dep_norm(f: QuantileFn, model: BetaMixingModel, q: int,
         total = float(np.sum(level * (integral_to(hi) - integral_to(lo))))
     else:
         import warnings
+
+        from scipy import integrate
         total = 0.0
         for lo, hi, level in plateaus:
             with warnings.catch_warnings():
@@ -245,11 +251,16 @@ class EffectiveN:
     r: float
 
 
+def _check_r(r: float) -> None:
+    """The moment order r must be a finite number above 2."""
+    if not 2 < r < math.inf:
+        raise DomainError(f"r must be finite and exceed 2, got {r!r}")
+
+
 def effective_n(model: BetaMixingModel, lattice: SampleLattice,
                 r: float) -> EffectiveN:
     """n(beta) = n / (2^(1-2/r) * (int mu_{q_{n,0}}^{r/(r-2)})^((r-2)/r))."""
-    if r <= 2:
-        raise DomainError("r must exceed 2")
+    _check_r(r)
     q0 = q_nk(model, lattice, 0)
     integral = mu_integral(model, q0, r / (r - 2.0))
     value = lattice.n / (2.0 ** (1.0 - 2.0 / r) * integral ** ((r - 2.0) / r))
@@ -263,8 +274,7 @@ def b_r_factor(model: BetaMixingModel, q: int, r: float) -> float:
     tests/test_mixing.py::test_b_r_bounds_sandwich and the B_r of
     tests/test_mixing.py::test_effective_n_b_r_identity.
     """
-    if r <= 2:
-        raise DomainError("r must exceed 2")
+    _check_r(r)
     return math.sqrt(2.0) * mu_integral(model, q, r / (r - 2.0)) ** ((r - 2.0) / (2 * r))
 
 
@@ -274,8 +284,7 @@ def b_r_bounds(model: BetaMixingModel, q: int, r: float) -> tuple[float, float]:
     Case split for polynomial decay is on m0 versus r/(r-2).  The exact
     value from mu_integral always lies inside the returned pair.
     """
-    if r <= 2:
-        raise DomainError("r must exceed 2")
+    _check_r(r)
     if q < 1:
         raise DomainError("q must be >= 1")
     c = 2.0 ** (1.0 / r)
@@ -309,8 +318,7 @@ def effective_n_bounds(model: BetaMixingModel, lattice: SampleLattice,
     The bracket [x] (smallest divisor >= x) is resolved on the concrete
     lattice, which is why a SampleLattice rather than a bare n is taken.
     """
-    if r <= 2:
-        raise DomainError("r must exceed 2")
+    _check_r(r)
     n = lattice.n
     rr = r / (r - 2.0)
     if model.kind == "indicator":

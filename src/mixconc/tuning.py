@@ -135,14 +135,15 @@ def test_set(grid: TuningGrid, fits, proxy: VarianceProxy, s: float,
     `grams` the per-grid-point list of PSD matrices M_k'; no fit may be
     wider than a later one (ShapeMismatch), and every entry must be finite
     (NonFinite).  Identity matrices give the Euclidean distance.  s and
-    multiplier must be > 0.
+    multiplier must be finite and > 0.
     Each k is compared with itself too, at distance 0, so the last grid
     point is a member whenever its proxy is >= 0.
     """
-    if s <= 0:
-        raise DomainError("s must be > 0")
-    if multiplier <= 0:
-        raise DomainError("multiplier must be > 0")
+    if not 0 < s < math.inf:
+        raise DomainError(f"s must be > 0 and finite, got {s!r}")
+    if not 0 < multiplier < math.inf:
+        raise DomainError(f"multiplier must be > 0 and finite, got "
+                          f"{multiplier!r}")
     K = len(grid)
     if len(fits) != K:
         raise DomainError("fits must align with the grid")

@@ -328,7 +328,10 @@ def test_cli_tune_bad_csv(tmp_path, capsys, edit, message):
     (["--n", "64", "--model", "indicator", "--M", "0"], "positive integer M"),
     (["--n", "64", "--model", "polynomial", "--m0", "-1"], "m0 > 0"),
     (["--n", "64", "--beta0", "3"], "beta0 must be 1 or 2"),
-], ids=["n", "upsilon", "M", "m0", "beta0"])
+    (["--n", "64", "--r", "inf"], "r must be finite and exceed 2"),
+    (["--n", "64", "--r", "nan"], "r must be finite and exceed 2"),
+    (["--n", "64", "--model", "polynomial", "--m0", "nan"], "finite m0 > 0"),
+], ids=["n", "upsilon", "M", "m0", "beta0", "r-inf", "r-nan", "m0-nan"])
 def test_cli_effn_bad_input(capsys, argv, message):
     assert main(["effn"] + argv) == 2
     assert message in capsys.readouterr().err
@@ -347,8 +350,15 @@ def test_cli_effn_bad_input(capsys, argv, message):
     (["--tau", "1.5"], "tau must lie in (0, 1)"),
     (["--penalty", "l2p", "--m", "-1"], "m must be >= 0"),
     (["--E-pi0", "-1"], "E_pi0 must be >= 0"),
+    (["--lam", "nan"], "lam must be finite"),
+    (["--lam", "inf"], "lam must be finite"),
+    (["--theta-norm", "nan"], "theta_norm must be finite"),
+    (["--u", "nan"], "u must be finite"),
+    (["--L", "nan"], "L must be finite"),
+    (["--penalty", "l2p", "--m", "nan"], "m must be finite"),
 ], ids=["d", "lam", "trWinv", "l2p-lam", "theta-norm", "M-over-lambda",
-        "emin-W", "u", "tau-0", "tau-1.5", "l2p-m", "E-pi0"])
+        "emin-W", "u", "tau-0", "tau-1.5", "l2p-m", "E-pi0", "lam-nan",
+        "lam-inf", "theta-norm-nan", "u-nan", "L-nan", "l2p-m-nan"])
 def test_cli_bound_bad_input(capsys, argv, message):
     base = ["bound", "--d", "3", "--n", "64", "--upsilon", "2", "--lam", "0.1",
             "--theta-norm", "2.0"]
@@ -403,3 +413,16 @@ def test_cli_tune_fits_a_rank_deficient_spline_design(tmp_path, capsys,
     out = json.loads(capsys.readouterr().out)
     assert out["k_feasible"] == 8
     assert np.array_equal(out["coefficients"], fit.theta)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--m", "0"], "block length m must be >= 1"),
+    (["--m", "-1"], "block length m must be >= 1"),
+    (["--s", "nan"], "s must be > 0 and finite"),
+    (["--multiplier", "nan"], "multiplier must be > 0 and finite"),
+], ids=["m-0", "m-negative", "s-nan", "multiplier-nan"])
+def test_cli_tune_bad_option(tmp_path, capsys, argv, message):
+    path = tmp_path / "data.csv"
+    _np_csv(path)
+    assert main(["tune", "--data", str(path), *argv]) == 2
+    assert message in capsys.readouterr().err

@@ -108,6 +108,22 @@ def test_tables12_chunk_matches_rep_by_rep_fits(monkeypatch):
                        "reps": 8}, (n, m)
 
 
+@pytest.mark.parametrize("n", [50, 250, 1000])
+def test_tables12_chunk_draws_one_pivot_slice_at_a_time(monkeypatch, n):
+    from mixconc import _admm, experiments
+    asked, draw = [], experiments.linear_design_stack
+
+    def recorded(n, m, d, seed, reps):
+        asked.append(list(reps))
+        return draw(n, m, d, seed, reps)
+    monkeypatch.setattr(experiments, "linear_design_stack", recorded)
+    experiments._tables12_chunk((n, 1, 3, 20240901, (250, 500), 1e-6))
+    step = max(1, _admm.SLICE_ROWS // n)
+    assert all(len(reps) <= step for reps in asked)
+    assert [r for reps in asked for r in reps] == list(range(250, 500))
+    assert len(asked) == -(-250 // step)
+
+
 def test_uncertified_median_fits_fail_the_cell(monkeypatch):
     from mixconc import NonConvergence, experiments
 

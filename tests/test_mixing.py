@@ -1,8 +1,13 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mixconc
 from mixconc import (BetaMixingModel, DomainError, NonFinite, QuantileFn,
                      UnsupportedModel, b_r_bounds, b_r_factor, beta_coeff,
                      beta_inverse, build_lattice, dep_norm, effective_n,
@@ -120,6 +125,28 @@ def test_dep_norm_constant():
     assert dep_norm(f, IID2, 5) == pytest.approx(3.0 * math.sqrt(2.0))
     g = QuantileFn.analytic(lambda u: 3.0)
     assert dep_norm(g, IID2, 5) == pytest.approx(3.0 * math.sqrt(2.0), abs=1e-9)
+
+
+IMPORT_FOOTPRINT = """
+import sys
+import mixconc, mixconc.cli
+assert "scipy.integrate" not in sys.modules, "loaded on import"
+from mixconc import BetaMixingModel, QuantileFn, dep_norm
+value = dep_norm(QuantileFn.analytic(lambda u: 3.0),
+                 BetaMixingModel.iid(beta0=2.0), 5)
+assert abs(value - 3.0 * 2.0 ** 0.5) < 1e-9, value
+assert "scipy.integrate" in sys.modules
+"""
+
+
+def test_importing_the_package_leaves_scipy_integrate_unloaded():
+    # a fresh interpreter, since this one may have loaded it already
+    src = str(pathlib.Path(mixconc.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_FOOTPRINT],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_dep_norm_iid_is_l2():
