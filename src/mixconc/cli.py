@@ -29,25 +29,26 @@ from .tuning import default_s, feasible_k, lambda_grid, sieve_grid, \
     variance_proxy
 
 
-def _parse_value(raw: str):
+def _parse_item(raw: str):
     raw = raw.strip()
     if ":" in raw:
         try:
-            pairs = []
-            for part in raw.split(","):
-                a, b = part.split(":")
-                pairs.append((int(a), int(b)))
-            return tuple(pairs)
+            a, b = raw.split(":")
+            return int(a), int(b)
         except ValueError:
             pass
-    if "," in raw:
-        return tuple(_parse_value(p) for p in raw.split(","))
     for cast in (int, float):
         try:
             return cast(raw)
         except ValueError:
             continue
     return raw
+
+
+def _parse_value(raw: str):
+    """A comma list, or an n:m pair, parses as a tuple of its items."""
+    items = tuple(_parse_item(part) for part in raw.split(","))
+    return items if len(items) > 1 or isinstance(items[0], tuple) else items[0]
 
 
 def parse_config(path: str) -> dict:
@@ -105,6 +106,10 @@ def _config_from_file(args, experiment, default_grid) -> ExperimentConfig:
     unknown = set(overrides) - known
     if unknown:
         raise MixconcError(f"unknown config keys: {sorted(unknown)}")
+    if overrides.get("experiment", experiment) != experiment:
+        raise MixconcError(f"config key experiment = "
+                           f"{overrides['experiment']!r} does not match the "
+                           f"study {experiment!r}")
     fields = {}
     for key, value in overrides.items():
         default = getattr(cfg, key)

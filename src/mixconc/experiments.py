@@ -3,16 +3,16 @@ check, and the concentration-bound evaluators.
 
 The studies draw their data with `datagen`, fit and certify with
 `estimators` (the sieve study with `sieves.family_fits`), and choose sieve
-dimensions with `tuning`.  Replications are split into fixed-size chunks.
-The keys of a replication's substreams derive from (master_seed, global
-replication index), one `datagen.spawn_keys` pass per chunk (per slice in
-tables 1-2), so reports are bit-identical for any worker count.
-A study maps the chunks of all its cells through one process pool; the
-chunk is the pool's grain and the unit of the report sums.  A tables 1-2
-chunk walks its replications in slices of the pivot's size
-(`_admm.SLICE_ROWS`): each slice is drawn, its mean fits are solved and
-certified as one stack, and its median fits are pivoted and certified as
-one stack, so a chunk's memory is bounded whatever its size.
+dimensions with `tuning`.  Replications are split into fixed-size chunks,
+and the keys of a replication's substreams derive from (master_seed,
+global replication index).  A study maps the chunks of all its cells
+through one process pool; a chunk returns per-replication values, and each
+cell's statistics are computed once from its chunks' values joined in
+replication order, so a report depends on neither the worker count nor
+`chunk_size`.  A tables 1-2 chunk walks its replications in slices of the
+pivot's size (`_admm.SLICE_ROWS`): each slice is drawn, its mean fits are
+solved and certified as one stack, and its median fits are pivoted and
+certified as one stack, so a chunk's memory is bounded whatever its size.
 """
 
 import csv
@@ -20,6 +20,7 @@ import dataclasses
 import json
 import math
 import numbers
+import operator
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -153,17 +154,23 @@ def snap_admissible(n: int, upsilon: int) -> int:
 
 
 def _snapped_grid(config: ExperimentConfig) -> list[tuple[int, int]]:
-    """The study's (n, m) cells with n snapped to an admissible size; n
-    and m must be >= 1 and m must divide the snapped n."""
-    for (n, m) in config.grid:
+    """The study's (n, m) cells with n snapped to an admissible size; each
+    entry must be an integer pair n, m >= 1 with m dividing the snapped n."""
+    grid = []
+    for entry in config.grid:
+        try:
+            n, m = map(operator.index, entry)
+        except (TypeError, ValueError):
+            raise DomainError(f"grid entry {entry!r} is not an n:m pair of "
+                              f"integers") from None
         if n < 1:
             raise DomainError(f"sample size n={n} must be >= 1")
         if m < 1:
             raise DomainError(f"block length m={m} at n={n} must be >= 1")
-    grid = [(snap_admissible(n, config.upsilon), m) for (n, m) in config.grid]
-    for (n, m) in grid:
+        n = snap_admissible(n, config.upsilon)
         if n % m:
             raise DomainError(f"m={m} does not divide (snapped) n={n}")
+        grid.append((n, m))
     return grid
 
 
@@ -171,20 +178,20 @@ def _chunks(total: int, size: int):
     return [(s, min(s + size, total)) for s in range(0, total, size)]
 
 
-def _run_cells(fn, cell_tasks, workers: int) -> list[list]:
+def _run_cells(fn, cell_tasks, workers: int) -> list[tuple]:
     """Map every cell's chunk tasks through one process pool (none for one
-    worker) and hand the results back grouped by cell, in task order."""
+    worker).  A chunk returns a tuple of per-replication arrays or lists;
+    each cell gets them joined over its chunks, in replication order."""
     flat = [task for tasks in cell_tasks for task in tasks]
     if workers <= 1:
-        results = [fn(task) for task in flat]
+        results = map(fn, flat)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(fn, flat))
-    grouped, start = [], 0
-    for tasks in cell_tasks:
-        grouped.append(results[start:start + len(tasks)])
-        start += len(tasks)
-    return grouped
+            results = iter(list(pool.map(fn, flat)))
+    return [tuple(np.concatenate(field) if isinstance(field[0], np.ndarray)
+                  else [x for part in field for x in part]
+                  for field in zip(*[next(results) for _ in tasks]))
+            for tasks in cell_tasks]
 
 
 # ---------------------------------------------------------------------------
@@ -192,15 +199,14 @@ def _run_cells(fn, cell_tasks, workers: int) -> list[list]:
 
 
 def _tables12_chunk(args):
-    """The report sums of one chunk of a tables 1-2 cell.
+    """The per-replication vectors of one chunk of a tables 1-2 cell, in
+    replication order: the mean distances, the mean-ok mask, the median
+    distances and the median certificates.
 
     The chunk's reps are drawn, fitted and certified in slices of the
     pivot's own size, max(1, _admm.SLICE_ROWS // n) reps (32 at n = 1000,
     the whole chunk at n <= 131), so a chunk holds one slice of draws at a
-    time whatever its size.  Each slice keeps only per-rep vectors: the two
-    distances, the median certificates and the mean-ok mask.  The sums are
-    taken over the chunk's concatenated vectors, so they do not depend on
-    the slicing."""
+    time whatever its size."""
     (n, m, d, seed, (start, stop), tol) = args
     step = max(1, _admm.SLICE_ROWS // n)
     parts = []
@@ -221,18 +227,16 @@ def _tables12_chunk(args):
         parts.append((delta_p(design, SQUARED, theta_mean, truth),
                       mean_resid <= tol,
                       delta_p(design, ABS_HALF, theta_med, truth), resid))
-    delta_mean, mean_ok, delta_med, resid = map(np.concatenate, zip(*parts))
-    ok = resid <= tol
-    return {
-        "mean_sum": float(delta_mean.sum()),
-        "mean_sumsq": float((delta_mean ** 2).sum()),
-        "mean_ok": int(mean_ok.sum()),
-        "med_sum": float(delta_med[ok].sum()),
-        "med_sumsq": float((delta_med[ok] ** 2).sum()),
-        "med_ok": int(ok.sum()),
-        "worst_resid": float(resid[ok].max(initial=0.0)),
-        "reps": stop - start,
-    }
+    return tuple(map(np.concatenate, zip(*parts)))
+
+
+def _mc_mean(values: np.ndarray) -> tuple[int, float, float]:
+    """Count, mean x100 and its MC standard error x100 of a cell's
+    per-replication values, from one pass of sums."""
+    count = values.size
+    total, sumsq = float(values.sum()), float((values ** 2).sum())
+    sd = 100.0 * math.sqrt(max(sumsq / count - (total / count) ** 2, 0.0))
+    return count, 100.0 * total / count, sd / math.sqrt(count)
 
 
 def run_tables12(config: ExperimentConfig) -> list[ReportRow]:
@@ -252,40 +256,31 @@ def run_tables12(config: ExperimentConfig) -> list[ReportRow]:
                rr, config.solver_tol)
               for rr in _chunks(config.mc_reps, config.chunk_size)]
              for (n, m) in grid]
-    cells: dict[tuple, dict] = {}
-    for (n, m), parts in zip(grid, _run_cells(_tables12_chunk, tasks,
-                                              config.workers)):
-        agg = {k: sum(p[k] for p in parts) for k in parts[0]}
-        agg["worst_resid"] = max(p["worst_resid"] for p in parts)
-        n_failed = agg["reps"] - agg["med_ok"]
+    stats = {}
+    for (n, m), (delta_mean, mean_ok, delta_med, resid) in zip(
+            grid, _run_cells(_tables12_chunk, tasks, config.workers)):
+        ok = resid <= config.solver_tol
+        n_failed = int(ok.size - ok.sum())
         if n_failed > 0.001 * config.mc_reps:
             raise NonConvergence(
                 f"{n_failed} uncertified median fits at (n={n}, m={m})")
-        if agg["mean_ok"] < agg["reps"]:
-            raise NonConvergence(f"{agg['reps'] - agg['mean_ok']} uncertified"
+        if not mean_ok.all():
+            raise NonConvergence(f"{int((~mean_ok).sum())} uncertified"
                                  f" mean fits at (n={n}, m={m})")
-        cells[(n, m)] = agg
+        stats["median", n, m] = (*_mc_mean(delta_med[ok]),
+                                 float(resid[ok].max(initial=0.0)))
+        stats["mean", n, m] = (*_mc_mean(delta_mean), math.nan)
 
     rows = []
-    for method, (count_key, sum_key, sumsq_key) in (
-            ("median", ("med_ok", "med_sum", "med_sumsq")),
-            ("mean", ("reps", "mean_sum", "mean_sumsq"))):
+    for method in ("median", "mean"):
         for (n, m) in grid:
-            agg = cells[(n, m)]
-            count, total, sumsq = agg[count_key], agg[sum_key], agg[sumsq_key]
-            mu = 100.0 * total / count
-            sd = 100.0 * math.sqrt(max(sumsq / count - (total / count) ** 2, 0.0))
-            base = cells[(n, 1)]
-            mu1 = 100.0 * base[sum_key] / base[count_key]
-            predicted = math.sqrt(m) * mu1
+            count, mu, se, worst = stats[method, n, m]
+            predicted = math.sqrt(m) * stats[method, n, 1][1]
             rows.append(ReportRow(
                 experiment="tables12", n=n, m=m, method=method,
                 n_beta=n / m, mu_actual=mu, mu_predicted=predicted,
-                ratio=mu / predicted,
-                mc_std_error=sd / math.sqrt(count),
-                n_reps=count, n_failed=agg["reps"] - count,
-                worst_residual=agg["worst_resid"] if method == "median"
-                else math.nan))
+                ratio=mu / predicted, mc_std_error=se, n_reps=count,
+                n_failed=config.mc_reps - count, worst_residual=worst))
     return rows
 
 
@@ -349,19 +344,17 @@ def run_tables34(config: ExperimentConfig,
                           for rr in _chunks(config.mc_reps, config.chunk_size)])
 
     rows = []
-    for (kind, oracle, n, m, proxy, kI, s_n), parts in zip(
+    for (kind, oracle, n, m, proxy, kI, s_n), (kF, chosen) in zip(
             cells, _run_cells(_tables34_chunk, tasks, config.workers)):
-        nb = n // m
-        kF = np.array([k for part in parts for k in part[0]])
         rn = np.array([math.sqrt(n) * oracle.l2_error(k, fit)
                        / (math.sqrt(m * kI) * s_n)
-                       for part in parts for k, fit in zip(*part)])
+                       for k, fit in zip(kF, chosen)])
         labels, counts = np.unique(kF, return_counts=True)
         mode = int(labels[np.argmax(counts)])
-        freq = float(counts.max() / kF.size)
+        freq = float(counts.max() / rn.size)
         q10, q50, q90 = np.quantile(rn, [0.1, 0.5, 0.9])
         rows.append(ReportRow(
-            experiment="tables34", n=n, m=m, method=kind, n_beta=nb,
+            experiment="tables34", n=n, m=m, method=kind, n_beta=n // m,
             r_q10=float(q10), r_q50=float(q50), r_q90=float(q90),
             k_ideal=kI, k_ideal_freq=1.0,
             k_feasible=mode, k_feasible_freq=freq,
@@ -419,6 +412,11 @@ def run_ols_tail(config: ExperimentConfig) -> list[ReportRow]:
     rows = []
     n, d = config.tail_n, config.d
     build_lattice(n, 2)
+    if d < 1:
+        raise DomainError(f"d must be >= 1, got {d}")
+    for u in config.tail_u:
+        if not (isinstance(u, numbers.Real) and math.isfinite(u) and u > 0):
+            raise DomainError(f"tail_u must be finite and > 0, got {u!r}")
     for mu0 in config.tail_mu0:
         if mu0 < 1 or n % mu0:
             raise DomainError(f"mu0={mu0} must be >= 1 and divide n={n}")
@@ -495,10 +493,9 @@ def eval_bound(params: BoundParams) -> dict:
     for name in ("theta_norm", "trWinv", "M_over_lambda", "E_pi0"):
         if getattr(params, name) < 0:
             raise DomainError(f"{name} must be >= 0")
-    if params.emin_W <= 0:
-        raise DomainError("emin_W must be > 0")
-    if params.u <= 0:
-        raise DomainError("u must be > 0")
+    for name, low in (("emin_W", 0), ("u", 0), ("pi0", 2)):
+        if getattr(params, name) <= low:
+            raise DomainError(f"{name} must be > {low}")
     lattice = build_lattice(params.n, params.upsilon)
     consts = UniversalConstants(p_upsilon=lattice.p_max, L_talagrand=params.L)
     nbeta = effective_n(params.model, lattice, params.pi0).value

@@ -288,11 +288,21 @@ def test_cli_simulate_bad_config_key(tmp_path, capsys, line, key):
     ("tables12", "grid = 0:1", [], "sample size n=0 must be >= 1"),
     ("tables34", "grid = -5:1", [], "sample size n=-5 must be >= 1"),
     ("tables12", "grid = 50:1\nupsilon = 0", [], "upsilon must be positive"),
+    ("tables12", "grid = 50", [], "grid entry 50 is not an n:m pair"),
+    ("tables34", "grid = 50:1,100", [], "grid entry 100 is not an n:m pair"),
+    ("tables12", "experiment = tables34", [],
+     "experiment = 'tables34' does not match the study 'tables12'"),
+    ("ols-tail", "d = 0", [], "d must be >= 1, got 0"),
+    ("ols-tail", "tail_u = 0", [], "tail_u must be finite and > 0, got 0"),
+    ("ols-tail", "tail_u = 4,-4", [], "tail_u must be finite and > 0, got -4"),
+    ("ols-tail", "tail_u = nan", [], "tail_u must be finite and > 0, got nan"),
 ], ids=["tables12-m0", "tables34-m0", "tables12-m-neg", "tables12-d0",
         "tables12-reps0", "tables34-reps0", "ols-tail-reps0",
         "tables12-reps-neg", "tables12-chunk0", "ols-tail-chunk-float",
         "tables12-no-m1", "tables12-n-below-d", "tables12-n0",
-        "tables34-n-neg", "tables12-upsilon0"])
+        "tables34-n-neg", "tables12-upsilon0", "tables12-grid-scalar",
+        "tables34-grid-entry", "tables12-experiment-key", "ols-tail-d0",
+        "ols-tail-u0", "ols-tail-u-neg", "ols-tail-u-nan"])
 def test_cli_simulate_bad_grid_or_design(tmp_path, capsys, study, lines,
                                           args, message):
     cfg = tmp_path / "t.cfg"
@@ -356,9 +366,12 @@ def test_cli_effn_bad_input(capsys, argv, message):
     (["--u", "nan"], "u must be finite"),
     (["--L", "nan"], "L must be finite"),
     (["--penalty", "l2p", "--m", "nan"], "m must be finite"),
+    (["--pi0", "2"], "pi0 must be > 2"),
+    (["--pi0", "1.5"], "pi0 must be > 2"),
 ], ids=["d", "lam", "trWinv", "l2p-lam", "theta-norm", "M-over-lambda",
         "emin-W", "u", "tau-0", "tau-1.5", "l2p-m", "E-pi0", "lam-nan",
-        "lam-inf", "theta-norm-nan", "u-nan", "L-nan", "l2p-m-nan"])
+        "lam-inf", "theta-norm-nan", "u-nan", "L-nan", "l2p-m-nan", "pi0-2",
+        "pi0-1.5"])
 def test_cli_bound_bad_input(capsys, argv, message):
     base = ["bound", "--d", "3", "--n", "64", "--upsilon", "2", "--lam", "0.1",
             "--theta-norm", "2.0"]
