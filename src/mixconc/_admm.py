@@ -10,9 +10,9 @@ minimizer.  The l1 penalty reduces to it on data augmented with the rows
 pivots a stack of R problems of one shape at once, X (R, n, d), y (R, n)
 and starts (R, d), and returns the (R, d) solutions with an (R,) mask of
 the reps that stalled; a single fit is R = 1.  Its memory grows with
-R n, so callers walk a larger stack in slices of max(1, SLICE_ROWS // n)
-reps; the tables 1-2 study draws and fits its replications in slices of
-that size, so it never holds a larger stack.
+R n, so callers pass it stacks of at most max(1, SLICE_ROWS // n) reps:
+the tables 1-2 study cuts its replications into chunks of that size, so
+it never draws or holds a larger stack.
 
 `active_set` solves quantile + weighted-l2 and squared + l1 exactly.
 `admm_batch` (unpenalized ADMM sweeps) only warm-starts a single fit's
@@ -138,8 +138,8 @@ def active_set(Q, q, A, c, w, tau):
 
 
 #: simplex_polish holds a few R x n arrays per call; callers pass it
-#: slices of max(1, SLICE_ROWS // n) reps, about 256 KiB per array.  The
-#: tables 1-2 study draws its replications in slices of the same size.
+#: stacks of at most max(1, SLICE_ROWS // n) reps, about 256 KiB per
+#: array.  The tables 1-2 study cuts its chunks to that size.
 SLICE_ROWS = 2 ** 15
 
 
@@ -151,7 +151,7 @@ def simplex_polish(X, y, theta, tau=0.5):
     and an (R,) mask of the reps whose pivoting stalled; a stalled rep
     keeps its starting theta (the caller falls back to the LP).  A single
     fit is R = 1.  Every array here is R x n or smaller, so a caller holds
-    memory to a bound by passing slices of SLICE_ROWS // n reps.
+    memory to a bound by passing at most max(1, SLICE_ROWS // n) reps.
 
     Each rep starts from the basis of the d smallest-|residual| rows at its
     theta that are linearly independent.  Each pivot solves the dual box

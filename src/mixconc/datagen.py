@@ -39,11 +39,11 @@ def spawn_keys(seed: int, rep, stream) -> np.ndarray:
     shape plus a last axis of 2 (uint64), and its entry at a pair equals
     np.random.SeedSequence(seed, spawn_key=(rep, stream)).generate_state(
     2, np.uint64), the key Philox takes from that SeedSequence.  The seed
-    is hashed once; the words of the pairs are hashed on uint64 arrays,
-    one pass for all pairs whose indices have the same number of 32-bit
-    words, or on Python ints pair by pair up to _FEW_KEYS pairs, where
-    that is cheaper than the pass's ~100 numpy calls.  A negative or
-    non-integer seed or index raises DomainError."""
+    is hashed once.  When every index fits one 32-bit word, as a study's
+    do, the pairs are hashed in one pass on uint64 arrays; otherwise, and
+    for up to _FEW_KEYS pairs, where that is cheaper than the pass's ~100
+    numpy calls, they are hashed pair by pair on Python ints.  A negative
+    or non-integer seed or index raises DomainError."""
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     rep, stream = np.broadcast_arrays(np.asarray(rep), np.asarray(stream))
@@ -55,27 +55,13 @@ def spawn_keys(seed: int, rep, stream) -> np.ndarray:
     words = _words(int(seed))
     state = _absorb(words + [0] * (_POOL - len(words)))
     shape = rep.shape
-    if rep.size <= _FEW_KEYS:
+    if rep.size <= _FEW_KEYS or max(rep.max(), stream.max()) > _MASK32:
         return np.array([_key(_absorb(_words(r) + _words(s), *state))
                          for r, s in zip(rep.ravel().tolist(),
                                          stream.ravel().tolist())],
                         dtype=np.uint64).reshape(shape + (2,))
-    rep = rep.astype(np.uint64).ravel()
-    stream = stream.astype(np.uint64).ravel()
-    keys = np.empty((rep.size, 2), dtype=np.uint64)
-    wide_rep, wide_stream = rep > _MASK32, stream > _MASK32
-    for wr in (False, True):
-        for ws in (False, True):
-            pick = np.flatnonzero((wide_rep == wr) & (wide_stream == ws))
-            if not pick.size:
-                continue
-            tail = []
-            for value, wide in ((rep[pick], wr), (stream[pick], ws)):
-                tail.append(value & _MASK32)
-                if wide:
-                    tail.append(value >> 32)
-            keys[pick] = np.stack(_key(_absorb(tail, *state)), axis=-1)
-    return keys.reshape(shape + (2,))
+    tail = [rep.astype(np.uint64), stream.astype(np.uint64)]
+    return np.stack(_key(_absorb(tail, *state)), axis=-1)
 
 
 #: spawn_keys hashes up to this many pairs one by one on Python ints

@@ -264,7 +264,7 @@ def fit_penalized(data, loss: LossSpec, pen: PenaltySpec = NO_PENALTY,
       them, a pseudo-inverse when X'X is singular) warm-start the exact
       simplex pivot (`method == "simplex"`), the l1 penalty as data
       augmented with the rows +-n lam e_j, through `_finish_exact` as a
-      stack of one (the tables 1-2 study passes it a whole chunk), which
+      stack of one (the tables 1-2 study passes it a chunk of reps), which
       certifies the stack with one `subgradient_residual` call; when the
       pivot stalls (a rank-deficient unpenalized design does) or its
       certificate exceeds tol, the HiGHS LP solves the same problem
@@ -345,14 +345,13 @@ def _finish_exact(X, y, tau, pen, theta0, tol):
     """Exact quantile fits of a stack of R problems of one shape, X
     (R, n, d) and y (R, n), from the warm starts theta0 (R, d).
 
-    Every rep gets the l1 penalty's augmented rows.  The simplex pivot
-    steps the stack in slices of max(1, _admm.SLICE_ROWS // rows) reps,
-    the augmented rows counted; a tables 1-2 chunk passes one such slice
-    per call, so the loop runs once there.  One `subgradient_residual` call
+    Every rep gets the l1 penalty's augmented rows.  One simplex pivot
+    call steps the whole stack, so the caller bounds its memory: a single
+    fit is R = 1, and a tables 1-2 chunk is at most
+    max(1, _admm.SLICE_ROWS // n) reps.  One `subgradient_residual` call
     certifies every rep whose pivot did not stall, the whole stack at
-    once (R = 1 for a single fit).  A rep whose pivot stalls or whose
-    certificate exceeds tol goes to the LP on its own, and its LP fit is
-    certified on its own.
+    once.  A rep whose pivot stalls or whose certificate exceeds tol goes
+    to the LP on its own, and its LP fit is certified on its own.
     Returns the (R, d) thetas, the (R,) certificates and the R methods
     ("simplex" or "lp"); a rep whose LP fails is returned uncertified
     (certificate inf) instead of raising, so one bad rep does not end a
@@ -365,12 +364,7 @@ def _finish_exact(X, y, tau, pen, theta0, tol):
         rows = np.broadcast_to(n * pen.lam * np.eye(d), (R, d, d))
         Xs = np.concatenate([X, rows, -rows], axis=1)
         ys = np.concatenate([y, np.zeros((R, 2 * d))], axis=1)
-    theta, stalled = np.empty((R, d)), np.empty(R, dtype=bool)
-    step = max(1, _admm.SLICE_ROWS // Xs.shape[1])
-    for lo in range(0, R, step):
-        part = slice(lo, lo + step)
-        theta[part], stalled[part] = _admm.simplex_polish(
-            Xs[part], ys[part], theta0[part], tau)
+    theta, stalled = _admm.simplex_polish(Xs, ys, theta0, tau)
     certificate, method = np.full(R, np.inf), ["simplex"] * R
     live = np.flatnonzero(~stalled)
     if live.size:

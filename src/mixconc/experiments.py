@@ -9,10 +9,10 @@ global replication index).  A study maps the chunks of all its cells
 through one process pool; a chunk returns per-replication values, and each
 cell's statistics are computed once from its chunks' values joined in
 replication order, so a report depends on neither the worker count nor
-`chunk_size`.  A tables 1-2 chunk walks its replications in slices of the
-pivot's size (`_admm.SLICE_ROWS`): each slice is drawn, its mean fits are
-solved and certified as one stack, and its median fits are pivoted and
-certified as one stack, so a chunk's memory is bounded whatever its size.
+`chunk_size`.  A tables 1-2 chunk is at most one pivot stack,
+max(1, _admm.SLICE_ROWS // n) reps: it is drawn, its mean fits are solved
+and certified as one stack, and its median fits are pivoted and certified
+as one stack, so a chunk's memory is bounded whatever `chunk_size` is.
 """
 
 import csv
@@ -73,11 +73,15 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
-        for name in ("mc_reps", "chunk_size"):
+        for name in ("mc_reps", "d", "chunk_size", "workers"):
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < 1:
                 raise DomainError(f"{name} must be an integer >= 1, "
                                   f"got {value!r}")
+        if not (isinstance(self.solver_tol, numbers.Real)
+                and 0 < self.solver_tol < math.inf):
+            raise DomainError(f"solver_tol must be finite and > 0, "
+                              f"got {self.solver_tol!r}")
 
     def replace(self, **kw) -> "ExperimentConfig":
         return dataclasses.replace(self, **kw)
@@ -203,31 +207,23 @@ def _tables12_chunk(args):
     replication order: the mean distances, the mean-ok mask, the median
     distances and the median certificates.
 
-    The chunk's reps are drawn, fitted and certified in slices of the
-    pivot's own size, max(1, _admm.SLICE_ROWS // n) reps (32 at n = 1000,
-    the whole chunk at n <= 131), so a chunk holds one slice of draws at a
-    time whatever its size."""
-    (n, m, d, seed, (start, stop), tol) = args
-    step = max(1, _admm.SLICE_ROWS // n)
-    parts = []
-    for lo in range(start, stop, step):
-        reps = range(lo, min(lo + step, stop))
-        data = linear_design_stack(n, m, d, seed, reps)
-        X, y, truth, design = data.X, data.y, data.truth, data.meta["design"]
-        # mean regression: the normal equations by batched BLAS products,
-        # certified by the gradient norm 2 |X'r| / n
-        Xt = X.transpose(0, 2, 1)
-        theta_mean = np.linalg.solve(Xt @ X, Xt @ y[..., None])[..., 0]
-        mean_resid = _squared_gradient(
-            X, y - (X @ theta_mean[..., None])[..., 0], theta_mean, NO_PENALTY)
-        # median regression: exact pivot over the slice from the
-        # least-squares fits, certified as one stack, LP fallback per rep
-        theta_med, resid, _ = _finish_exact(X, y, 0.5, NO_PENALTY, theta_mean,
-                                            tol)
-        parts.append((delta_p(design, SQUARED, theta_mean, truth),
-                      mean_resid <= tol,
-                      delta_p(design, ABS_HALF, theta_med, truth), resid))
-    return tuple(map(np.concatenate, zip(*parts)))
+    The chunk is one pivot stack (`run_tables12` cuts it at most
+    max(1, _admm.SLICE_ROWS // n) reps long): it is drawn once, and its
+    mean and median fits are solved and certified as stacks."""
+    (n, m, d, seed, reps, tol) = args
+    data = linear_design_stack(n, m, d, seed, range(*reps))
+    X, y, truth, design = data.X, data.y, data.truth, data.meta["design"]
+    # mean regression: the normal equations by batched BLAS products,
+    # certified by the gradient norm 2 |X'r| / n
+    Xt = X.transpose(0, 2, 1)
+    theta_mean = np.linalg.solve(Xt @ X, Xt @ y[..., None])[..., 0]
+    mean_resid = _squared_gradient(
+        X, y - (X @ theta_mean[..., None])[..., 0], theta_mean, NO_PENALTY)
+    # median regression: exact pivot over the chunk from the least-squares
+    # fits, certified as one stack, LP fallback per rep
+    theta_med, resid, _ = _finish_exact(X, y, 0.5, NO_PENALTY, theta_mean, tol)
+    return (delta_p(design, SQUARED, theta_mean, truth), mean_resid <= tol,
+            delta_p(design, ABS_HALF, theta_med, truth), resid)
 
 
 def _mc_mean(values: np.ndarray) -> tuple[int, float, float]:
@@ -242,8 +238,6 @@ def _mc_mean(values: np.ndarray) -> tuple[int, float, float]:
 def run_tables12(config: ExperimentConfig) -> list[ReportRow]:
     """Reproduce the location-regression tables: MC averages of the
     population criterion distance, x100, with sqrt(m)-scaled predictions."""
-    if config.d < 1:
-        raise DomainError(f"d must be >= 1, got {config.d}")
     grid = _snapped_grid(config)
     for (n, m) in grid:
         if n < config.d:
@@ -252,9 +246,11 @@ def run_tables12(config: ExperimentConfig) -> list[ReportRow]:
         if (n, 1) not in grid:
             raise DomainError(f"the sqrt(m) prediction at (n={n}, m={m}) "
                               f"needs the cell (n={n}, m=1) in the grid")
+    # a chunk is one pivot stack, so a worker holds one stack of draws
     tasks = [[(n, m, config.d, config.master_seed + 1000 * hash_cell(n, m),
                rr, config.solver_tol)
-              for rr in _chunks(config.mc_reps, config.chunk_size)]
+              for rr in _chunks(config.mc_reps, min(
+                  config.chunk_size, max(1, _admm.SLICE_ROWS // n)))]
              for (n, m) in grid]
     stats = {}
     for (n, m), (delta_mean, mean_ok, delta_med, resid) in zip(
@@ -412,8 +408,6 @@ def run_ols_tail(config: ExperimentConfig) -> list[ReportRow]:
     rows = []
     n, d = config.tail_n, config.d
     build_lattice(n, 2)
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d}")
     for u in config.tail_u:
         if not (isinstance(u, numbers.Real) and math.isfinite(u) and u > 0):
             raise DomainError(f"tail_u must be finite and > 0, got {u!r}")

@@ -115,11 +115,11 @@ def mu_q(model: BetaMixingModel, q: int, u: float) -> int:
 def _mu_plateaus(model: BetaMixingModel,
                  q: int) -> list[tuple[float, float, int]]:
     """The plateaus (lo, hi, level) of mu_q with hi > lo: mu_q equals level
-    on (lo, hi].  With the thresholds 0.5*beta(i), i = 0..q, clipped into
-    [0, 1] and sorted t_(1) >= ... >= t_(q+1), and t_(q+2) := 0, plateau j
-    is (t_(j+1), t_(j)], in order of j."""
-    t = np.minimum(np.sort([0.5 * beta_coeff(model, i)
-                            for i in range(q + 1)])[::-1], 1.0)
+    on (lo, hi].  The thresholds t_(i+1) = 0.5*beta(i), i = 0..q, never
+    increase and never exceed 1, since beta0 is 1 or 2 and beta(i) <= 1
+    for i >= 1; with t_(q+2) := 0, plateau j is (t_(j+1), t_(j)], in order
+    of j."""
+    t = np.array([0.5 * beta_coeff(model, i) for i in range(q + 1)])
     lows = np.append(t[1:], 0.0)
     return [(float(lo), float(hi), j)
             for j, (lo, hi) in enumerate(zip(lows, t), start=1) if hi > lo]

@@ -272,7 +272,7 @@ def test_cli_simulate_bad_config_key(tmp_path, capsys, line, key):
     ("tables34", "grid = 50:0", [], "block length m=0 at n=50 must be >= 1"),
     ("tables12", "grid = 50:-1", [],
      "block length m=-1 at n=50 must be >= 1"),
-    ("tables12", "grid = 50:1\nd = 0", [], "d must be >= 1"),
+    ("tables12", "grid = 50:1\nd = 0", [], "d must be an integer >= 1, got 0"),
     ("tables12", "", ["--reps", "0"], "mc_reps must be an integer >= 1, got 0"),
     ("tables34", "", ["--reps", "0"], "mc_reps must be an integer >= 1, got 0"),
     ("ols-tail", "", ["--reps", "0"], "mc_reps must be an integer >= 1, got 0"),
@@ -292,17 +292,29 @@ def test_cli_simulate_bad_config_key(tmp_path, capsys, line, key):
     ("tables34", "grid = 50:1,100", [], "grid entry 100 is not an n:m pair"),
     ("tables12", "experiment = tables34", [],
      "experiment = 'tables34' does not match the study 'tables12'"),
-    ("ols-tail", "d = 0", [], "d must be >= 1, got 0"),
+    ("ols-tail", "d = 0", [], "d must be an integer >= 1, got 0"),
     ("ols-tail", "tail_u = 0", [], "tail_u must be finite and > 0, got 0"),
     ("ols-tail", "tail_u = 4,-4", [], "tail_u must be finite and > 0, got -4"),
     ("ols-tail", "tail_u = nan", [], "tail_u must be finite and > 0, got nan"),
+    ("tables12", "grid = 50:1\nd = 2.5", [],
+     "d must be an integer >= 1, got 2.5"),
+    ("tables12", "grid = 50:1\nsolver_tol = -1", [],
+     "solver_tol must be finite and > 0, got -1"),
+    ("tables12", "grid = 50:1\nsolver_tol = nan", [],
+     "solver_tol must be finite and > 0, got nan"),
+    ("tables12", "grid = 50:1\nsolver_tol = 0", [],
+     "solver_tol must be finite and > 0, got 0"),
+    ("tables12", "grid = 50:1\nworkers = 0", [],
+     "workers must be an integer >= 1, got 0"),
 ], ids=["tables12-m0", "tables34-m0", "tables12-m-neg", "tables12-d0",
         "tables12-reps0", "tables34-reps0", "ols-tail-reps0",
         "tables12-reps-neg", "tables12-chunk0", "ols-tail-chunk-float",
         "tables12-no-m1", "tables12-n-below-d", "tables12-n0",
         "tables34-n-neg", "tables12-upsilon0", "tables12-grid-scalar",
         "tables34-grid-entry", "tables12-experiment-key", "ols-tail-d0",
-        "ols-tail-u0", "ols-tail-u-neg", "ols-tail-u-nan"])
+        "ols-tail-u0", "ols-tail-u-neg", "ols-tail-u-nan", "tables12-d-float",
+        "tables12-tol-neg", "tables12-tol-nan", "tables12-tol0",
+        "tables12-workers0"])
 def test_cli_simulate_bad_grid_or_design(tmp_path, capsys, study, lines,
                                           args, message):
     cfg = tmp_path / "t.cfg"

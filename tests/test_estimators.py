@@ -708,25 +708,6 @@ def test_stacked_pivot_on_rounded_designs(n, m, seed):
         assert stalled[r] or np.array_equal(theta[r], reference)
 
 
-def test_stacked_pivot_slices_do_not_change_the_fits(monkeypatch):
-    # 7 reps in slices of 3 (3, 3, 1) against one call over all 7
-    X, y = _stacked_draws(60, 2, 3, 9, 7)
-    theta0 = _lstsq_starts(X, y)
-    whole = est._finish_exact(X, y, 0.5, NO_PENALTY, theta0, 1e-6)
-    calls = []
-
-    def counting(X, y, theta, tau=0.5):
-        calls.append(len(X))
-        return simplex_polish(X, y, theta, tau)
-    simplex_polish = _admm.simplex_polish
-    monkeypatch.setattr(_admm, "simplex_polish", counting)
-    monkeypatch.setattr(_admm, "SLICE_ROWS", 3 * 60)
-    sliced = est._finish_exact(X, y, 0.5, NO_PENALTY, theta0, 1e-6)
-    assert calls == [3, 3, 1]
-    assert np.array_equal(whole[0], sliced[0])
-    assert np.array_equal(whole[1], sliced[1]) and whole[2] == sliced[2]
-
-
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(reps=st.integers(2, 6), k=st.integers(6, 40),
        m=st.sampled_from([1, 2, 5]), d=st.integers(2, 5),

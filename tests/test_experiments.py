@@ -46,7 +46,8 @@ def ref12():
     return cfg, [repr(row) for row in run_tables12(cfg)]
 
 
-@pytest.mark.parametrize("chunk_size,workers", CHUNK_SIZES_AND_WORKERS)
+@pytest.mark.parametrize("chunk_size,workers", CHUNK_SIZES_AND_WORKERS
+                         + [(2000, 1), (2000, 2)])
 def test_tables12_deterministic_across_workers(ref12, chunk_size, workers):
     # every row, to the last bit, whatever the chunk size and worker count
     cfg, ref = ref12
@@ -88,13 +89,12 @@ def test_one_process_pool_per_study(monkeypatch):
     assert len(starts) == 2
 
 
-def test_tables12_chunk_matches_rep_by_rep_fits(monkeypatch):
-    # a chunk of 8 reps of every cell, pivoted in slices of max(1, 1000 // n)
-    # reps, against its reps fitted one at a time, R = 1
-    from mixconc import (ABS_HALF, NO_PENALTY, SQUARED, _admm, delta_p,
-                         experiments, make_linear_design)
+def test_tables12_chunk_matches_rep_by_rep_fits():
+    # a chunk of 8 reps of every cell, pivoted as one stack, against its
+    # reps fitted one at a time, R = 1
+    from mixconc import (ABS_HALF, NO_PENALTY, SQUARED, delta_p, experiments,
+                         make_linear_design)
     from mixconc.estimators import _finish_exact, _squared_gradient
-    monkeypatch.setattr(_admm, "SLICE_ROWS", 1000)
     reps, tol = (0, 8), 1e-6
     for n, m in TABLES12_GRID:
         seed = 20240901 + 1000 * hash_cell(n, m)
@@ -122,20 +122,23 @@ def test_tables12_chunk_matches_rep_by_rep_fits(monkeypatch):
             assert a.dtype == b.dtype and np.array_equal(a, b), (n, m)
 
 
-@pytest.mark.parametrize("n", [50, 250, 1000])
-def test_tables12_chunk_draws_one_pivot_slice_at_a_time(monkeypatch, n):
+def test_tables12_chunks_are_one_pivot_stack(monkeypatch):
+    # chunk_size 2000 is cut at the pivot's stack of max(1, SLICE_ROWS // n)
+    # reps, and each cell's chunks cover its reps in order
     from mixconc import _admm, experiments
-    asked, draw = [], experiments.linear_design_stack
+    asked, chunk = [], experiments._tables12_chunk
 
-    def recorded(n, m, d, seed, reps):
-        asked.append(list(reps))
-        return draw(n, m, d, seed, reps)
-    monkeypatch.setattr(experiments, "linear_design_stack", recorded)
-    experiments._tables12_chunk((n, 1, 3, 20240901, (250, 500), 1e-6))
-    step = max(1, _admm.SLICE_ROWS // n)
-    assert all(len(reps) <= step for reps in asked)
-    assert [r for reps in asked for r in reps] == list(range(250, 500))
-    assert len(asked) == -(-250 // step)
+    def recorded(args):
+        asked.append(args)
+        return chunk(args)
+    monkeypatch.setattr(experiments, "_tables12_chunk", recorded)
+    grid = ((50, 1), (250, 1), (1000, 1))
+    run_tables12(ExperimentConfig(grid=grid, mc_reps=700, chunk_size=2000))
+    for n, _ in grid:
+        spans = [args[4] for args in asked if args[0] == n]
+        step = max(1, _admm.SLICE_ROWS // n)
+        assert all(stop - start <= step for start, stop in spans)
+        assert [r for span in spans for r in range(*span)] == list(range(700))
 
 
 def test_uncertified_median_fits_fail_the_cell(monkeypatch):

@@ -100,6 +100,22 @@ def test_mu_integral_matches_riemann():
         assert mu_integral(model, q, a) == pytest.approx(riemann, abs=5e-4)
 
 
+@pytest.mark.parametrize("beta0", [1.0, 2.0])
+@pytest.mark.parametrize("q", [0, 1, 5, 200])
+def test_mu_plateaus_need_no_sort_or_clip(beta0, q):
+    # the thresholds 0.5 beta(i) come sorted and within [0, 1] already
+    from mixconc.mixing import _mu_plateaus
+    for model in (BetaMixingModel.indicator(4, beta0=beta0),
+                  BetaMixingModel.polynomial(1.5, beta0=beta0),
+                  BetaMixingModel.iid(beta0=beta0)):
+        t = np.minimum(np.sort([0.5 * beta_coeff(model, i)
+                                for i in range(q + 1)])[::-1], 1.0)
+        lows = np.append(t[1:], 0.0)
+        want = [(float(lo), float(hi), j) for j, (lo, hi)
+                in enumerate(zip(lows, t), start=1) if hi > lo]
+        assert _mu_plateaus(model, q) == want
+
+
 # -- q_nk ---------------------------------------------------------------------
 
 
