@@ -122,23 +122,29 @@ def test_tables12_chunk_matches_rep_by_rep_fits():
             assert a.dtype == b.dtype and np.array_equal(a, b), (n, m)
 
 
-def test_tables12_chunks_are_one_pivot_stack(monkeypatch):
+@pytest.mark.parametrize("n", [50, 250, 1000])
+def test_tables12_chunk_draws_one_pivot_slice_at_a_time(monkeypatch, n):
     # chunk_size 2000 is cut at the pivot's stack of max(1, SLICE_ROWS // n)
-    # reps, and each cell's chunks cover its reps in order
+    # reps, each chunk draws its reps once, and the chunks cover them in order
     from mixconc import _admm, experiments
-    asked, chunk = [], experiments._tables12_chunk
+    asked, drawn = [], []
+    chunk, draw = experiments._tables12_chunk, experiments.linear_design_stack
 
-    def recorded(args):
-        asked.append(args)
+    def recorded_chunk(args):
+        asked.append(args[4])
         return chunk(args)
-    monkeypatch.setattr(experiments, "_tables12_chunk", recorded)
-    grid = ((50, 1), (250, 1), (1000, 1))
-    run_tables12(ExperimentConfig(grid=grid, mc_reps=700, chunk_size=2000))
-    for n, _ in grid:
-        spans = [args[4] for args in asked if args[0] == n]
-        step = max(1, _admm.SLICE_ROWS // n)
-        assert all(stop - start <= step for start, stop in spans)
-        assert [r for span in spans for r in range(*span)] == list(range(700))
+
+    def recorded_draw(n, m, d, seed, reps):
+        drawn.append(list(reps))
+        return draw(n, m, d, seed, reps)
+    monkeypatch.setattr(experiments, "_tables12_chunk", recorded_chunk)
+    monkeypatch.setattr(experiments, "linear_design_stack", recorded_draw)
+    run_tables12(ExperimentConfig(grid=((n, 1),), mc_reps=700,
+                                  chunk_size=2000))
+    step = max(1, _admm.SLICE_ROWS // n)
+    assert all(stop - start <= step for start, stop in asked)
+    assert drawn == [list(range(*span)) for span in asked]
+    assert [r for reps in drawn for r in reps] == list(range(700))
 
 
 def test_uncertified_median_fits_fail_the_cell(monkeypatch):
