@@ -149,9 +149,11 @@ def simplex_polish(X, y, theta, tau=0.5):
     X is (R, n, d), y (R, n) and theta (R, d): R problems of one shape,
     pivoted together.  Returns (theta, stalled): the optimal (R, d) thetas
     and an (R,) mask of the reps whose pivoting stalled; a stalled rep
-    keeps its starting theta (the caller falls back to the LP).  A single
-    fit is R = 1.  Every array here is R x n or smaller, so a caller holds
-    memory to a bound by passing at most max(1, SLICE_ROWS // n) reps.
+    keeps its starting theta.  A rep stalls at once when its X has fewer
+    than d independent rows; `estimators._finish_exact` then pivots it
+    again on its independent columns.  A single fit is R = 1.  Every
+    array here is R x n or smaller, so a caller holds memory to a bound by
+    passing at most max(1, SLICE_ROWS // n) reps.
 
     Each rep starts from the basis of the d smallest-|residual| rows at its
     theta that are linearly independent.  Each pivot solves the dual box
@@ -175,7 +177,8 @@ def simplex_polish(X, y, theta, tau=0.5):
     n, d = X.shape[1:]
     theta = np.array(theta, dtype=float)
     res = y - (X @ theta[..., None])[..., 0]
-    A, stalled = _independent_rows(X, np.argsort(np.abs(res), axis=1), d)
+    A, found = _independent_rows(X, np.argsort(np.abs(res), axis=1), d)
+    stalled = found < d
     ids = np.flatnonzero(~stalled)           # the reps still pivoting
     X, y, A = X[ids], y[ids], A[ids]
     ztol = 1e-12 * (1.0 + np.abs(y).max(axis=1, initial=0.0))[:, None]
@@ -298,9 +301,10 @@ def _solve_stack(a, b):
 def _independent_rows(X, order, d):
     """For each rep r, the first d rows of X[r], taken in order[r], that are
     linearly independent (Gram-Schmidt with a relative tolerance): an
-    (R, d) index array and the mask of the reps that have fewer."""
-    R, n, _ = X.shape
-    basis = np.zeros((R, d, d))
+    (R, d) index array, of which the first found[r] entries of each rep
+    are set, and the (R,) counts found."""
+    R, n, width = X.shape
+    basis = np.zeros((R, d, width))
     rows = np.zeros((R, d), dtype=np.intp)
     found = np.zeros(R, dtype=np.intp)
     live = np.arange(R)                  # the reps still short of d rows
@@ -318,4 +322,4 @@ def _independent_rows(X, order, d):
         rows[r, found[r]] = idx[take]
         found[r] += 1
         live = live[found[live] < d]
-    return rows, found < d
+    return rows, found

@@ -19,8 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog, lsq_linear
+from scipy.optimize import lsq_linear
 
 from . import _admm
 from .errors import (DomainError, NonConvergence, NonFinite,
@@ -232,9 +231,9 @@ def _squared_gradient(X, res, theta, pen):
 @dataclass(frozen=True)
 class Fit:
     """A certified fit: optimality_residual <= the solver tol, and method
-    names the exact path taken: "simplex", "lp", "closed_form" or
-    "active_set".  Every Fit is built by `certified_fit`, for
-    `fit_penalized` and for the sieve fits of `sieves.family_fits` alike."""
+    names the exact path taken: "simplex", "closed_form" or "active_set".
+    Every Fit is built by `certified_fit`, for `fit_penalized` and for the
+    sieve fits of `sieves.family_fits` alike."""
 
     theta: np.ndarray
     objective: float
@@ -265,13 +264,13 @@ def fit_penalized(data, loss: LossSpec, pen: PenaltySpec = NO_PENALTY,
       simplex pivot (`method == "simplex"`), the l1 penalty as data
       augmented with the rows +-n lam e_j, through `_finish_exact` as a
       stack of one (the tables 1-2 study passes it a chunk of reps), which
-      certifies the stack with one `subgradient_residual` call; when the
-      pivot stalls (a rank-deficient unpenalized design does) or its
-      certificate exceeds tol, the HiGHS LP solves the same problem
-      (`"lp"`), and an LP that fails leaves the fit uncertified
-      (NonConvergence).  The pivot reaches the same vertex from a
-      least-squares start; the sweeps stay while the benchmark's trace
-      counts them;
+      certifies the stack with one `subgradient_residual` call; a
+      rank-deficient unpenalized design is pivoted on a maximal set of
+      independent columns, with zeros off it, and a pivot that still
+      stalls leaves the fit uncertified (NonConvergence).  The HiGHS LP
+      is the tests' independent oracle only.  The pivot reaches the same
+      vertex from a least-squares start; the sweeps stay while the
+      benchmark's trace counts them;
     - squared loss, no penalty or weighted-l2: closed form
       (`"closed_form"`); an unpenalized rank-deficient design raises
       SingularDesign;
@@ -293,7 +292,7 @@ def fit_penalized(data, loss: LossSpec, pen: PenaltySpec = NO_PENALTY,
         raise ShapeMismatch(f"X {X.shape}, y {y.shape}")
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise NonFinite("fit input has a non-finite entry")
-    theta, certificate, method = _solve(X, y, loss, pen, opts.tol)
+    theta, certificate, method = _solve(X, y, loss, pen)
     return certified_fit(X, y, theta, method, loss, pen, opts.tol, certificate)
 
 
@@ -310,7 +309,7 @@ def fit_ols(data) -> Fit:
     return fit_penalized(data, SQUARED)
 
 
-def _solve(X, y, loss, pen, tol):
+def _solve(X, y, loss, pen):
     """(theta, certificate, method) of one fit, not yet certified; a
     squared-loss fit leaves its certificate (None) to `certified_fit`."""
     n, d = X.shape
@@ -328,9 +327,8 @@ def _solve(X, y, loss, pen, tol):
     if loss.kind != "squared" and kind != "weighted_l2":
         # 300 ADMM sweeps are the warm start of the exact pivot
         start = _admm.admm_batch(X[None], y[None], tau, iters=300)
-        theta, certificate, method = _finish_exact(X[None], y[None], tau, pen,
-                                                   start, tol)
-        return theta[0], certificate[0], method[0]
+        theta, certificate = _finish_exact(X[None], y[None], tau, pen, start)
+        return theta[0], certificate[0], "simplex"
     if loss.kind == "squared":       # lam |theta_j| = 2 lam rho_1/2(-theta_j)
         theta = _admm.active_set(2.0 * X.T @ X / n, 2.0 * X.T @ y / n,
                                  np.eye(d), np.zeros(d), 2.0 * pen.lam, 0.5)
@@ -341,45 +339,51 @@ def _solve(X, y, loss, pen, tol):
     return theta, subgradient_residual(X, y, theta, tau, pen), "active_set"
 
 
-def _finish_exact(X, y, tau, pen, theta0, tol):
+def _finish_exact(X, y, tau, pen, theta0):
     """Exact quantile fits of a stack of R problems of one shape, X
     (R, n, d) and y (R, n), from the warm starts theta0 (R, d).
 
     Every rep gets the l1 penalty's augmented rows.  One simplex pivot
     call steps the whole stack, so the caller bounds its memory: a single
     fit is R = 1, and a tables 1-2 chunk is at most
-    max(1, _admm.SLICE_ROWS // n) reps.  One `subgradient_residual` call
-    certifies every rep whose pivot did not stall, the whole stack at
-    once.  A rep whose pivot stalls or whose certificate exceeds tol goes
-    to the LP on its own, and its LP fit is certified on its own.
-    Returns the (R, d) thetas, the (R,) certificates and the R methods
-    ("simplex" or "lp"); a rep whose LP fails is returned uncertified
-    (certificate inf) instead of raising, so one bad rep does not end a
-    batch."""
+    max(1, _admm.SLICE_ROWS // n) reps.  An unpenalized rep whose X has
+    fewer than d independent columns stalls before its first pivot; it is
+    pivoted again on its own, on a maximal independent column set J (the
+    first in column order), with zeros off J: the objective depends on
+    X theta only, and X[:, J] spans the columns of X.  One
+    `subgradient_residual` call certifies every rep that did not stall,
+    on its full X, the whole stack at once.  Returns the (R, d) thetas and the (R,) certificates;
+    a rep that still stalls (the pivot cap, a singular basis) is returned
+    uncertified (certificate inf) instead of raising, so one bad rep does
+    not end a batch."""
     R, n, d = X.shape
     Xs, ys = X, y
-    if pen.kind == "l1" and pen.lam > 0:
+    l1 = pen.kind == "l1" and pen.lam > 0
+    if l1:
         # rho_tau(c) + rho_tau(-c) = |c|: rows +-n lam e_j with response 0
         # add n lam |theta_j| to the summed loss
         rows = np.broadcast_to(n * pen.lam * np.eye(d), (R, d, d))
         Xs = np.concatenate([X, rows, -rows], axis=1)
         ys = np.concatenate([y, np.zeros((R, 2 * d))], axis=1)
     theta, stalled = _admm.simplex_polish(Xs, ys, theta0, tau)
-    certificate, method = np.full(R, np.inf), ["simplex"] * R
+    for r in () if l1 else np.flatnonzero(stalled):
+        cols, found = _admm._independent_rows(X[r].T[None],
+                                              np.arange(d)[None], d)
+        if found[0] == d:                    # full rank: left uncertified
+            continue
+        J = cols[0, :found[0]]
+        theta[r], stalled[r] = 0.0, False    # any theta fits an all-zero X
+        if J.size:
+            sub, stuck = _admm.simplex_polish(X[r:r + 1, :, J], y[r:r + 1],
+                                              theta0[r:r + 1, J], tau)
+            theta[r, J], stalled[r] = sub[0], stuck[0]
+    certificate = np.full(R, np.inf)
     live = np.flatnonzero(~stalled)
     if live.size:
         part = slice(None) if live.size == R else live   # a view if all
         certificate[part] = subgradient_residual(X[part], y[part],
                                                  theta[part], tau, pen)
-    for r in np.flatnonzero(~(certificate <= tol)):
-        method[r] = "lp"
-        try:
-            theta[r] = quantile_lp(Xs[r], ys[r], tau)
-        except NonConvergence:
-            certificate[r] = np.inf          # this rep only: uncertified
-            continue
-        certificate[r] = subgradient_residual(X[r], y[r], theta[r], tau, pen)
-    return theta, certificate, method
+    return theta, certificate
 
 
 def certified_fit(X, y, theta, method: str, loss: LossSpec = SQUARED,
@@ -399,21 +403,6 @@ def certified_fit(X, y, theta, method: str, loss: LossSpec = SQUARED,
                              f"{tol:.1e}")
     return Fit(theta=theta, objective=_criterion(loss, pen, res, theta),
                optimality_residual=certificate, method=method)
-
-
-def quantile_lp(X, y, tau=0.5):
-    """Exact unpenalized quantile regression as a linear program (HiGHS):
-    X theta + u+ - u- = y with u+, u- >= 0."""
-    n, d = X.shape
-    c = np.r_[np.zeros(d), np.full(n, tau / n), np.full(n, (1.0 - tau) / n)]
-    A = sparse.hstack([sparse.csr_matrix(X), sparse.eye(n), -sparse.eye(n)],
-                      format="csc")
-    res = linprog(c, A_eq=A, b_eq=y,
-                  bounds=[(None, None)] * d + [(0, None)] * (2 * n),
-                  method="highs")
-    if not res.success:
-        raise NonConvergence(f"LP fallback failed: {res.message}")
-    return res.x[:d]
 
 
 # ---------------------------------------------------------------------------

@@ -220,8 +220,8 @@ def _tables12_chunk(args):
     mean_resid = _squared_gradient(
         X, y - (X @ theta_mean[..., None])[..., 0], theta_mean, NO_PENALTY)
     # median regression: exact pivot over the chunk from the least-squares
-    # fits, certified as one stack, LP fallback per rep
-    theta_med, resid, _ = _finish_exact(X, y, 0.5, NO_PENALTY, theta_mean, tol)
+    # fits, certified as one stack; a stalled rep's certificate is inf
+    theta_med, resid = _finish_exact(X, y, 0.5, NO_PENALTY, theta_mean)
     return (delta_p(design, SQUARED, theta_mean, truth), mean_resid <= tol,
             delta_p(design, ABS_HALF, theta_med, truth), resid)
 
@@ -246,20 +246,21 @@ def run_tables12(config: ExperimentConfig) -> list[ReportRow]:
         if (n, 1) not in grid:
             raise DomainError(f"the sqrt(m) prediction at (n={n}, m={m}) "
                               f"needs the cell (n={n}, m=1) in the grid")
+    seeds = [config.master_seed + 1000 * hash_cell(n, m) for (n, m) in grid]
     # a chunk is one pivot stack, so a worker holds one stack of draws
-    tasks = [[(n, m, config.d, config.master_seed + 1000 * hash_cell(n, m),
-               rr, config.solver_tol)
+    tasks = [[(n, m, config.d, seed, rr, config.solver_tol)
               for rr in _chunks(config.mc_reps, min(
                   config.chunk_size, max(1, _admm.SLICE_ROWS // n)))]
-             for (n, m) in grid]
+             for (n, m), seed in zip(grid, seeds)]
     stats = {}
-    for (n, m), (delta_mean, mean_ok, delta_med, resid) in zip(
-            grid, _run_cells(_tables12_chunk, tasks, config.workers)):
+    for (n, m), seed, (delta_mean, mean_ok, delta_med, resid) in zip(
+            grid, seeds, _run_cells(_tables12_chunk, tasks, config.workers)):
         ok = resid <= config.solver_tol
         n_failed = int(ok.size - ok.sum())
         if n_failed > 0.001 * config.mc_reps:
             raise NonConvergence(
-                f"{n_failed} uncertified median fits at (n={n}, m={m})")
+                f"{n_failed} uncertified median fits at (n={n}, m={m}), seed "
+                f"{seed}, replications {np.flatnonzero(~ok)[:5].tolist()}")
         if not mean_ok.all():
             raise NonConvergence(f"{int((~mean_ok).sum())} uncertified"
                                  f" mean fits at (n={n}, m={m})")
@@ -325,6 +326,10 @@ def run_tables34(config: ExperimentConfig,
     cells, tasks = [], []
     grid = sieve_grid(SIEVE_KS)
     sizes = _snapped_grid(config)
+    for (n, m) in sizes:
+        if n < max(SIEVE_KS):
+            raise DomainError(f"cell (n={n}, m={m}): the snapped n is below "
+                              f"the largest sieve dimension k={max(SIEVE_KS)}")
     for kind in config.basis_kinds:
         oracle = (oracles or {}).get(kind) or build_sieve_oracle(kind)
         grams = [oracle.moments(k)[0] for k in SIEVE_KS]

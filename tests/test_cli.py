@@ -285,6 +285,8 @@ def test_cli_simulate_bad_config_key(tmp_path, capsys, line, key):
     ("tables12", "grid = 50:25,50:50", [],
      "at (n=50, m=25) needs the cell (n=50, m=1)"),
     ("tables12", "grid = 2:1", [], "cell (n=2, m=1): the snapped n is below d=3"),
+    ("tables34", "grid = 5:1", [], "cell (n=5, m=1): the snapped n is below "
+     "the largest sieve dimension k=8"),
     ("tables12", "grid = 0:1", [], "sample size n=0 must be >= 1"),
     ("tables34", "grid = -5:1", [], "sample size n=-5 must be >= 1"),
     ("tables12", "grid = 50:1\nupsilon = 0", [], "upsilon must be positive"),
@@ -309,10 +311,11 @@ def test_cli_simulate_bad_config_key(tmp_path, capsys, line, key):
 ], ids=["tables12-m0", "tables34-m0", "tables12-m-neg", "tables12-d0",
         "tables12-reps0", "tables34-reps0", "ols-tail-reps0",
         "tables12-reps-neg", "tables12-chunk0", "ols-tail-chunk-float",
-        "tables12-no-m1", "tables12-n-below-d", "tables12-n0",
-        "tables34-n-neg", "tables12-upsilon0", "tables12-grid-scalar",
-        "tables34-grid-entry", "tables12-experiment-key", "ols-tail-d0",
-        "ols-tail-u0", "ols-tail-u-neg", "ols-tail-u-nan", "tables12-d-float",
+        "tables12-no-m1", "tables12-n-below-d", "tables34-n-below-k",
+        "tables12-n0", "tables34-n-neg", "tables12-upsilon0",
+        "tables12-grid-scalar", "tables34-grid-entry",
+        "tables12-experiment-key", "ols-tail-d0", "ols-tail-u0",
+        "ols-tail-u-neg", "ols-tail-u-nan", "tables12-d-float",
         "tables12-tol-neg", "tables12-tol-nan", "tables12-tol0",
         "tables12-workers0"])
 def test_cli_simulate_bad_grid_or_design(tmp_path, capsys, study, lines,

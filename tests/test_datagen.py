@@ -5,7 +5,8 @@ import pytest
 
 from mixconc import DomainError, gen_block_gaussian, make_linear_design, \
     make_np_design
-from mixconc.datagen import STREAM_VARIANCE, linear_design_stack, spawn_keys
+from mixconc.datagen import (_FEW_KEYS, STREAM_VARIANCE, linear_design_stack,
+                             spawn_keys)
 from mixconc.experiments import (TABLES12_GRID, TABLES34_GRID,
                                  ExperimentConfig, hash_cell)
 
@@ -114,15 +115,20 @@ def _study_cell_seeds():
 @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5]
                          + _study_cell_seeds())
 def test_spawn_keys_equal_seed_sequence(seed):
-    reps, streams = np.array([0, 2 ** 32 + 1]), np.arange(6)
-    keys = spawn_keys(seed, reps[:, None], streams)
-    assert keys.shape == (2, 6, 2) and keys.dtype == np.uint64
-    for i, rep in enumerate(reps):
-        for j, stream in enumerate(streams):
-            ss = np.random.SeedSequence(seed, spawn_key=(int(rep), int(stream)))
-            want = ss.generate_state(2, np.uint64)
-            assert np.array_equal(keys[i, j], want)      # the array pass
-            assert np.array_equal(spawn_keys(seed, rep, stream), want)
+    # 12 pairs with a rep above 2^32 are hashed pair by pair; 18 pairs all
+    # below 2^32, more than _FEW_KEYS, take the array pass
+    streams = np.arange(6)
+    assert 3 * streams.size > _FEW_KEYS
+    for reps in (np.array([0, 2 ** 32 + 1]), np.array([0, 1, 2 ** 32 - 1])):
+        keys = spawn_keys(seed, reps[:, None], streams)
+        assert keys.shape == (len(reps), 6, 2) and keys.dtype == np.uint64
+        for i, rep in enumerate(reps):
+            for j, stream in enumerate(streams):
+                ss = np.random.SeedSequence(seed,
+                                            spawn_key=(int(rep), int(stream)))
+                want = ss.generate_state(2, np.uint64)
+                assert np.array_equal(keys[i, j], want)
+                assert np.array_equal(spawn_keys(seed, rep, stream), want)
 
 
 def _seed_sequence_linear_design(n, m, d, seed, rep):

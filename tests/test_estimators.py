@@ -275,9 +275,7 @@ def test_stacked_certificate_of_every_tables12_cell():
         X, y = data.X, data.y
         start = np.linalg.solve(X.transpose(0, 2, 1) @ X,
                                 X.transpose(0, 2, 1) @ y[..., None])[..., 0]
-        theta, cert, method = est._finish_exact(X, y, 0.5, NO_PENALTY, start,
-                                                1e-6)
-        assert method == ["simplex"] * 40
+        theta, cert = est._finish_exact(X, y, 0.5, NO_PENALTY, start)
         stacked = _assert_stack_matches_per_rep(X, y, theta, 0.5, NO_PENALTY)
         assert np.array_equal(stacked, cert) and stacked.max() <= 1e-15
 
@@ -356,13 +354,11 @@ def test_fit_method_names_the_path_taken(monkeypatch):
     assert fit_ols((X, y)).method == "closed_form"
     assert fit_penalized((X, y), SQUARED, PenaltySpec("l1", lam=0.05)).method \
         == "active_set"
-    exact = fit_penalized_qr((X, y), 0.3, PenaltySpec("l1", lam=0.05))
-    # a stalled pivot hands the problem to the LP
+    # a stalled pivot on a full-rank design leaves the fit uncertified
     monkeypatch.setattr(_admm, "simplex_polish", lambda X, y, theta, tau=0.5:
                         (theta, np.ones(len(X), dtype=bool)))
-    fit = fit_penalized_qr((X, y), 0.3, PenaltySpec("l1", lam=0.05))
-    assert fit.method == "lp" and fit.optimality_residual <= 1e-6
-    assert fit.objective == pytest.approx(exact.objective, rel=1e-12)
+    with pytest.raises(NonConvergence):
+        fit_penalized_qr((X, y), 0.3, PenaltySpec("l1", lam=0.05))
 
 
 # -- the active-set solver against independent oracles ----------------------------
@@ -662,9 +658,9 @@ def _lstsq_starts(X, y):
 
 def _alone_and_stacked(X, y, tau, pen, theta0):
     """`_finish_exact` on the whole stack, and on each rep as R = 1."""
-    stacked = est._finish_exact(X, y, tau, pen, theta0, 1e-6)
+    stacked = est._finish_exact(X, y, tau, pen, theta0)
     alone = [est._finish_exact(X[r:r + 1], y[r:r + 1], tau, pen,
-                               theta0[r:r + 1], 1e-6) for r in range(len(X))]
+                               theta0[r:r + 1]) for r in range(len(X))]
     return stacked, alone
 
 
@@ -678,10 +674,9 @@ def test_stacked_pivot_is_bit_identical_to_single_fits(seed):
     y = np.stack([draw[1] for draw in draws])
     y[3] = np.round(y[3], 1)
     theta0 = _lstsq_starts(X, y)
-    (theta, cert, method), alone = _alone_and_stacked(X, y, tau, pen, theta0)
-    for r, (theta_r, cert_r, method_r) in enumerate(alone):
-        assert np.array_equal(theta[r], theta_r[0])
-        assert cert[r] == cert_r[0] and method[r] == method_r[0] == "simplex"
+    (theta, cert), alone = _alone_and_stacked(X, y, tau, pen, theta0)
+    for r, (theta_r, cert_r) in enumerate(alone):
+        assert np.array_equal(theta[r], theta_r[0]) and cert[r] == cert_r[0]
     assert np.all(cert <= 1e-6)
     if pen is NO_PENALTY:
         for r in range(4):
@@ -718,18 +713,23 @@ def test_stacked_pivot_on_rounded_designs(n, m, seed):
 def test_stacked_exact_fits_equal_each_rep_alone(reps, k, m, d, seed, tau,
                                                  lasso, lam, digits, dup):
     # rounded X and y put rows and responses on ties; rep `dup` has two
-    # equal columns, so its unpenalized pivot stalls and goes to the LP
+    # equal columns, so its unpenalized pivot stalls and is pivoted again on
+    # its independent columns; HiGHS checks its fit, l1 or not
     X, y = _stacked_draws(m * k, m, d, seed, reps)
     X, y = np.round(X, digits), np.round(y, digits)
     dup %= reps
     X[dup, :, 1] = X[dup, :, 0]
     pen = PenaltySpec("l1", lam=lam) if lasso else NO_PENALTY
     theta0 = _lstsq_starts(X, y)
-    (theta, cert, method), alone = _alone_and_stacked(X, y, tau, pen, theta0)
-    for r, (theta_r, cert_r, method_r) in enumerate(alone):
-        assert np.array_equal(theta[r], theta_r[0])
-        assert cert[r] == cert_r[0] and method[r] == method_r[0]
-    assert pen is not NO_PENALTY or method[dup] == "lp"
+    (theta, cert), alone = _alone_and_stacked(X, y, tau, pen, theta0)
+    for r, (theta_r, cert_r) in enumerate(alone):
+        assert np.array_equal(theta[r], theta_r[0]) and cert[r] == cert_r[0]
+    assert cert[dup] <= 1e-6
+    assert fit_penalized_qr((X[dup], y[dup]), tau, pen).method == "simplex"
+    lp = _lp_objective(X[dup], y[dup], tau, pen.lam)
+    objective = empirical_criterion(quantile_loss(tau), pen, (X[dup], y[dup]),
+                                    theta[dup])
+    assert objective <= lp + 1e-9 * (1.0 + abs(lp))
 
 
 def _batch_with_a_rank_one_rep(n=80, d=3):
@@ -751,20 +751,23 @@ def test_a_stalling_rep_leaves_the_batch_alone():
         alone, alone_stalled = _admm.simplex_polish(X[r:r + 1], y[r:r + 1],
                                                     theta0[r:r + 1], 0.5)
         assert not alone_stalled[0] and np.array_equal(theta[r], alone[0])
-    theta, cert, method = est._finish_exact(X, y, 0.5, NO_PENALTY, theta0, 1e-6)
-    assert method == ["simplex", "lp", "simplex"] and np.all(cert <= 1e-6)
+    # the rank-one rep is pivoted again on its one independent column
+    theta, cert = est._finish_exact(X, y, 0.5, NO_PENALTY, theta0)
+    assert np.all(cert <= 1e-6) and np.all(theta[1, 1:] == 0.0)
     assert cert[1] == subgradient_residual(X[1], y[1], theta[1], 0.5, NO_PENALTY)
+    assert fit_penalized_qr((X[1], y[1]), 0.5).method == "simplex"
 
 
-def test_a_failed_lp_leaves_only_its_rep_uncertified(monkeypatch):
-    X, y = _batch_with_a_rank_one_rep()
-    theta0 = np.zeros((3, 3))
+def test_a_forced_stall_leaves_only_its_rep_uncertified(monkeypatch):
+    X, y = _stacked_draws(80, 1, 3, 17, 3)          # every rep full rank
+    polish = _admm.simplex_polish
 
-    def failing(*args, **kwargs):
-        raise NonConvergence("LP fallback failed")
-    monkeypatch.setattr(est, "quantile_lp", failing)
-    theta, cert, method = est._finish_exact(X, y, 0.5, NO_PENALTY, theta0, 1e-6)
-    assert method == ["simplex", "lp", "simplex"]
+    def stall_rep_1(*args):
+        theta, stalled = polish(*args)
+        stalled[1] = True
+        return theta, stalled
+    monkeypatch.setattr(_admm, "simplex_polish", stall_rep_1)
+    theta, cert = est._finish_exact(X, y, 0.5, NO_PENALTY, np.zeros((3, 3)))
     assert cert[1] == np.inf and cert[0] <= 1e-6 and cert[2] <= 1e-6
 
 
@@ -866,9 +869,8 @@ def test_quantile_fit_does_not_depend_on_its_start(n, m, d, tau, lam):
     pen = PenaltySpec("l1", lam=lam) if lam else NO_PENALTY
     fit = fit_penalized_qr((X, y), tau, pen)
     start = np.linalg.lstsq(X, y, rcond=None)[0]
-    theta, _, method = est._finish_exact(X[None], y[None], tau, pen,
-                                         start[None], 1e-6)
-    assert fit.method == "simplex" and method == ["simplex"]
+    theta, _ = est._finish_exact(X[None], y[None], tau, pen, start[None])
+    assert fit.method == "simplex"
     assert np.all(np.abs(fit.theta - theta[0]) <= 1e-12)
 
 
@@ -876,22 +878,26 @@ RANK_DEFICIENT = {"ones-6x2": (np.ones((6, 2)), np.arange(6.0)),
                   "x2=2x1": (np.column_stack([np.ones(5), np.arange(5.0),
                                               2.0 * np.arange(5.0)]),
                              np.array([0.0, 2.0, 1.0, 5.0, 3.0])),
-                  "ones-2x3": (np.ones((2, 3)), np.arange(2.0))}
+                  "ones-2x3": (np.ones((2, 3)), np.arange(2.0)),
+                  "zeros-5x2": (np.zeros((5, 2)), np.arange(5.0)),
+                  "zero-column": (np.column_stack([np.arange(6.0),
+                                                   np.zeros(6)]),
+                                  np.array([1.0, 0.0, 3.0, 2.0, 5.0, 4.0]))}
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.1])
 @pytest.mark.parametrize("case", RANK_DEFICIENT)
 def test_rank_deficient_quantile_fits_certify(case, lam):
     # an exactly singular X'X: the warm start takes the least-norm steps;
-    # an unpenalized pivot finds fewer than d independent rows and goes to
-    # the LP, the l1 rows make the augmented design full rank
+    # an unpenalized pivot finds fewer than d independent rows and is
+    # pivoted again on the independent columns (none for an all-zero X),
+    # the l1 rows make the augmented design full rank
     X, y = RANK_DEFICIENT[case]
     start = _admm.admm_batch(X[None], y[None], 0.5, 300)
     assert np.isfinite(start).all()
     pen = PenaltySpec("l1", lam=lam) if lam else NO_PENALTY
     fit = fit_penalized_qr((X, y), 0.5, pen)
-    assert fit.method == ("simplex" if lam else "lp")
-    assert fit.optimality_residual <= 1e-6
+    assert fit.method == "simplex" and fit.optimality_residual <= 1e-6
     lp = _lp_objective(X, y, 0.5, lam)
     assert fit.objective <= lp + 1e-9 * (1.0 + abs(lp))
 

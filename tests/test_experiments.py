@@ -109,7 +109,7 @@ def test_tables12_chunk_matches_rep_by_rep_fits():
                                         theta_mean[r], NO_PENALTY)
                       for r in range(len(X))]
         fits = [_finish_exact(X[r:r + 1], y[r:r + 1], 0.5, NO_PENALTY,
-                              theta_mean[r:r + 1], tol) for r in range(len(X))]
+                              theta_mean[r:r + 1]) for r in range(len(X))]
         theta_med = np.concatenate([fit[0] for fit in fits])
         resid = np.concatenate([fit[1] for fit in fits])
         design, truth = draws[0].meta["design"], draws[0].truth
@@ -148,14 +148,27 @@ def test_tables12_chunk_draws_one_pivot_slice_at_a_time(monkeypatch, n):
 
 
 def test_uncertified_median_fits_fail_the_cell(monkeypatch):
-    from mixconc import NonConvergence, experiments
+    # replications 3 and 17 are left uncertified; the message names them
+    # and the cell's seed, from which the public draw rebuilds rep 17
+    from mixconc import NonConvergence, experiments, make_linear_design
+    finish, drawn = experiments._finish_exact, []
 
-    def uncertified(X, y, tau, pen, theta0, tol):
-        return theta0, np.full(len(X), np.inf), ["lp"] * len(X)
+    def uncertified(X, y, tau, pen, theta0):
+        theta, cert = finish(X, y, tau, pen, theta0)
+        first = 10 * len(drawn)              # chunks of 10 reps, in order
+        drawn.append(X)
+        for rep in {3, 17} & set(range(first, first + len(X))):
+            cert[rep - first] = np.inf
+        return theta, cert
     monkeypatch.setattr(experiments, "_finish_exact", uncertified)
-    with pytest.raises(NonConvergence, match=r"20 uncertified .*n=50, m=1"):
+    seed = 20240901 + 1000 * hash_cell(50, 1)
+    with pytest.raises(NonConvergence, match=rf"2 uncertified median fits at "
+                       rf"\(n=50, m=1\), seed {seed}, replications \[3, 17\]"):
         run_tables12(ExperimentConfig(grid=((50, 1),), mc_reps=20,
                                       chunk_size=10))
+    assert len(drawn) == 2
+    rebuilt = make_linear_design(50, 1, 3, seed, 17)
+    assert np.array_equal(rebuilt.X, drawn[1][7])
 
 
 def test_uncertified_mean_fits_fail_the_cell(monkeypatch):
@@ -287,3 +300,13 @@ def test_tables34_chunk_matches_per_k_lstsq(kind):
         ref = fits[SIEVE_KS.index(k)]
         assert np.linalg.norm(theta - ref) <= 1e-12 * np.linalg.norm(ref)
     assert kF == ref_kF
+
+
+def test_tables34_runs_at_n_equal_to_the_largest_sieve_dimension():
+    # the smallest cell the study fits; a smaller snapped n is refused
+    # before any fit (tests/test_cli.py)
+    n = max(SIEVE_KS)
+    rows = run_tables34(ExperimentConfig(experiment="tables34", grid=((n, 1),),
+                                         mc_reps=4))
+    assert [(row.n, row.method) for row in rows] == [(n, "polynomial"),
+                                                     (n, "pspline")]
