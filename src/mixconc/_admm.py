@@ -8,19 +8,12 @@ from vertex to vertex (fits interpolating d observations) to the
 minimizer.  The l1 penalty reduces to it on data augmented with the rows
 +-n lam e_j (response 0), since rho_tau(c) + rho_tau(-c) = |c|.  It
 pivots a stack of R problems of one shape at once, X (R, n, d), y (R, n)
-and starts (R, d), and returns the (R, d) solutions with an (R,) mask of
-the reps that stalled; a single fit is R = 1.  Its memory grows with
-R n, so callers pass it stacks of at most max(1, SLICE_ROWS // n) reps:
-the tables 1-2 study cuts its replications into chunks of that size, so
-it never draws or holds a larger stack.
+and starts (R, d); its memory grows with R n, and the caller bounds it.
 
 `active_set` solves quantile + weighted-l2 and squared + l1 exactly.
-`admm_batch` (unpenalized ADMM sweeps) only warm-starts a single fit's
-pivot: O(n d) in-place sweeps over one projection formed before the
-loop, about 6 ms for its 300 sweeps at n = 1000, d = 3 (2 CPUs,
-single-threaded BLAS).  The pivot reaches the same vertex from a
-least-squares start; the sweeps stay while the benchmark's trace counts
-them.
+`admm_batch` (unpenalized ADMM sweeps) only starts a single fit's pivot,
+about 6 ms for its 300 sweeps at n = 1000, d = 3 (2 CPUs,
+single-threaded BLAS); a stack starts from its least-squares fits.
 
 Optimality of whatever is returned is certified separately (see
 estimators.subgradient_residual).
@@ -137,23 +130,16 @@ def active_set(Q, q, A, c, w, tau):
     raise NonConvergence(f"active set: no optimum within {step + 1} steps")
 
 
-#: simplex_polish holds a few R x n arrays per call; callers pass it
-#: stacks of at most max(1, SLICE_ROWS // n) reps, about 256 KiB per
-#: array.  The tables 1-2 study cuts its chunks to that size.
-SLICE_ROWS = 2 ** 15
-
-
 def simplex_polish(X, y, theta, tau=0.5):
     """Exact vertex pivoting for a stack of unpenalized quantile regressions.
 
     X is (R, n, d), y (R, n) and theta (R, d): R problems of one shape,
-    pivoted together.  Returns (theta, stalled): the optimal (R, d) thetas
-    and an (R,) mask of the reps whose pivoting stalled; a stalled rep
-    keeps its starting theta.  A rep stalls at once when its X has fewer
-    than d independent rows; `estimators._finish_exact` then pivots it
-    again on its independent columns.  A single fit is R = 1.  Every
-    array here is R x n or smaller, so a caller holds memory to a bound by
-    passing at most max(1, SLICE_ROWS // n) reps.
+    pivoted together (a single fit is R = 1; every array here is R x n or
+    smaller).  Returns (theta, stalled): the optimal (R, d) thetas and an
+    (R,) mask of the reps whose pivoting stalled, which keep their
+    starting theta.  A rep stalls at once when its X has fewer than d
+    independent rows; `estimators._finish_exact` then pivots it again on
+    its independent columns.
 
     Each rep starts from the basis of the d smallest-|residual| rows at its
     theta that are linearly independent.  Each pivot solves the dual box

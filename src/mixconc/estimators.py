@@ -8,11 +8,11 @@ certificate is the gradient norm of the objective.  For the nonsmooth
 quantile loss it is the Euclidean distance from zero to the
 subdifferential of the objective, with the interval freedom at zero
 residuals (and at zero coefficients under the l1 penalty) resolved by a
-small box-constrained least-squares problem.  Both certificates take a
-stack of fits of one shape as well as a single fit, so the tables 1-2
-study certifies a chunk's median fits, and its mean fits, in one call
-each.  This module does not know the sieve bases: `sieves` imports it,
-not the other way round.
+small box-constrained least-squares problem.  Fits and certificates
+take a stack of fits of one shape as well as a single fit, so the tables
+1-2 study fits a chunk's mean and median regressions in one call each.
+This module does not know the sieve bases: `sieves` imports it, not the
+other way round.
 """
 
 import math
@@ -82,12 +82,12 @@ class PenaltySpec:
             return np.arange(1, d + 1, dtype=float) ** self.m
         return np.ones(d)
 
-    def value(self, theta: np.ndarray) -> float:
+    def value(self, theta: np.ndarray):
         theta = np.asarray(theta, dtype=float)
         if self.kind == "l1":
-            return float(np.abs(theta).sum())
+            return np.abs(theta).sum(axis=-1)
         if self.kind == "weighted_l2":
-            return float((self.weights(theta.size) * theta ** 2).sum())
+            return (self.weights(theta.shape[-1]) * theta ** 2).sum(axis=-1)
         return 0.0
 
 
@@ -102,14 +102,12 @@ def empirical_criterion(loss: LossSpec, pen: PenaltySpec, data, theta) -> float:
     theta = np.asarray(theta, dtype=float)
     if X.ndim != 2 or X.shape[0] != y.shape[0] or X.shape[1] != theta.shape[0]:
         raise ShapeMismatch(f"X {X.shape}, y {y.shape}, theta {theta.shape}")
-    return _criterion(loss, pen, y - X @ theta, theta)
+    return float(_criterion(loss, pen, y - X @ theta, theta))
 
 
-def _criterion(loss, pen, res, theta) -> float:
-    """The objective from the residuals res = y - X theta."""
-    # the mean squared residual as one dot product
-    total = res.dot(res) if loss.kind == "squared" else loss.values(res).sum()
-    return float(total) / res.size + pen.lam * pen.value(theta)
+def _criterion(loss, pen, res, theta):
+    """The objective of each fit from its residuals res = y - X theta."""
+    return loss.values(res).mean(axis=-1) + pen.lam * pen.value(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -198,30 +196,32 @@ def subgradient_residual(X, y, theta, tau: float, pen: PenaltySpec):
 
 def _squared_gradient(X, res, theta, pen):
     """Gradient norm of the smooth squared-loss objective at theta, from
-    the residuals res = y - X theta.  X (R, n, d), res (R, n) and theta
-    (R, d) give the (R,) norms of a stack of R fits, one BLAS dot product
-    per rep; a 2-D X gives a float."""
-    if X.ndim == 2:
-        n, d = X.shape
-        g = X.T @ res
-    else:
-        n, d = X.shape[1:]
-        g = (res[:, None] @ X)[:, 0]
-    if pen.kind == "none" or not pen.lam > 0:
-        if g.ndim == 1:
-            return 2.0 * math.sqrt(g.dot(g)) / n      # the norm of -2 g / n
-        return 2.0 * np.sqrt((g[:, None] @ g[..., None])[:, 0, 0]) / n
-    g = -2.0 * g / n
-    if pen.kind == "weighted_l2":
+    the residuals res = y - X theta, per fit of a stack X (R, n, d) (one
+    BLAS product each) or of one fit X (n, d)."""
+    n, d = X.shape[-2:]
+    g = -2.0 * (res[..., None, :] @ X)[..., 0, :] / n
+    if pen.kind == "weighted_l2" and pen.lam > 0:
         g = g + 2.0 * pen.lam * pen.weights(d) * theta
-    else:
+    elif pen.kind == "l1" and pen.lam > 0:
         # distance to -lam * subdifferential of the l1 norm
         zero = np.abs(theta) <= _ZERO_TOL
         g = g + pen.lam * np.sign(theta) * (~zero)
         g[zero] = np.maximum(np.abs(g[zero]) - pen.lam, 0.0) * np.sign(g[zero])
-    if g.ndim == 1:
-        return math.sqrt(g.dot(g))
-    return np.sqrt((g[:, None] @ g[..., None])[:, 0, 0])
+    return np.sqrt((g[..., None, :] @ g[..., None])[..., 0, 0])
+
+
+def _least_squares_qr(X, y):
+    """The one least-squares factorization, of one fit or a stack: the R
+    factor of the QR of [X | y] (X (..., n, d), y (..., n)) and the rank
+    of X, the count of diagonal entries of R above eps * n * max|R_ii|.
+    At full rank, theta solves R[:d, :d] theta = R[:d, d]."""
+    n, d = X.shape[-2:]
+    Z = np.empty(X.shape[:-2] + (d + 1, n)).swapaxes(-1, -2)  # LAPACK's order
+    Z[..., :d], Z[..., d] = X, y
+    R = np.linalg.qr(Z, mode="r")
+    pivots = np.abs(np.diagonal(R[..., :d, :d], axis1=-2, axis2=-1))
+    small = pivots <= np.finfo(float).eps * n * pivots.max(-1, keepdims=True)
+    return R, (~small).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +232,12 @@ def _squared_gradient(X, res, theta, pen):
 class Fit:
     """A certified fit: optimality_residual <= the solver tol, and method
     names the exact path taken: "simplex", "closed_form" or "active_set".
-    Every Fit is built by `certified_fit`, for `fit_penalized` and for the
-    sieve fits of `sieves.family_fits` alike."""
+    Every Fit, also a stack's ((R, d) theta, (R,) other fields), is built
+    by `certified_fit`, for `fit_penalized` and `sieves.family_fits`."""
 
     theta: np.ndarray
-    objective: float
-    optimality_residual: float
+    objective: float | np.ndarray
+    optimality_residual: float | np.ndarray
     method: str
 
 
@@ -256,44 +256,46 @@ def fit_penalized(data, loss: LossSpec, pen: PenaltySpec = NO_PENALTY,
                   opts: SolverOptions = SolverOptions()) -> Fit:
     """Penalized M-fit with a certified optimality residual; every public
     fit of a given design goes through here (the sieve fits, whose designs
-    `sieves` builds, through `sieves.family_fits`).
+    `sieves` builds, through `sieves.family_fits`).  X (R, n, d) and y
+    (R, n) are a stack of R fits of one shape, solved and certified at
+    once into one Fit; a single fit is the stack of one.
 
-    - quantile loss, no penalty or l1: 300 unpenalized ADMM sweeps
-      (`_admm.admm_batch`, O(n d) each over one projection formed before
-      them, a pseudo-inverse when X'X is singular) warm-start the exact
-      simplex pivot (`method == "simplex"`), the l1 penalty as data
-      augmented with the rows +-n lam e_j, through `_finish_exact` as a
-      stack of one (the tables 1-2 study passes it a chunk of reps), which
-      certifies the stack with one `subgradient_residual` call; a
-      rank-deficient unpenalized design is pivoted on a maximal set of
-      independent columns, with zeros off it, and a pivot that still
-      stalls leaves the fit uncertified (NonConvergence).  The HiGHS LP
-      is the tests' independent oracle only.  The pivot reaches the same
-      vertex from a least-squares start; the sweeps stay while the
-      benchmark's trace counts them;
-    - squared loss, no penalty or weighted-l2: closed form
+    - quantile loss, no penalty or l1: the exact simplex pivot
+      (`"simplex"`) through `_finish_exact`, which certifies the stack at
+      once.  A stack starts from its least-squares fits (0 where the
+      design fails `_least_squares_qr`'s rank rule), a single fit from 300
+      ADMM sweeps (`_admm.admm_batch`), and the pivot reaches the same
+      vertex.  A pivot that stalls even on a maximal set of independent
+      columns leaves the fit uncertified.  The HiGHS LP is the tests'
+      independent oracle only;
+    - squared loss, no penalty or weighted-l2 (the least squares of
+      [y; 0] on [X; (n lam P)^1/2]): closed form by `_least_squares_qr`
       (`"closed_form"`); an unpenalized rank-deficient design raises
       SingularDesign;
     - quantile + weighted-l2 and squared + l1: the exact active-set
-      solver (`"active_set"`).
+      solver (`"active_set"`), for a single fit only (ShapeMismatch).
 
     The certificate is the subgradient set-distance (quantile loss) or the
     gradient norm (squared loss); `certified_fit` checks it and builds the
     Fit, raising NonConvergence above opts.tol.
-    Before any solver runs, X (a 1-D X is one column) and y must be 2-D
-    and 1-D with as many rows as entries, at least one row and one column
-    (else ShapeMismatch), and finite (else NonFinite).
+    Before any solver runs, X (a 1-D X is one column) must be 2-D or 3-D
+    and y of its leading shape, with a row and a column (else
+    ShapeMismatch), and finite (else NonFinite).
     """
     X = np.asarray(data[0], dtype=float)
     if X.ndim == 1:
         X = X[:, None]
     y = np.asarray(data[1], dtype=float)
-    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0] or not X.size:
+    if X.ndim not in (2, 3) or y.shape != X.shape[:-1] or not X.size:
         raise ShapeMismatch(f"X {X.shape}, y {y.shape}")
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise NonFinite("fit input has a non-finite entry")
-    theta, certificate, method = _solve(X, y, loss, pen)
-    return certified_fit(X, y, theta, method, loss, pen, opts.tol, certificate)
+    single = X.ndim == 2
+    stack = (X[None], y[None]) if single else (X, y)
+    theta, cert, method = _solve(*stack, loss, pen, single)
+    if single:
+        theta, cert = theta[0], None if cert is None else cert[0]
+    return certified_fit(X, y, theta, method, loss, pen, opts.tol, cert)
 
 
 def fit_penalized_qr(data, tau: float, pen: PenaltySpec = NO_PENALTY,
@@ -305,57 +307,65 @@ def fit_penalized_qr(data, tau: float, pen: PenaltySpec = NO_PENALTY,
 
 def fit_ols(data) -> Fit:
     """Least squares: `fit_penalized` with the squared loss and no
-    penalty (`lstsq`; a rank-deficient design raises SingularDesign)."""
+    penalty (a QR; a rank-deficient design raises SingularDesign)."""
     return fit_penalized(data, SQUARED)
 
 
-def _solve(X, y, loss, pen):
-    """(theta, certificate, method) of one fit, not yet certified; a
-    squared-loss fit leaves its certificate (None) to `certified_fit`."""
-    n, d = X.shape
+def _solve(X, y, loss, pen, single):
+    """(theta, certificate, method) of a stack of fits, not yet certified;
+    a squared-loss fit leaves its certificate (None) to `certified_fit`."""
+    R, n, d = X.shape
     kind = pen.kind if pen.lam > 0 else "none"
-    if loss.kind == "squared" and kind != "l1":
-        if kind == "none":
-            theta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
-            if rank < d:
-                raise SingularDesign(f"design rank {rank} < {d}")
-        else:
-            P = np.diag(pen.weights(d))
-            theta = np.linalg.solve(X.T @ X / n + pen.lam * P, X.T @ y / n)
-        return theta, None, "closed_form"
-    tau = loss.tau
-    if loss.kind != "squared" and kind != "weighted_l2":
-        # 300 ADMM sweeps are the warm start of the exact pivot
-        start = _admm.admm_batch(X[None], y[None], tau, iters=300)
-        theta, certificate = _finish_exact(X[None], y[None], tau, pen, start)
-        return theta[0], certificate[0], "simplex"
-    if loss.kind == "squared":       # lam |theta_j| = 2 lam rho_1/2(-theta_j)
-        theta = _admm.active_set(2.0 * X.T @ X / n, 2.0 * X.T @ y / n,
-                                 np.eye(d), np.zeros(d), 2.0 * pen.lam, 0.5)
-        return theta, None, "active_set"
-    root = pen.weights(d) ** -0.5    # solved for P^(1/2) theta: Q = 2 lam I
-    theta = root * _admm.active_set(2.0 * pen.lam * np.eye(d), np.zeros(d),
-                                    X * root, y, 1.0 / n, tau)
-    return theta, subgradient_residual(X, y, theta, tau, pen), "active_set"
+    if kind == ("l1" if loss.kind == "squared" else "weighted_l2"):
+        if not single:
+            raise ShapeMismatch(f"the active-set solver takes one fit, not a "
+                                f"stack of {R}")
+        A, b = X[0], y[0]
+        if loss.kind == "squared":   # lam |theta_j| = 2 lam rho_1/2(-theta_j)
+            theta = _admm.active_set(2.0 * A.T @ A / n, 2.0 * A.T @ b / n,
+                                     np.eye(d), np.zeros(d), 2.0 * pen.lam, 0.5)
+            return theta[None], None, "active_set"
+        root = pen.weights(d) ** -0.5    # solved for P^(1/2) theta: Q = 2 lam I
+        theta = root * _admm.active_set(2.0 * pen.lam * np.eye(d), np.zeros(d),
+                                        A * root, b, 1.0 / n, loss.tau)[None]
+        return theta, subgradient_residual(X, y, theta, loss.tau, pen), \
+            "active_set"
+    if loss.kind == "squared" or not single:
+        if kind == "weighted_l2":    # [y; 0] on [X; (n lam P)^1/2]
+            rows = np.diag(np.sqrt(n * pen.lam * pen.weights(d)))
+            X = np.concatenate((X, np.broadcast_to(rows, (R, d, d))), axis=1)
+            y = np.concatenate((y, np.zeros((R, d))), axis=1)
+        F, rank = _least_squares_qr(X, y)
+        full = rank == d
+        if loss.kind == "squared" and not full.all():
+            bad = np.flatnonzero(~full)
+            where = "" if single else f" at stack positions {bad[:5].tolist()}"
+            raise SingularDesign(f"design rank {rank[bad[0]]} < {d}{where}")
+        theta = np.zeros((R, d))         # 0 where the rank rule fails
+        if full.any():
+            G = F[full]
+            theta[full] = np.linalg.solve(G[:, :d, :d], G[:, :d, d:])[..., 0]
+        if loss.kind == "squared":
+            return theta, None, "closed_form"
+    else:
+        # a single fit starts from ADMM only because the benchmark's trace
+        # test, perfbench/test_perfbench.py, pins admm.sweeps == 300
+        theta = _admm.admm_batch(X, y, loss.tau, iters=300)
+    theta, certificate = _finish_exact(X, y, loss.tau, pen, theta)
+    return theta, certificate, "simplex"
 
 
 def _finish_exact(X, y, tau, pen, theta0):
     """Exact quantile fits of a stack of R problems of one shape, X
-    (R, n, d) and y (R, n), from the warm starts theta0 (R, d).
-
-    Every rep gets the l1 penalty's augmented rows.  One simplex pivot
-    call steps the whole stack, so the caller bounds its memory: a single
-    fit is R = 1, and a tables 1-2 chunk is at most
-    max(1, _admm.SLICE_ROWS // n) reps.  An unpenalized rep whose X has
-    fewer than d independent columns stalls before its first pivot; it is
-    pivoted again on its own, on a maximal independent column set J (the
-    first in column order), with zeros off J: the objective depends on
-    X theta only, and X[:, J] spans the columns of X.  One
-    `subgradient_residual` call certifies every rep that did not stall,
-    on its full X, the whole stack at once.  Returns the (R, d) thetas and the (R,) certificates;
-    a rep that still stalls (the pivot cap, a singular basis) is returned
-    uncertified (certificate inf) instead of raising, so one bad rep does
-    not end a batch."""
+    (R, n, d) and y (R, n), from the starts theta0 (R, d): one simplex
+    pivot call on the whole stack (the l1 penalty as the data rows
+    +-n lam e_j), and one `subgradient_residual` call that certifies every
+    rep that did not stall, on its full X.  An unpenalized rep whose X has
+    fewer than d independent columns stalls at once; it is pivoted again
+    on its own, on the first maximal independent column set J, with zeros
+    off J (the objective depends on X theta only).  Returns the (R, d)
+    thetas and the (R,) certificates; a rep that still stalls (the pivot
+    cap, a singular basis) gets certificate inf."""
     R, n, d = X.shape
     Xs, ys = X, y
     l1 = pen.kind == "l1" and pen.lam > 0
@@ -388,21 +398,26 @@ def _finish_exact(X, y, tau, pen, theta0):
 
 def certified_fit(X, y, theta, method: str, loss: LossSpec = SQUARED,
                   pen: PenaltySpec = NO_PENALTY, tol: float = SolverOptions().tol,
-                  certificate: float | None = None) -> Fit:
-    """The one certification and assembly of a fit: NonConvergence unless
-    the certificate is <= tol, else the Fit of theta.
+                  certificate=None) -> Fit:
+    """The one certification and assembly of a fit, or of a stack (3-D X):
+    NonConvergence unless every certificate is <= tol, naming how many of
+    a stack failed and up to five stack positions, else the Fit of theta.
 
     The residuals y - X theta are computed once.  The objective comes from
     them, and so does the certificate when none is given (then the loss is
     the squared loss and the certificate its gradient norm)."""
-    res = y - X @ theta
+    res = y - (X @ theta[..., None])[..., 0]
     if certificate is None:
         certificate = _squared_gradient(X, res, theta, pen)
-    if not certificate <= tol:
-        raise NonConvergence(f"{method} fit: residual {certificate:.3e} > tol "
-                             f"{tol:.1e}")
-    return Fit(theta=theta, objective=_criterion(loss, pen, res, theta),
-               optimality_residual=certificate, method=method)
+    bad = np.flatnonzero(~(np.asarray(certificate) <= tol)).tolist()
+    if bad:
+        where = f" in {len(bad)} of {len(res)} fits, stack positions {bad[:5]}"
+        raise NonConvergence(f"{method} fit: residual {np.max(certificate):.3e} "
+                             f"> tol {tol:.1e}{where if X.ndim == 3 else ''}")
+    objective = _criterion(loss, pen, res, theta)
+    if X.ndim == 2:
+        objective, certificate = float(objective), float(certificate)
+    return Fit(theta, objective, certificate, method)
 
 
 # ---------------------------------------------------------------------------

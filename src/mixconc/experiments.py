@@ -9,10 +9,10 @@ global replication index).  A study maps the chunks of all its cells
 through one process pool; a chunk returns per-replication values, and each
 cell's statistics are computed once from its chunks' values joined in
 replication order, so a report depends on neither the worker count nor
-`chunk_size`.  A tables 1-2 chunk is at most one pivot stack,
-max(1, _admm.SLICE_ROWS // n) reps: it is drawn, its mean fits are solved
-and certified as one stack, and its median fits are pivoted and certified
-as one stack, so a chunk's memory is bounded whatever `chunk_size` is.
+`chunk_size`; a chunk's typed error names its study, cell, seed and
+replications.  A tables 1-2 chunk is one stack of at most max(1,
+_STACK_ROWS // n) reps, drawn once and fitted by one `fit_penalized`
+call per loss, so its memory is bounded whatever `chunk_size` is.
 """
 
 import csv
@@ -27,13 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _admm
 from .complexity import UniversalConstants
 from .datagen import (_block_stream, _generator, _np_design,
                       linear_design_stack, np_target, spawn_keys)
-from .errors import DomainError, NonConvergence
-from .estimators import (ABS_HALF, NO_PENALTY, SQUARED, _finish_exact,
-                         _squared_gradient, delta_p)
+from .errors import DomainError, MixconcError
+from .estimators import ABS_HALF, SQUARED, SolverOptions, delta_p, fit_penalized
 from .lattice import _integer, admissible_sizes, build_lattice
 from .mixing import BetaMixingModel, effective_n
 from .sieves import SieveMomentOracle, family_designs, family_fits
@@ -47,6 +45,9 @@ TABLES12_GRID = ((50, 1), (50, 2),
 TABLES34_GRID = ((100, 1), (300, 1), (500, 1), (1000, 1),
                  (2000, 1), (3000, 1), (3000, 6))
 SIEVE_KS = (3, 4, 5, 6, 7, 8)
+
+#: the rows of a tables 1-2 chunk; the pivot holds a few arrays this size
+_STACK_ROWS = 2 ** 15
 
 #: test-set multiplier that reproduces the reference selections; the
 #: displayed theoretical rule (multiplier 4 with s_n = 0.5 log(n/m)) keeps
@@ -182,20 +183,37 @@ def _chunks(total: int, size: int):
     return [(s, min(s + size, total)) for s in range(0, total, size)]
 
 
-def _run_cells(fn, cell_tasks, workers: int) -> list[tuple]:
-    """Map every cell's chunk tasks through one process pool (none for one
-    worker).  A chunk returns a tuple of per-replication arrays or lists;
-    each cell gets them joined over its chunks, in replication order."""
-    flat = [task for tasks in cell_tasks for task in tasks]
+def _cell_seed(config: ExperimentConfig, n: int, m: int, kind=None) -> int:
+    """A cell's seed: of tables 1-2 (kind None) or of a tables 3-4 basis."""
+    if kind is None:
+        return config.master_seed + 1000 * hash_cell(n, m)
+    return config.master_seed + 97 * hash_cell(n, m) + 7 * (kind == "pspline")
+
+
+def _named_chunk(task):
+    """fn(args), re-raising a typed error as its type prefixed by where."""
+    fn, where, args = task
+    try:
+        return fn(args)
+    except MixconcError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
+
+
+def _run_cells(fn, cells, workers: int) -> list[tuple]:
+    """Map the (reps, args) chunk tasks of every (label, tasks) cell through
+    one process pool (none for one worker); each cell gets fn(args)'s tuples
+    of per-replication arrays or lists joined in replication order."""
+    flat = [(fn, f"{label}, replications {start}..{stop - 1}", args)
+            for label, tasks in cells for (start, stop), args in tasks]
     if workers <= 1:
-        results = map(fn, flat)
+        results = map(_named_chunk, flat)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = iter(list(pool.map(fn, flat)))
+            results = iter(list(pool.map(_named_chunk, flat)))
     return [tuple(np.concatenate(field) if isinstance(field[0], np.ndarray)
                   else [x for part in field for x in part]
                   for field in zip(*[next(results) for _ in tasks]))
-            for tasks in cell_tasks]
+            for _, tasks in cells]
 
 
 # ---------------------------------------------------------------------------
@@ -203,27 +221,18 @@ def _run_cells(fn, cell_tasks, workers: int) -> list[tuple]:
 
 
 def _tables12_chunk(args):
-    """The per-replication vectors of one chunk of a tables 1-2 cell, in
-    replication order: the mean distances, the mean-ok mask, the median
-    distances and the median certificates.
-
-    The chunk is one pivot stack (`run_tables12` cuts it at most
-    max(1, _admm.SLICE_ROWS // n) reps long): it is drawn once, and its
-    mean and median fits are solved and certified as stacks."""
+    """The mean distances, median distances and median certificates of
+    one chunk of a tables 1-2 cell, in replication order.  The chunk is one
+    stack (`run_tables12` cuts it at most max(1, _STACK_ROWS // n) reps
+    long), drawn once and fitted by one `fit_penalized` call per loss."""
     (n, m, d, seed, reps, tol) = args
     data = linear_design_stack(n, m, d, seed, range(*reps))
-    X, y, truth, design = data.X, data.y, data.truth, data.meta["design"]
-    # mean regression: the normal equations by batched BLAS products,
-    # certified by the gradient norm 2 |X'r| / n
-    Xt = X.transpose(0, 2, 1)
-    theta_mean = np.linalg.solve(Xt @ X, Xt @ y[..., None])[..., 0]
-    mean_resid = _squared_gradient(
-        X, y - (X @ theta_mean[..., None])[..., 0], theta_mean, NO_PENALTY)
-    # median regression: exact pivot over the chunk from the least-squares
-    # fits, certified as one stack; a stalled rep's certificate is inf
-    theta_med, resid = _finish_exact(X, y, 0.5, NO_PENALTY, theta_mean)
-    return (delta_p(design, SQUARED, theta_mean, truth), mean_resid <= tol,
-            delta_p(design, ABS_HALF, theta_med, truth), resid)
+    truth, design, opts = data.truth, data.meta["design"], SolverOptions(tol)
+    mean = fit_penalized((data.X, data.y), SQUARED, opts=opts)
+    median = fit_penalized((data.X, data.y), ABS_HALF, opts=opts)
+    return (delta_p(design, SQUARED, mean.theta, truth),
+            delta_p(design, ABS_HALF, median.theta, truth),
+            median.optimality_residual)
 
 
 def _mc_mean(values: np.ndarray) -> tuple[int, float, float]:
@@ -238,7 +247,7 @@ def _mc_mean(values: np.ndarray) -> tuple[int, float, float]:
 def run_tables12(config: ExperimentConfig) -> list[ReportRow]:
     """Reproduce the location-regression tables: MC averages of the
     population criterion distance, x100, with sqrt(m)-scaled predictions."""
-    grid = _snapped_grid(config)
+    grid, cells = _snapped_grid(config), []
     for (n, m) in grid:
         if n < config.d:
             raise DomainError(f"cell (n={n}, m={m}): the snapped n is below "
@@ -246,26 +255,16 @@ def run_tables12(config: ExperimentConfig) -> list[ReportRow]:
         if (n, 1) not in grid:
             raise DomainError(f"the sqrt(m) prediction at (n={n}, m={m}) "
                               f"needs the cell (n={n}, m=1) in the grid")
-    seeds = [config.master_seed + 1000 * hash_cell(n, m) for (n, m) in grid]
-    # a chunk is one pivot stack, so a worker holds one stack of draws
-    tasks = [[(n, m, config.d, seed, rr, config.solver_tol)
-              for rr in _chunks(config.mc_reps, min(
-                  config.chunk_size, max(1, _admm.SLICE_ROWS // n)))]
-             for (n, m), seed in zip(grid, seeds)]
+        seed = _cell_seed(config, n, m)
+        step = min(config.chunk_size, max(1, _STACK_ROWS // n))
+        cells.append((f"tables12 cell (n={n}, m={m}), seed {seed}",
+                      [(rr, (n, m, config.d, seed, rr, config.solver_tol))
+                       for rr in _chunks(config.mc_reps, step)]))
     stats = {}
-    for (n, m), seed, (delta_mean, mean_ok, delta_med, resid) in zip(
-            grid, seeds, _run_cells(_tables12_chunk, tasks, config.workers)):
-        ok = resid <= config.solver_tol
-        n_failed = int(ok.size - ok.sum())
-        if n_failed > 0.001 * config.mc_reps:
-            raise NonConvergence(
-                f"{n_failed} uncertified median fits at (n={n}, m={m}), seed "
-                f"{seed}, replications {np.flatnonzero(~ok)[:5].tolist()}")
-        if not mean_ok.all():
-            raise NonConvergence(f"{int((~mean_ok).sum())} uncertified"
-                                 f" mean fits at (n={n}, m={m})")
-        stats["median", n, m] = (*_mc_mean(delta_med[ok]),
-                                 float(resid[ok].max(initial=0.0)))
+    for (n, m), (delta_mean, delta_med, resid) in zip(
+            grid, _run_cells(_tables12_chunk, cells, config.workers)):
+        stats["median", n, m] = (*_mc_mean(delta_med),
+                                 float(resid.max(initial=0.0)))
         stats["mean", n, m] = (*_mc_mean(delta_mean), math.nan)
 
     rows = []
@@ -277,7 +276,7 @@ def run_tables12(config: ExperimentConfig) -> list[ReportRow]:
                 experiment="tables12", n=n, m=m, method=method,
                 n_beta=n / m, mu_actual=mu, mu_predicted=predicted,
                 ratio=mu / predicted, mc_std_error=se, n_reps=count,
-                n_failed=config.mc_reps - count, worst_residual=worst))
+                worst_residual=worst))
     return rows
 
 
@@ -338,11 +337,12 @@ def run_tables34(config: ExperimentConfig,
             proxy = variance_proxy(grid, n // m)
             kI = ideal_k(grid, proxy, bias)
             s_n = default_s(n, m)
-            seed = config.master_seed + 97 * hash_cell(n, m) + 7 * (kind == "pspline")
+            seed = _cell_seed(config, n, m, kind)
             cells.append((kind, oracle, n, m, proxy, kI, s_n))
-            tasks.append([(kind, n, m, seed, rr, config.test_multiplier,
-                           grams, s_n)
-                          for rr in _chunks(config.mc_reps, config.chunk_size)])
+            tasks.append((f"tables34 {kind} cell (n={n}, m={m}), seed {seed}",
+                          [(rr, (kind, n, m, seed, rr, config.test_multiplier,
+                                 grams, s_n))
+                           for rr in _chunks(config.mc_reps, config.chunk_size)]))
 
     rows = []
     for (kind, oracle, n, m, proxy, kI, s_n), (kF, chosen) in zip(

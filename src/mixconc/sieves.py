@@ -29,7 +29,7 @@ from scipy.linalg.lapack import dtrtrs
 from .datagen import STREAM_VARIANCE
 from .errors import (DomainError, NonConvergence, NonFinite, OracleVariance,
                      ShapeMismatch, SingularDesign)
-from .estimators import Fit, certified_fit
+from .estimators import Fit, _least_squares_qr, certified_fit
 
 SUPPORT = (-6.0, 6.0)
 #: Gauss-Legendre nodes per panel and panels across the +-12 sd x-range
@@ -119,23 +119,20 @@ def family_fits(kind: str, designs, y) -> list[Fit]:
     """Certified least-squares fits of y on each design of one family, in
     order; `designs` is what `family_designs(kind, ks, w)` returns.
 
-    The polynomial family is nested, so one Householder QR of [Q_K | y],
-    Q_K the widest design, serves every k: the R factor of the first k
-    columns is the leading k x k block of R, and the first k entries of its
-    last column are that factor's Q'y, so each fit is one triangular solve.
-    A diagonal of R at most eps * n * max|R_ii| raises SingularDesign, the
-    kind of rank rule `lstsq` applies for `fit_ols`.  Each spline design is
-    fitted by its own `lstsq`; a rank-deficient spline design (an empty
-    knot interval) gets its minimum-norm fit.
+    The polynomial family is nested, so one QR of [Q_K | y], Q_K the
+    widest design, serves every k (`estimators._least_squares_qr`, whose
+    rank rule raises SingularDesign): the R factor of the first k columns
+    is the leading k x k block of R, and the first k entries of its last
+    column are that factor's Q'y, so each fit is one triangular solve.
+    Each spline design is fitted by its own `lstsq`; a rank-deficient
+    spline design (an empty knot interval) gets its minimum-norm fit.
     Every fit is certified on its own design by `estimators.certified_fit`
-    (gradient norm <= tol, else NonConvergence, method "closed_form"), so
-    designs that are not the prefixes of the widest one fail their
-    certificate instead of returning a wrong fit.  A design wider than the
-    sample raises DomainError, one not of shape (n, k) for n = y.size
-    ShapeMismatch, and a non-finite y NonFinite.  The designs are not
-    scanned for non-finite entries (`family_designs` has checked w): such
-    a spline design raises NonFinite from its failed `lstsq`, a polynomial
-    one fails its certificate."""
+    (method "closed_form"), so designs that are not the prefixes of the
+    widest one fail their certificate (NonConvergence).  A design wider
+    than the sample raises DomainError, one not of shape (n, k) for
+    n = y.size ShapeMismatch, and a non-finite y NonFinite; a non-finite
+    design (not scanned: `family_designs` has checked w) raises NonFinite
+    from a spline `lstsq` and fails a polynomial certificate."""
     y = np.asarray(y, dtype=float)
     if not designs:
         raise DomainError("designs must be nonempty")
@@ -156,10 +153,8 @@ def family_fits(kind: str, designs, y) -> list[Fit]:
             raise (NonConvergence if finite else NonFinite)(
                 f"family_fits: {exc}") from exc
     else:
-        R = np.linalg.qr(np.column_stack((designs[widths.index(K)], y)),
-                         mode="r")
-        pivots = np.abs(np.diag(R[:K, :K]))
-        if pivots.min() <= np.finfo(float).eps * y.size * pivots.max():
+        R, rank = _least_squares_qr(designs[widths.index(K)], y)
+        if rank < K:
             raise SingularDesign(f"polynomial design of {K} terms is rank "
                                  "deficient")
         # LAPACK trtrs on the transposed block, the call

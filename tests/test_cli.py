@@ -326,6 +326,19 @@ def test_cli_simulate_bad_grid_or_design(tmp_path, capsys, study, lines,
     assert message in capsys.readouterr().err
 
 
+def test_cli_simulate_names_the_failing_chunk(tmp_path, capsys):
+    # no mean fit certifies below solver_tol = 1e-30: the first chunk fails
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text("grid = 50:1\nmc_reps = 4\nsolver_tol = 1e-30\n")
+    assert main(["simulate", "tables12", "--config", str(cfg),
+                 "--seed", "11"]) == 2
+    seed = 11 + 1000 * mixconc.experiments.hash_cell(50, 1)
+    err = capsys.readouterr().err
+    assert (f"tables12 cell (n=50, m=1), seed {seed}, replications 0..3: "
+            "closed_form fit: residual ") in err
+    assert "> tol 1.0e-30 in 4 of 4 fits, stack positions [0, 1, 2, 3]" in err
+
+
 def _np_csv(path, edit=None):
     make_np_design(60, 1, seed=3).to_csv(path)
     lines = path.read_text().splitlines()

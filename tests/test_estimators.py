@@ -273,8 +273,7 @@ def test_stacked_certificate_of_every_tables12_cell():
         data = linear_design_stack(n, m, 3, 20240901 + 1000 * hash_cell(n, m),
                                    range(40))
         X, y = data.X, data.y
-        start = np.linalg.solve(X.transpose(0, 2, 1) @ X,
-                                X.transpose(0, 2, 1) @ y[..., None])[..., 0]
+        start = fit_ols((X, y)).theta
         theta, cert = est._finish_exact(X, y, 0.5, NO_PENALTY, start)
         stacked = _assert_stack_matches_per_rep(X, y, theta, 0.5, NO_PENALTY)
         assert np.array_equal(stacked, cert) and stacked.max() <= 1e-15
@@ -944,6 +943,98 @@ def test_unpenalized_least_squares_singular_through_fit_penalized():
     X = np.column_stack([np.arange(10.0), 2.0 * np.arange(10.0)])
     with pytest.raises(SingularDesign, match="design rank 1 < 2"):
         fit_penalized((X, np.ones(10)), SQUARED)
+
+
+# -- stacks of fits -------------------------------------------------------------
+
+
+STACK_CASES = {"squared": (SQUARED, NO_PENALTY),
+               "ridge": (SQUARED, PenaltySpec("weighted_l2", lam=0.05, m=1.0)),
+               "quantile": (quantile_loss(0.3), NO_PENALTY),
+               "quantile-l1": (quantile_loss(0.5), PenaltySpec("l1", lam=0.02))}
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("case", STACK_CASES)
+def test_a_stacked_fit_equals_each_rep_fitted_alone(case, seed):
+    # six reps of one shape: rep 2 has tied (rounded) responses, and rep 4
+    # a duplicated column, except under the unpenalized squared loss, which
+    # refuses it; a single quantile fit starts from ADMM, a stack from the
+    # least-squares fits, so the two agree to rounding
+    loss, pen = STACK_CASES[case]
+    X, y = _stacked_draws(120, 2, 4, seed, 6)
+    y[2] = np.round(y[2])
+    if case != "squared":
+        X[4, :, 3] = X[4, :, 1]
+    tol = SolverOptions().tol
+    stacked = fit_penalized((X, y), loss, pen)
+    assert stacked.theta.shape == (6, 4)
+    assert stacked.objective.shape == stacked.optimality_residual.shape == (6,)
+    assert np.all(stacked.optimality_residual <= tol)
+    for r in range(6):
+        alone = fit_penalized((X[r], y[r]), loss, pen)
+        assert alone.method == stacked.method
+        assert np.abs(stacked.theta[r] - alone.theta).max() <= 1e-12
+        assert alone.optimality_residual <= tol
+        assert isinstance(alone.objective, float)
+        assert abs(stacked.objective[r] - alone.objective) <= 1e-12
+
+
+@pytest.mark.parametrize("loss, pen", [
+    (quantile_loss(0.5), PenaltySpec("weighted_l2", lam=0.1)),
+    (SQUARED, PenaltySpec("l1", lam=0.1))], ids=["quantile-wl2", "squared-l1"])
+def test_the_active_set_classes_refuse_a_stack(loss, pen):
+    X, y = _stacked_draws(50, 1, 3, 3, 2)
+    with pytest.raises(ShapeMismatch, match="not a stack of 2"):
+        fit_penalized((X, y), loss, pen)
+    assert fit_penalized((X[0], y[0]), loss, pen).method == "active_set"
+
+
+def test_a_stack_is_checked_before_any_solver():
+    X, y = _stacked_draws(50, 1, 3, 3, 4)
+    for bad in (y[:3], y[:, :-1], y[0], y[..., None]):
+        for fit in (fit_ols, lambda data: fit_penalized_qr(data, 0.5)):
+            with pytest.raises(ShapeMismatch):
+                fit((X, bad))
+    y[2, 7] = np.inf
+    with pytest.raises(NonFinite):
+        fit_penalized_qr((X, y), 0.5)
+    y[2, 7], X[1, 3, 0] = 0.0, np.nan
+    with pytest.raises(NonFinite):
+        fit_ols((X, y))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(reps=st.integers(1, 6), d=st.integers(1, 8), blocks=st.integers(4, 30),
+       m=st.sampled_from([1, 2, 5]), seed=st.integers(0, 2 ** 20),
+       lam=st.sampled_from([1e-3, 0.1, 10.0]), pexp=st.sampled_from([0.0, 2.0]),
+       zero=st.booleans(), rep=st.integers(0, 5))
+def test_closed_form_stacks_match_lstsq(reps, d, blocks, m, seed, lam, pexp,
+                                        zero, rep):
+    # well-conditioned stacks (at least 4 d blocks): OLS against lstsq per
+    # rep, ridge against the lstsq of the augmented design [X; sqrt(n lam
+    # P)]; then one rep loses a column to a zero or to a copy of another
+    n = m * blocks * d
+    X, y = _stacked_draws(n, m, d, seed, reps)
+    pen = PenaltySpec("weighted_l2", lam=lam, m=pexp)
+    ols, ridge = fit_ols((X, y)), fit_penalized((X, y), SQUARED, pen)
+    root = np.diag(np.sqrt(n * lam * pen.weights(d)))
+    for r in range(reps):
+        want = np.linalg.lstsq(X[r], y[r], rcond=None)[0]
+        assert np.linalg.norm(ols.theta[r] - want) \
+            <= 1e-12 * np.linalg.norm(want)
+        want = np.linalg.lstsq(np.vstack([X[r], root]), np.r_[y[r], np.zeros(d)],
+                               rcond=None)[0]
+        assert np.linalg.norm(ridge.theta[r] - want) \
+            <= 1e-12 * np.linalg.norm(want)
+    rep %= reps
+    if zero or d == 1:
+        X[rep, :, d - 1] = 0.0
+    else:
+        X[rep, :, d - 1] = X[rep, :, 0]
+    with pytest.raises(SingularDesign, match=rf"^design rank {d - 1} < {d} "
+                       rf"at stack positions \[{rep}\]$"):
+        fit_ols((X, y))
 
 
 @pytest.fixture

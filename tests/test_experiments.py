@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 
@@ -90,43 +91,37 @@ def test_one_process_pool_per_study(monkeypatch):
 
 
 def test_tables12_chunk_matches_rep_by_rep_fits():
-    # a chunk of 8 reps of every cell, pivoted as one stack, against its
-    # reps fitted one at a time, R = 1
-    from mixconc import (ABS_HALF, NO_PENALTY, SQUARED, delta_p, experiments,
-                         make_linear_design)
-    from mixconc.estimators import _finish_exact, _squared_gradient
+    # a chunk of 8 reps of every cell, fitted as one stack per loss, against
+    # its reps fitted one at a time by the public fit_penalized
+    from mixconc import (ABS_HALF, SQUARED, SolverOptions, delta_p,
+                         experiments, fit_penalized, make_linear_design)
     reps, tol = (0, 8), 1e-6
     for n, m in TABLES12_GRID:
         seed = 20240901 + 1000 * hash_cell(n, m)
         got = experiments._tables12_chunk((n, m, 3, seed, reps, tol))
         draws = [make_linear_design(n, m, 3, seed, rep=r)
                  for r in range(*reps)]
-        X = np.stack([data.X for data in draws])
-        y = np.stack([data.y for data in draws])
-        Xt = X.transpose(0, 2, 1)
-        theta_mean = np.linalg.solve(Xt @ X, Xt @ y[..., None])[..., 0]
-        mean_resid = [_squared_gradient(X[r], y[r] - X[r] @ theta_mean[r],
-                                        theta_mean[r], NO_PENALTY)
-                      for r in range(len(X))]
-        fits = [_finish_exact(X[r:r + 1], y[r:r + 1], 0.5, NO_PENALTY,
-                              theta_mean[r:r + 1]) for r in range(len(X))]
-        theta_med = np.concatenate([fit[0] for fit in fits])
-        resid = np.concatenate([fit[1] for fit in fits])
+        mean = [fit_penalized((data.X, data.y), SQUARED,
+                              opts=SolverOptions(tol)) for data in draws]
+        median = [fit_penalized((data.X, data.y), ABS_HALF,
+                                opts=SolverOptions(tol)) for data in draws]
         design, truth = draws[0].meta["design"], draws[0].truth
-        delta_mean = delta_p(design, SQUARED, theta_mean, truth)
-        delta_med = delta_p(design, ABS_HALF, theta_med, truth)
-        assert np.all(resid <= tol) and max(mean_resid) <= 1e-12
-        want = (delta_mean, np.ones(8, bool), delta_med, resid)
+        want = (delta_p(design, SQUARED, [f.theta for f in mean], truth),
+                delta_p(design, ABS_HALF, [f.theta for f in median], truth),
+                np.array([f.optimality_residual for f in median]))
         assert len(got) == len(want)
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype and np.array_equal(a, b), (n, m)
+        for a, b in zip(got[:2], want[:2]):
+            assert a.shape == b.shape == (8,)
+            assert np.all(np.abs(a - b) <= 1e-12 * np.abs(b)), (n, m)
+        assert got[2].shape == (8,) and np.all(got[2] <= tol)
+        assert np.all(want[2] <= tol)
 
 
 @pytest.mark.parametrize("n", [50, 250, 1000])
 def test_tables12_chunk_draws_one_pivot_slice_at_a_time(monkeypatch, n):
-    # chunk_size 2000 is cut at the pivot's stack of max(1, SLICE_ROWS // n)
-    # reps, each chunk draws its reps once, and the chunks cover them in order
-    from mixconc import _admm, experiments
+    # chunk_size 2000 is cut at the stack of max(1, _STACK_ROWS // n) reps,
+    # each chunk draws its reps once, and the chunks cover them in order
+    from mixconc import experiments
     asked, drawn = [], []
     chunk, draw = experiments._tables12_chunk, experiments.linear_design_stack
 
@@ -141,48 +136,107 @@ def test_tables12_chunk_draws_one_pivot_slice_at_a_time(monkeypatch, n):
     monkeypatch.setattr(experiments, "linear_design_stack", recorded_draw)
     run_tables12(ExperimentConfig(grid=((n, 1),), mc_reps=700,
                                   chunk_size=2000))
-    step = max(1, _admm.SLICE_ROWS // n)
+    step = max(1, experiments._STACK_ROWS // n)
     assert all(stop - start <= step for start, stop in asked)
     assert drawn == [list(range(*span)) for span in asked]
     assert [r for reps in drawn for r in reps] == list(range(700))
 
 
 def test_uncertified_median_fits_fail_the_cell(monkeypatch):
-    # replications 3 and 17 are left uncertified; the message names them
-    # and the cell's seed, from which the public draw rebuilds rep 17
-    from mixconc import NonConvergence, experiments, make_linear_design
-    finish, drawn = experiments._finish_exact, []
+    # the pivot leaves replication 13 uncertified, in the study's stack and
+    # alone: the message names the cell's seed, the chunk's replications
+    # and the stack position, from which the public draw and the public
+    # fit rebuild the failure
+    from mixconc import (NonConvergence, estimators, fit_penalized_qr,
+                         make_linear_design)
+    seed = 20240901 + 1000 * hash_cell(50, 1)
+    bad = make_linear_design(50, 1, 3, seed, 13)
+    finish = estimators._finish_exact
 
     def uncertified(X, y, tau, pen, theta0):
         theta, cert = finish(X, y, tau, pen, theta0)
-        first = 10 * len(drawn)              # chunks of 10 reps, in order
-        drawn.append(X)
-        for rep in {3, 17} & set(range(first, first + len(X))):
-            cert[rep - first] = np.inf
+        cert[(X == bad.X).all(axis=(1, 2))] = np.inf
         return theta, cert
-    monkeypatch.setattr(experiments, "_finish_exact", uncertified)
-    seed = 20240901 + 1000 * hash_cell(50, 1)
-    with pytest.raises(NonConvergence, match=rf"2 uncertified median fits at "
-                       rf"\(n=50, m=1\), seed {seed}, replications \[3, 17\]"):
+    monkeypatch.setattr(estimators, "_finish_exact", uncertified)
+    with pytest.raises(NonConvergence, match=(
+            rf"^tables12 cell \(n=50, m=1\), seed {seed}, replications "
+            rf"10\.\.19: simplex fit: residual inf > tol 1\.0e-06 in 1 of 10 "
+            rf"fits, stack positions \[3\]$")):
         run_tables12(ExperimentConfig(grid=((50, 1),), mc_reps=20,
                                       chunk_size=10))
-    assert len(drawn) == 2
-    rebuilt = make_linear_design(50, 1, 3, seed, 17)
-    assert np.array_equal(rebuilt.X, drawn[1][7])
+    with pytest.raises(NonConvergence, match="simplex fit: residual inf"):
+        fit_penalized_qr((bad.X, bad.y), 0.5)
 
 
 def test_uncertified_mean_fits_fail_the_cell(monkeypatch):
-    from mixconc import NonConvergence, experiments
-    certify = experiments._squared_gradient
+    from mixconc import NonConvergence, estimators
+    certify = estimators._squared_gradient
 
     def one_uncertified(X, res, theta, pen):
         out = certify(X, res, theta, pen)
-        out[0] = np.inf                      # the first rep of each chunk
+        out[1] = np.inf                      # the second rep of each chunk
         return out
-    monkeypatch.setattr(experiments, "_squared_gradient", one_uncertified)
-    with pytest.raises(NonConvergence, match=r"2 uncertified mean .*n=50, m=1"):
+    monkeypatch.setattr(estimators, "_squared_gradient", one_uncertified)
+    seed = 20240901 + 1000 * hash_cell(50, 1)
+    with pytest.raises(NonConvergence, match=(
+            rf"^tables12 cell \(n=50, m=1\), seed {seed}, replications "
+            rf"0\.\.9: closed_form fit: residual inf > tol 1\.0e-06 in 1 of 10 "
+            rf"fits, stack positions \[1\]$")):
         run_tables12(ExperimentConfig(grid=((50, 1),), mc_reps=20,
                                       chunk_size=10))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_chunk_error_names_its_study_cell_and_replications(workers):
+    # no mean fit certifies below 1e-30: the first chunk of the first cell
+    # fails, and its NonConvergence comes back through the pool as itself
+    from mixconc import NonConvergence
+    cfg = ExperimentConfig(grid=((50, 1), (100, 1)), mc_reps=12,
+                           chunk_size=5, solver_tol=1e-30, workers=workers)
+    seed = 20240901 + 1000 * hash_cell(50, 1)
+    with pytest.raises(NonConvergence, match=(
+            rf"^tables12 cell \(n=50, m=1\), seed {seed}, replications "
+            rf"0\.\.4: closed_form fit: residual \S+ > tol 1\.0e-30 in 5 of 5 "
+            rf"fits, stack positions \[0, 1, 2, 3, 4\]$")):
+        run_tables12(cfg)
+
+
+def test_a_sieve_chunk_error_names_its_basis_cell_and_replications(
+        monkeypatch):
+    # a typed error of the third replication's fits
+    from mixconc import SingularDesign, experiments
+    fits = experiments.family_fits
+    calls = []
+
+    def singular_third(kind, designs, y):
+        calls.append(kind)
+        if len(calls) == 3:
+            raise SingularDesign("rank deficient")
+        return fits(kind, designs, y)
+    monkeypatch.setattr(experiments, "family_fits", singular_third)
+    seed = 20240901 + 97 * hash_cell(100, 1) + 7
+    with pytest.raises(SingularDesign, match=(
+            rf"^tables34 pspline cell \(n=100, m=1\), seed {seed}, "
+            rf"replications 0\.\.3: rank deficient$")):
+        run_tables34(ExperimentConfig(experiment="tables34", grid=((100, 1),),
+                                      mc_reps=8, chunk_size=4,
+                                      basis_kinds=("pspline",)))
+
+
+def test_experiments_uses_no_private_solver_names():
+    # the harness fits through the public estimators API: no _admm, and no
+    # underscore name of estimators
+    from mixconc import experiments
+    with open(experiments.__file__) as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+            assert "_admm" not in names and node.module != "_admm"
+            if node.module == "estimators":
+                assert not [name for name in names if name.startswith("_")]
+        elif isinstance(node, ast.Import):
+            assert not [a.name for a in node.names if "_admm" in a.name]
 
 
 def test_ols_tail_rows():
