@@ -107,7 +107,8 @@ def empirical_criterion(loss: LossSpec, pen: PenaltySpec, data, theta) -> float:
 
 def _criterion(loss, pen, res, theta):
     """The objective of each fit from its residuals res = y - X theta."""
-    return loss.values(res).mean(axis=-1) + pen.lam * pen.value(theta)
+    total = loss.values(res).sum(axis=-1)
+    return total / res.shape[-1] + pen.lam * pen.value(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +200,7 @@ def _squared_gradient(X, res, theta, pen):
     the residuals res = y - X theta, per fit of a stack X (R, n, d) (one
     BLAS product each) or of one fit X (n, d)."""
     n, d = X.shape[-2:]
-    g = -2.0 * (res[..., None, :] @ X)[..., 0, :] / n
+    g = (res[..., None, :] @ X)[..., 0, :] * (-2.0 / n)
     if pen.kind == "weighted_l2" and pen.lam > 0:
         g = g + 2.0 * pen.lam * pen.weights(d) * theta
     elif pen.kind == "l1" and pen.lam > 0:
@@ -409,8 +410,9 @@ def certified_fit(X, y, theta, method: str, loss: LossSpec = SQUARED,
     res = y - (X @ theta[..., None])[..., 0]
     if certificate is None:
         certificate = _squared_gradient(X, res, theta, pen)
-    bad = np.flatnonzero(~(np.asarray(certificate) <= tol)).tolist()
-    if bad:
+    ok = np.asarray(certificate <= tol)
+    if not ok.all():
+        bad = np.flatnonzero(~ok).tolist()
         where = f" in {len(bad)} of {len(res)} fits, stack positions {bad[:5]}"
         raise NonConvergence(f"{method} fit: residual {np.max(certificate):.3e} "
                              f"> tol {tol:.1e}{where if X.ndim == 3 else ''}")

@@ -263,8 +263,7 @@ def run_tables12(config: ExperimentConfig) -> list[ReportRow]:
     stats = {}
     for (n, m), (delta_mean, delta_med, resid) in zip(
             grid, _run_cells(_tables12_chunk, cells, config.workers)):
-        stats["median", n, m] = (*_mc_mean(delta_med),
-                                 float(resid.max(initial=0.0)))
+        stats["median", n, m] = (*_mc_mean(delta_med), float(resid.max()))
         stats["mean", n, m] = (*_mc_mean(delta_mean), math.nan)
 
     rows = []
