@@ -102,8 +102,7 @@ def _config_from_file(args, experiment, default_grid) -> ExperimentConfig:
     if args.config:
         overrides.update(parse_config(args.config))
     cfg = ExperimentConfig(experiment=experiment, grid=default_grid)
-    known = {f.name for f in cfg.__dataclass_fields__.values()}
-    unknown = set(overrides) - known
+    unknown = set(overrides) - set(cfg.__dataclass_fields__)
     if unknown:
         raise MixconcError(f"unknown config keys: {sorted(unknown)}")
     if overrides.get("experiment", experiment) != experiment:
@@ -133,15 +132,16 @@ def _config_from_file(args, experiment, default_grid) -> ExperimentConfig:
 
 
 def _cmd_simulate(args) -> int:
-    if args.study == "tables12":
-        cfg = _config_from_file(args, "tables12", TABLES12_GRID)
-        rows = run_tables12(cfg)
-    elif args.study == "tables34":
-        cfg = _config_from_file(args, "tables34", TABLES34_GRID)
-        rows = run_tables34(cfg)
-    else:
-        cfg = _config_from_file(args, "ols-tail", ())   # run_ols_tail has no grid
-        rows = run_ols_tail(cfg)
+    run, grid = {"tables12": (run_tables12, TABLES12_GRID),
+                 "tables34": (run_tables34, TABLES34_GRID),
+                 "ols-tail": (run_ols_tail, ())}[args.study]   # no grid
+    cfg = _config_from_file(args, args.study, grid)
+    try:
+        rows = run(cfg)
+    except MixconcError as exc:     # a failed run's manifest names its error
+        if cfg.out:
+            write_manifest(cfg, cfg.out + ".manifest.json", error=exc)
+        raise
     if cfg.out:
         write_csv(rows, cfg.out)
         write_manifest(cfg, cfg.out + ".manifest.json")

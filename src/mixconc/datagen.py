@@ -6,9 +6,9 @@ at counter 0 whose key is fixed by (master_seed, replication, stream): it
 is the key numpy's SeedSequence(master_seed, spawn_key=(replication,
 stream)) gives Philox.  `spawn_keys` derives the keys of many pairs in
 one vectorized pass of that hash, and the draws re-key one Philox per
-call, so replications and streams are independent and results are
-bit-identical for a given master seed regardless of execution order or
-of how the replications are batched.
+call, so replications and streams are independent, and for a given
+master seed a replication's draws are bit-identical in any order and in
+any stack (`linear_design_stack`, `np_design_stack`).
 """
 
 from dataclasses import dataclass, field
@@ -236,20 +236,22 @@ def np_target(w):
     return 2.0 * np.cos(w) + w
 
 
+def np_design_stack(n: int, m: int, seed: int, reps) -> Dataset:
+    """`make_np_design` for each replication in reps, stacked: w and y are
+    (R, n), drawn into one buffer from the keys of one `spawn_keys` pass."""
+    _check_blocks(n, m)
+    keys = spawn_keys(seed, np.asarray(reps)[:, None], (0, 1))
+    streams = np.empty(keys.shape[:-1] + (1, n))          # (R, 2, 1, n)
+    _block_stream(_generator(), keys, m, streams)
+    x, u = streams[:, 0, 0], streams[:, 1, 0]
+    w = 6.0 * x / (1.0 + np.abs(x))
+    return Dataset(y=np_target(w) + 0.5 * u, w=w, truth=np_target,
+                   meta={"n": n, "m": m, "noise_var": 0.25 * STREAM_VARIANCE})
+
+
 def make_np_design(n: int, m: int, seed: int = 0, rep: int = 0) -> Dataset:
     """The nonparametric design: w = 6x/(1+|x|), y = theta*(w) + 0.5u, with
     x stream 0 and u stream 1."""
-    _check_blocks(n, m)
-    return _np_design(_generator(), spawn_keys(seed, rep, (0, 1)), n, m)
-
-
-def _np_design(rng: np.random.Generator, keys: np.ndarray, n: int,
-               m: int) -> Dataset:
-    """`make_np_design` from the (2, 2) keys of its two streams."""
-    streams = np.empty((2, 1, n))
-    _block_stream(rng, keys, m, streams)
-    x, u = streams[:, 0]
-    w = 6.0 * x / (1.0 + np.abs(x))
-    y = np_target(w) + 0.5 * u
-    return Dataset(y=y, w=w, truth=np_target,
-                   meta={"n": n, "m": m, "noise_var": 0.25 * STREAM_VARIANCE})
+    data = np_design_stack(n, m, seed, (rep,))
+    data.w, data.y = data.w[0], data.y[0]
+    return data

@@ -3,16 +3,15 @@ check, and the concentration-bound evaluators.
 
 The studies draw their data with `datagen`, fit and certify with
 `estimators` (the sieve study with `sieves.family_fits`), and choose sieve
-dimensions with `tuning`.  Replications are split into fixed-size chunks,
-and the keys of a replication's substreams derive from (master_seed,
-global replication index).  A study maps the chunks of all its cells
-through one process pool; a chunk returns per-replication values, and each
-cell's statistics are computed once from its chunks' values joined in
-replication order, so a report depends on neither the worker count nor
-`chunk_size`; a chunk's typed error names its study, cell, seed and
-replications.  A tables 1-2 chunk is one stack of at most max(1,
-_STACK_ROWS // n) reps, drawn once and fitted by one `fit_penalized`
-call per loss, so its memory is bounded whatever `chunk_size` is.
+dimensions with `tuning`.  `_chunks` cuts a cell of sample size n into
+chunks of at most max(1, _STACK_ROWS // n) replications, and the keys of
+a replication's substreams derive from (master_seed, global replication
+index).  A study maps the chunks of all its cells through one process
+pool; a chunk draws its replications as one stack and returns
+per-replication values, and each cell's statistics are computed once
+from its chunks' values joined in replication order, so a report depends
+on neither the worker count nor the chunking; a chunk's typed error names
+its study, cell, seed and replications.
 """
 
 import csv
@@ -28,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexity import UniversalConstants
-from .datagen import (_block_stream, _generator, _np_design,
-                      linear_design_stack, np_target, spawn_keys)
+from .datagen import (_block_stream, _generator, linear_design_stack,
+                      np_design_stack, np_target, spawn_keys)
 from .errors import DomainError, MixconcError
 from .estimators import ABS_HALF, SQUARED, SolverOptions, delta_p, fit_penalized
 from .lattice import _integer, admissible_sizes, build_lattice
@@ -46,7 +45,7 @@ TABLES34_GRID = ((100, 1), (300, 1), (500, 1), (1000, 1),
                  (2000, 1), (3000, 1), (3000, 6))
 SIEVE_KS = (3, 4, 5, 6, 7, 8)
 
-#: the rows of a tables 1-2 chunk; the pivot holds a few arrays this size
+#: rows per stream a chunk draws at most; the pivot holds a few this size
 _STACK_ROWS = 2 ** 15
 
 #: test-set multiplier that reproduces the reference selections; the
@@ -66,7 +65,6 @@ class ExperimentConfig:
     basis_kinds: tuple = ("polynomial", "pspline")
     test_multiplier: float = TABLES34_TEST_MULTIPLIER
     solver_tol: float = 1e-6
-    chunk_size: int = 250
     workers: int = 1
     tail_u: tuple = (4.0, 8.0, 16.0)
     tail_mu0: tuple = (1, 4)
@@ -74,15 +72,16 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
-        for name in ("mc_reps", "d", "chunk_size", "workers"):
+        for name in ("mc_reps", "d", "workers"):
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < 1:
                 raise DomainError(f"{name} must be an integer >= 1, "
                                   f"got {value!r}")
-        if not (isinstance(self.solver_tol, numbers.Real)
-                and 0 < self.solver_tol < math.inf):
-            raise DomainError(f"solver_tol must be finite and > 0, "
-                              f"got {self.solver_tol!r}")
+        for name in ("solver_tol", "test_multiplier"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+                raise DomainError(f"{name} must be finite and > 0, "
+                                  f"got {value!r}")
 
     def replace(self, **kw) -> "ExperimentConfig":
         return dataclasses.replace(self, **kw)
@@ -135,7 +134,8 @@ def write_csv(rows, path) -> None:
             writer.writerow([_fmt(getattr(row, f)) for f in ReportRow.FIELDS])
 
 
-def write_manifest(config: ExperimentConfig, path) -> None:
+def write_manifest(config: ExperimentConfig, path, error=None) -> None:
+    """A run's config echo and versions, and its error if it failed."""
     import scipy
     from . import __version__
     payload = {
@@ -145,6 +145,8 @@ def write_manifest(config: ExperimentConfig, path) -> None:
                      "scipy": scipy.__version__,
                      "python": sys.version.split()[0]},
     }
+    if error is not None:
+        payload["error"] = dict(type=type(error).__name__, message=str(error))
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, default=list)
 
@@ -179,7 +181,10 @@ def _snapped_grid(config: ExperimentConfig) -> list[tuple[int, int]]:
     return grid
 
 
-def _chunks(total: int, size: int):
+def _chunks(total: int, n: int) -> list[tuple[int, int]]:
+    """The (start, stop) replication ranges of a cell of sample size n:
+    consecutive, each at most max(1, _STACK_ROWS // n) replications long."""
+    size = max(1, _STACK_ROWS // n)
     return [(s, min(s + size, total)) for s in range(0, total, size)]
 
 
@@ -223,8 +228,8 @@ def _run_cells(fn, cells, workers: int) -> list[tuple]:
 def _tables12_chunk(args):
     """The mean distances, median distances and median certificates of
     one chunk of a tables 1-2 cell, in replication order.  The chunk is one
-    stack (`run_tables12` cuts it at most max(1, _STACK_ROWS // n) reps
-    long), drawn once and fitted by one `fit_penalized` call per loss."""
+    stack (see `_chunks`), drawn once and fitted by one `fit_penalized`
+    call per loss."""
     (n, m, d, seed, reps, tol) = args
     data = linear_design_stack(n, m, d, seed, range(*reps))
     truth, design, opts = data.truth, data.meta["design"], SolverOptions(tol)
@@ -256,10 +261,9 @@ def run_tables12(config: ExperimentConfig) -> list[ReportRow]:
             raise DomainError(f"the sqrt(m) prediction at (n={n}, m={m}) "
                               f"needs the cell (n={n}, m=1) in the grid")
         seed = _cell_seed(config, n, m)
-        step = min(config.chunk_size, max(1, _STACK_ROWS // n))
         cells.append((f"tables12 cell (n={n}, m={m}), seed {seed}",
                       [(rr, (n, m, config.d, seed, rr, config.solver_tol))
-                       for rr in _chunks(config.mc_reps, step)]))
+                       for rr in _chunks(config.mc_reps, n)]))
     stats = {}
     for (n, m), (delta_mean, delta_med, resid) in zip(
             grid, _run_cells(_tables12_chunk, cells, config.workers)):
@@ -294,19 +298,16 @@ def build_sieve_oracle(kind: str) -> SieveMomentOracle:
 
 
 def _tables34_chunk(args):
-    """Feasible dimension and its fit per replication.  The oracle stays in
-    the parent, which turns the fits into r_n."""
-    (kind, n, m, seed, rep_range, mult, grams, s_n) = args
+    """Feasible dimension and its fit per replication of one stacked chunk.
+    The oracle stays in the parent, which turns the fits into r_n."""
+    (kind, n, m, seed, reps, mult, grams, s_n) = args
     grid = sieve_grid(SIEVE_KS)
     proxy = variance_proxy(grid, n // m)
+    data = np_design_stack(n, m, seed, range(*reps))
     kF, chosen = [], []
-    # the keys of the chunk in one pass; the draws stay per replication
-    keys = spawn_keys(seed, np.arange(*rep_range)[:, None], (0, 1))
-    rng = _generator()
-    for rep_keys in keys:
-        data = _np_design(rng, rep_keys, n, m)
-        designs = family_designs(kind, SIEVE_KS, data.w)
-        fits = [fit.theta for fit in family_fits(kind, designs, data.y)]
+    for w, y in zip(data.w, data.y):
+        designs = family_designs(kind, SIEVE_KS, w)
+        fits = [fit.theta for fit in family_fits(kind, designs, y)]
         k = feasible_k(grid, fits, proxy, s_n, grams, multiplier=mult).k_feasible
         kF.append(k)
         chosen.append(fits[SIEVE_KS.index(k)])
@@ -341,7 +342,7 @@ def run_tables34(config: ExperimentConfig,
             tasks.append((f"tables34 {kind} cell (n={n}, m={m}), seed {seed}",
                           [(rr, (kind, n, m, seed, rr, config.test_multiplier,
                                  grams, s_n))
-                           for rr in _chunks(config.mc_reps, config.chunk_size)]))
+                           for rr in _chunks(config.mc_reps, n)]))
 
     rows = []
     for (kind, oracle, n, m, proxy, kI, s_n), (kF, chosen) in zip(
@@ -394,16 +395,12 @@ TAIL_MOMENT_DESIGNS = 2000
 
 def ols_tail_moment_oracle(n, mu0, d, seed) -> float:
     """E[(block sum of x_l U / sqrt(mu0))^2 / mu0] over fresh designs."""
-    total = 0.0
-    count = 0
-    rng = _generator()
+    total, rng, q = 0.0, _generator(), n // mu0
     for keys in _tail_keys(seed, TAIL_MOMENT_DESIGNS):
         X, U = _whitened_design(n, mu0, d, rng, keys)
-        q = n // mu0
         block = (X * U[:, None]).reshape(q, mu0, d).sum(axis=1)  # (q, d)
         total += float((block ** 2).sum()) / mu0
-        count += q * d
-    return total / count
+    return total / (TAIL_MOMENT_DESIGNS * q * d)
 
 
 def run_ols_tail(config: ExperimentConfig) -> list[ReportRow]:

@@ -107,7 +107,7 @@ def test_cli_bound_output_is_pinned(capsys, case):
 
 def test_cli_simulate_and_outputs(tmp_path, capsys):
     cfg = tmp_path / "t.cfg"
-    cfg.write_text("grid = 50:1\nmc_reps = 30\nchunk_size = 30\n")
+    cfg.write_text("grid = 50:1\nmc_reps = 30\n")
     out = tmp_path / "rows.csv"
     assert main(["simulate", "tables12", "--config", str(cfg),
                  "--out", str(out), "--seed", "11"]) == 0
@@ -278,10 +278,9 @@ def test_cli_simulate_bad_config_key(tmp_path, capsys, line, key):
     ("ols-tail", "", ["--reps", "0"], "mc_reps must be an integer >= 1, got 0"),
     ("tables12", "", ["--reps", "-3"],
      "mc_reps must be an integer >= 1, got -3"),
-    ("tables12", "chunk_size = 0", [],
-     "chunk_size must be an integer >= 1, got 0"),
+    ("tables12", "chunk_size = 0", [], "unknown config keys: ['chunk_size']"),
     ("ols-tail", "chunk_size = 2.5", [],
-     "chunk_size must be an integer >= 1, got 2.5"),
+     "unknown config keys: ['chunk_size']"),
     ("tables12", "grid = 50:25,50:50", [],
      "at (n=50, m=25) needs the cell (n=50, m=1)"),
     ("tables12", "grid = 2:1", [], "cell (n=2, m=1): the snapped n is below d=3"),
@@ -308,6 +307,10 @@ def test_cli_simulate_bad_config_key(tmp_path, capsys, line, key):
      "solver_tol must be finite and > 0, got 0"),
     ("tables12", "grid = 50:1\nworkers = 0", [],
      "workers must be an integer >= 1, got 0"),
+    ("tables34", "grid = 100:1\ntest_multiplier = -1", [],
+     "test_multiplier must be finite and > 0, got -1"),
+    ("tables34", "grid = 100:1\ntest_multiplier = nan", [],
+     "test_multiplier must be finite and > 0, got nan"),
 ], ids=["tables12-m0", "tables34-m0", "tables12-m-neg", "tables12-d0",
         "tables12-reps0", "tables34-reps0", "ols-tail-reps0",
         "tables12-reps-neg", "tables12-chunk0", "ols-tail-chunk-float",
@@ -317,7 +320,8 @@ def test_cli_simulate_bad_config_key(tmp_path, capsys, line, key):
         "tables12-experiment-key", "ols-tail-d0", "ols-tail-u0",
         "ols-tail-u-neg", "ols-tail-u-nan", "tables12-d-float",
         "tables12-tol-neg", "tables12-tol-nan", "tables12-tol0",
-        "tables12-workers0"])
+        "tables12-workers0", "tables34-multiplier-neg",
+        "tables34-multiplier-nan"])
 def test_cli_simulate_bad_grid_or_design(tmp_path, capsys, study, lines,
                                           args, message):
     cfg = tmp_path / "t.cfg"
@@ -337,6 +341,23 @@ def test_cli_simulate_names_the_failing_chunk(tmp_path, capsys):
     assert (f"tables12 cell (n=50, m=1), seed {seed}, replications 0..3: "
             "closed_form fit: residual ") in err
     assert "> tol 1.0e-30 in 4 of 4 fits, stack positions [0, 1, 2, 3]" in err
+
+
+def test_cli_failed_simulate_writes_its_manifest(tmp_path, capsys):
+    # the same failure with --out: no CSV, and a manifest naming the error
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text("grid = 50:1\nmc_reps = 4\nsolver_tol = 1e-30\n")
+    out = tmp_path / "rows.csv"
+    assert main(["simulate", "tables12", "--config", str(cfg),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert not out.exists()
+    payload = json.loads((tmp_path / "rows.csv.manifest.json").read_text())
+    assert payload["config"]["solver_tol"] == 1e-30
+    assert payload["versions"]["mixconc"] == mixconc.__version__
+    assert payload["error"]["type"] == "NonConvergence"
+    assert "tables12 cell (n=50, m=1)" in payload["error"]["message"]
+    assert f"error: {payload['error']['message']}\n" == err
 
 
 def _np_csv(path, edit=None):

@@ -6,7 +6,7 @@ import pytest
 from mixconc import DomainError, gen_block_gaussian, make_linear_design, \
     make_np_design
 from mixconc.datagen import (_FEW_KEYS, STREAM_VARIANCE, linear_design_stack,
-                             spawn_keys)
+                             np_design_stack, spawn_keys)
 from mixconc.experiments import (TABLES12_GRID, TABLES34_GRID,
                                  ExperimentConfig, hash_cell)
 
@@ -131,15 +131,19 @@ def test_spawn_keys_equal_seed_sequence(seed):
                 assert np.array_equal(spawn_keys(seed, rep, stream), want)
 
 
+def _seed_sequence_stream(n, m, seed, rep, stream):
+    """One m-block stream drawn from a SeedSequence-keyed Philox."""
+    rng = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(seed, spawn_key=(rep, stream))))
+    return (np.repeat(rng.standard_normal(n // m), m)
+            + 0.01 * rng.standard_normal(n))
+
+
 def _seed_sequence_linear_design(n, m, d, seed, rep):
     """The linear design drawn stream by stream from SeedSequence-keyed
     Philox generators, assembled with np.stack."""
-    streams = []
-    for stream in range(d + 1):
-        rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(seed, spawn_key=(rep, stream))))
-        streams.append(np.repeat(rng.standard_normal(n // m), m)
-                       + 0.01 * rng.standard_normal(n))
+    streams = [_seed_sequence_stream(n, m, seed, rep, stream)
+               for stream in range(d + 1)]
     X = np.stack(streams[:d], axis=1)
     return X, X @ np.arange(1, d + 1, dtype=float) ** -0.5 + 0.5 * streams[d]
 
@@ -156,6 +160,25 @@ def test_linear_design_stack_equals_each_replication(n, m, d):
         assert np.array_equal(stack.y[r], one.y)
         X, y = _seed_sequence_linear_design(n, m, d, seed, rep)
         assert np.array_equal(one.X, X) and np.array_equal(one.y, y)
+
+
+@pytest.mark.parametrize("reps", [range(40, 56), (3, 2 ** 32, 7)],
+                         ids=["array-pass", "pair-by-pair"])
+@pytest.mark.parametrize("n,m", [(100, 1), (3000, 6), (60, 60)])
+def test_np_design_stack_equals_each_replication(n, m, reps):
+    # 16 reps hash their 32 (rep, stream) pairs in one array pass; a rep at
+    # 2^32 sends the whole stack's keys pair by pair
+    seed = 20240901 + 97 * hash_cell(n, m)
+    stack = np_design_stack(n, m, seed, reps)
+    assert stack.w.shape == stack.y.shape == (len(reps), n)
+    for r, rep in enumerate(reps):
+        one = make_np_design(n, m, seed, rep=rep)
+        assert np.array_equal(stack.w[r], one.w)
+        assert np.array_equal(stack.y[r], one.y)
+        x, u = (_seed_sequence_stream(n, m, seed, rep, s) for s in (0, 1))
+        w = 6.0 * x / (1.0 + np.abs(x))
+        assert np.array_equal(one.w, w)
+        assert np.array_equal(one.y, 2.0 * np.cos(w) + w + 0.5 * u)
 
 
 def test_streams_equal_seed_sequence_draws():

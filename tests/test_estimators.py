@@ -713,7 +713,8 @@ def test_stacked_exact_fits_equal_each_rep_alone(reps, k, m, d, seed, tau,
                                                  lasso, lam, digits, dup):
     # rounded X and y put rows and responses on ties; rep `dup` has two
     # equal columns, so its unpenalized pivot stalls and is pivoted again on
-    # its independent columns; HiGHS checks its fit, l1 or not
+    # its independent columns; HiGHS checks every rep's fit, l1 or not (the
+    # stacked fit and the fit alone are one vector, bit for bit)
     X, y = _stacked_draws(m * k, m, d, seed, reps)
     X, y = np.round(X, digits), np.round(y, digits)
     dup %= reps
@@ -723,12 +724,12 @@ def test_stacked_exact_fits_equal_each_rep_alone(reps, k, m, d, seed, tau,
     (theta, cert), alone = _alone_and_stacked(X, y, tau, pen, theta0)
     for r, (theta_r, cert_r) in enumerate(alone):
         assert np.array_equal(theta[r], theta_r[0]) and cert[r] == cert_r[0]
-    assert cert[dup] <= 1e-6
+        assert cert[r] <= 1e-6
+        lp = _lp_objective(X[r], y[r], tau, pen.lam)
+        objective = empirical_criterion(quantile_loss(tau), pen, (X[r], y[r]),
+                                        theta[r])
+        assert abs(objective - lp) <= 1e-9 * (1.0 + abs(lp))
     assert fit_penalized_qr((X[dup], y[dup]), tau, pen).method == "simplex"
-    lp = _lp_objective(X[dup], y[dup], tau, pen.lam)
-    objective = empirical_criterion(quantile_loss(tau), pen, (X[dup], y[dup]),
-                                    theta[dup])
-    assert objective <= lp + 1e-9 * (1.0 + abs(lp))
 
 
 def _batch_with_a_rank_one_rep(n=80, d=3):

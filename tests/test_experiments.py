@@ -10,6 +10,7 @@ from mixconc import (BetaMixingModel, BoundParams, ExperimentConfig,
                      l1_envelope, make_np_design, run_ols_tail, run_tables12,
                      run_tables34, sieve_grid, variance_proxy, write_csv,
                      write_manifest)
+from mixconc import experiments
 from mixconc.experiments import (SIEVE_KS, TABLES12_GRID,
                                  TABLES34_TEST_MULTIPLIER, ReportRow,
                                  _tables34_chunk,
@@ -20,9 +21,10 @@ from mixconc.experiments import (SIEVE_KS, TABLES12_GRID,
 @pytest.fixture(scope="module")
 def tiny12():
     cfg = ExperimentConfig(experiment="tables12",
-                           grid=((50, 1), (50, 2)), mc_reps=60,
-                           chunk_size=30)
-    return cfg, run_tables12(cfg)
+                           grid=((50, 1), (50, 2)), mc_reps=60)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "_STACK_ROWS", 30 * 50)   # chunks of 30 reps
+        return cfg, run_tables12(cfg)
 
 
 def test_tables12_rows_shape(tiny12):
@@ -36,8 +38,11 @@ def test_tables12_rows_shape(tiny12):
     assert all(r.n_reps == 60 for r in rows)
 
 
-CHUNK_SIZES_AND_WORKERS = [(size, workers) for size in (1, 7, 15, 250)
-                           for workers in (1, 2)]
+#: row budgets, given as the chunk length of an n = 50 cell (50 rows a
+#: replication), and worker counts; the references run at the default
+#: budget, 2^15 rows
+REPS_AT_50_AND_WORKERS = [(reps, workers) for reps in (1, 7, 15, 250)
+                          for workers in (1, 2)]
 
 
 @pytest.fixture(scope="module")
@@ -47,12 +52,14 @@ def ref12():
     return cfg, [repr(row) for row in run_tables12(cfg)]
 
 
-@pytest.mark.parametrize("chunk_size,workers", CHUNK_SIZES_AND_WORKERS
+@pytest.mark.parametrize("reps_at_50,workers", REPS_AT_50_AND_WORKERS
                          + [(2000, 1), (2000, 2)])
-def test_tables12_deterministic_across_workers(ref12, chunk_size, workers):
-    # every row, to the last bit, whatever the chunk size and worker count
+def test_tables12_deterministic_across_workers(monkeypatch, ref12, reps_at_50,
+                                               workers):
+    # every row, to the last bit, whatever the row budget and worker count
     cfg, ref = ref12
-    rows = run_tables12(cfg.replace(chunk_size=chunk_size, workers=workers))
+    monkeypatch.setattr(experiments, "_STACK_ROWS", 50 * reps_at_50)
+    rows = run_tables12(cfg.replace(workers=workers))
     assert [repr(row) for row in rows] == ref
 
 
@@ -64,16 +71,16 @@ def ref34():
     return cfg, oracles, [repr(row) for row in run_tables34(cfg, oracles)]
 
 
-@pytest.mark.parametrize("chunk_size,workers", CHUNK_SIZES_AND_WORKERS)
-def test_tables34_deterministic_across_workers(ref34, chunk_size, workers):
+@pytest.mark.parametrize("reps_at_50,workers", REPS_AT_50_AND_WORKERS)
+def test_tables34_deterministic_across_workers(monkeypatch, ref34, reps_at_50,
+                                               workers):
     cfg, oracles, ref = ref34
-    rows = run_tables34(cfg.replace(chunk_size=chunk_size, workers=workers),
-                        oracles)
+    monkeypatch.setattr(experiments, "_STACK_ROWS", 50 * reps_at_50)
+    rows = run_tables34(cfg.replace(workers=workers), oracles)
     assert [repr(row) for row in rows] == ref
 
 
 def test_one_process_pool_per_study(monkeypatch):
-    from mixconc import experiments
     starts = []
 
     class CountingPool(experiments.ProcessPoolExecutor):
@@ -81,11 +88,12 @@ def test_one_process_pool_per_study(monkeypatch):
             starts.append(1)
             super().__init__(*args, **kwargs)
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(experiments, "_STACK_ROWS", 500)  # 10 reps at n = 50
     run_tables12(ExperimentConfig(grid=((50, 1), (50, 2)), mc_reps=20,
-                                  chunk_size=10, workers=2))
+                                  workers=2))
     assert len(starts) == 1
     run_tables34(ExperimentConfig(experiment="tables34", grid=((100, 1),),
-                                  mc_reps=20, chunk_size=10, workers=2,
+                                  mc_reps=20, workers=2,
                                   basis_kinds=("polynomial", "pspline")))
     assert len(starts) == 2
 
@@ -94,7 +102,7 @@ def test_tables12_chunk_matches_rep_by_rep_fits():
     # a chunk of 8 reps of every cell, fitted as one stack per loss, against
     # its reps fitted one at a time by the public fit_penalized
     from mixconc import (ABS_HALF, SQUARED, SolverOptions, delta_p,
-                         experiments, fit_penalized, make_linear_design)
+                         fit_penalized, make_linear_design)
     reps, tol = (0, 8), 1e-6
     for n, m in TABLES12_GRID:
         seed = 20240901 + 1000 * hash_cell(n, m)
@@ -119,9 +127,8 @@ def test_tables12_chunk_matches_rep_by_rep_fits():
 
 @pytest.mark.parametrize("n", [50, 250, 1000])
 def test_tables12_chunk_draws_one_pivot_slice_at_a_time(monkeypatch, n):
-    # chunk_size 2000 is cut at the stack of max(1, _STACK_ROWS // n) reps,
-    # each chunk draws its reps once, and the chunks cover them in order
-    from mixconc import experiments
+    # a chunk is a stack of at most max(1, _STACK_ROWS // n) reps, each
+    # chunk draws its reps once, and the chunks cover them in order
     asked, drawn = [], []
     chunk, draw = experiments._tables12_chunk, experiments.linear_design_stack
 
@@ -134,12 +141,39 @@ def test_tables12_chunk_draws_one_pivot_slice_at_a_time(monkeypatch, n):
         return draw(n, m, d, seed, reps)
     monkeypatch.setattr(experiments, "_tables12_chunk", recorded_chunk)
     monkeypatch.setattr(experiments, "linear_design_stack", recorded_draw)
-    run_tables12(ExperimentConfig(grid=((n, 1),), mc_reps=700,
-                                  chunk_size=2000))
+    monkeypatch.setattr(experiments, "_STACK_ROWS", 10_000)
+    run_tables12(ExperimentConfig(grid=((n, 1),), mc_reps=700))
     step = max(1, experiments._STACK_ROWS // n)
     assert all(stop - start <= step for start, stop in asked)
     assert drawn == [list(range(*span)) for span in asked]
     assert [r for reps in drawn for r in reps] == list(range(700))
+
+
+@pytest.mark.parametrize("n", [100, 3000])
+def test_tables34_chunks_draw_one_stack_each_in_order(monkeypatch, ref34, n):
+    # a sieve chunk draws at most max(1, _STACK_ROWS // n) reps as one
+    # stack, and the chunks cover the cell's reps in order
+    asked, drawn = [], []
+    chunk, draw = experiments._tables34_chunk, experiments.np_design_stack
+
+    def recorded_chunk(args):
+        asked.append(args[4])
+        return chunk(args)
+
+    def recorded_draw(n, m, seed, reps):
+        drawn.append(list(reps))
+        return draw(n, m, seed, reps)
+    monkeypatch.setattr(experiments, "_tables34_chunk", recorded_chunk)
+    monkeypatch.setattr(experiments, "np_design_stack", recorded_draw)
+    monkeypatch.setattr(experiments, "_STACK_ROWS", 1000)
+    run_tables34(ExperimentConfig(experiment="tables34", grid=((n, 1),),
+                                  mc_reps=30, basis_kinds=("polynomial",)),
+                 ref34[1])
+    step = max(1, experiments._STACK_ROWS // n)
+    assert all(stop - start <= step for start, stop in asked)
+    assert len(asked) == math.ceil(30 / step)
+    assert drawn == [list(range(*span)) for span in asked]
+    assert [r for reps in drawn for r in reps] == list(range(30))
 
 
 def test_uncertified_median_fits_fail_the_cell(monkeypatch):
@@ -158,12 +192,12 @@ def test_uncertified_median_fits_fail_the_cell(monkeypatch):
         cert[(X == bad.X).all(axis=(1, 2))] = np.inf
         return theta, cert
     monkeypatch.setattr(estimators, "_finish_exact", uncertified)
+    monkeypatch.setattr(experiments, "_STACK_ROWS", 500)  # 10 reps at n = 50
     with pytest.raises(NonConvergence, match=(
             rf"^tables12 cell \(n=50, m=1\), seed {seed}, replications "
             rf"10\.\.19: simplex fit: residual inf > tol 1\.0e-06 in 1 of 10 "
             rf"fits, stack positions \[3\]$")):
-        run_tables12(ExperimentConfig(grid=((50, 1),), mc_reps=20,
-                                      chunk_size=10))
+        run_tables12(ExperimentConfig(grid=((50, 1),), mc_reps=20))
     with pytest.raises(NonConvergence, match="simplex fit: residual inf"):
         fit_penalized_qr((bad.X, bad.y), 0.5)
 
@@ -177,22 +211,24 @@ def test_uncertified_mean_fits_fail_the_cell(monkeypatch):
         out[1] = np.inf                      # the second rep of each chunk
         return out
     monkeypatch.setattr(estimators, "_squared_gradient", one_uncertified)
+    monkeypatch.setattr(experiments, "_STACK_ROWS", 500)  # 10 reps at n = 50
     seed = 20240901 + 1000 * hash_cell(50, 1)
     with pytest.raises(NonConvergence, match=(
             rf"^tables12 cell \(n=50, m=1\), seed {seed}, replications "
             rf"0\.\.9: closed_form fit: residual inf > tol 1\.0e-06 in 1 of 10 "
             rf"fits, stack positions \[1\]$")):
-        run_tables12(ExperimentConfig(grid=((50, 1),), mc_reps=20,
-                                      chunk_size=10))
+        run_tables12(ExperimentConfig(grid=((50, 1),), mc_reps=20))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_a_chunk_error_names_its_study_cell_and_replications(workers):
+def test_a_chunk_error_names_its_study_cell_and_replications(monkeypatch,
+                                                             workers):
     # no mean fit certifies below 1e-30: the first chunk of the first cell
     # fails, and its NonConvergence comes back through the pool as itself
     from mixconc import NonConvergence
+    monkeypatch.setattr(experiments, "_STACK_ROWS", 250)  # 5 reps at n = 50
     cfg = ExperimentConfig(grid=((50, 1), (100, 1)), mc_reps=12,
-                           chunk_size=5, solver_tol=1e-30, workers=workers)
+                           solver_tol=1e-30, workers=workers)
     seed = 20240901 + 1000 * hash_cell(50, 1)
     with pytest.raises(NonConvergence, match=(
             rf"^tables12 cell \(n=50, m=1\), seed {seed}, replications "
@@ -204,7 +240,7 @@ def test_a_chunk_error_names_its_study_cell_and_replications(workers):
 def test_a_sieve_chunk_error_names_its_basis_cell_and_replications(
         monkeypatch):
     # a typed error of the third replication's fits
-    from mixconc import SingularDesign, experiments
+    from mixconc import SingularDesign
     fits = experiments.family_fits
     calls = []
 
@@ -214,19 +250,18 @@ def test_a_sieve_chunk_error_names_its_basis_cell_and_replications(
             raise SingularDesign("rank deficient")
         return fits(kind, designs, y)
     monkeypatch.setattr(experiments, "family_fits", singular_third)
+    monkeypatch.setattr(experiments, "_STACK_ROWS", 400)  # 4 reps at n = 100
     seed = 20240901 + 97 * hash_cell(100, 1) + 7
     with pytest.raises(SingularDesign, match=(
             rf"^tables34 pspline cell \(n=100, m=1\), seed {seed}, "
             rf"replications 0\.\.3: rank deficient$")):
         run_tables34(ExperimentConfig(experiment="tables34", grid=((100, 1),),
-                                      mc_reps=8, chunk_size=4,
-                                      basis_kinds=("pspline",)))
+                                      mc_reps=8, basis_kinds=("pspline",)))
 
 
 def test_experiments_uses_no_private_solver_names():
     # the harness fits through the public estimators API: no _admm, and no
     # underscore name of estimators
-    from mixconc import experiments
     with open(experiments.__file__) as fh:
         tree = ast.parse(fh.read())
     for node in ast.walk(tree):
