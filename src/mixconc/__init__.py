@@ -19,8 +19,7 @@ from .complexity import (MaxVariant, UniversalConstants, VarianceInputs,
                          gamma_bound_l2p, gauss_max_bound, gauss_max_lower,
                          gauss_sup_lower, gauss_sup_oracle, variance_term,
                          variance_term_fixed_point)
-from .datagen import (Dataset, gen_block_gaussian, make_linear_design,
-                      make_np_design, np_target)
+from .datagen import Dataset, make_linear_design, make_np_design, np_target
 from .errors import (DomainError, EmptyIdealSet, EmptyTestSet, InadmissibleN,
                      MixconcError, MonotonicityViolation, NoSolution,
                      NonConvergence, NonFinite, OracleVariance, ShapeMismatch,
@@ -41,7 +40,7 @@ from .mixing import (BetaMixingModel, EffectiveN, QuantileFn, b_r_bounds,
 from .sieves import (SieveBasis, SieveMomentOracle, family_designs,
                      family_fits, fit_sieve_ls)
 from .tuning import (SelectionResult, TuningGrid, VarianceProxy, default_s,
-                     feasible_k, ideal_k, lambda_grid, sieve_grid, test_set,
-                     variance_proxy)
+                     feasible_k, ideal_k, lambda_grid, select_lambda,
+                     select_sieve, sieve_grid, test_set, variance_proxy)
 
 __version__ = "0.1.0"

@@ -4,7 +4,8 @@ Subcommands:
   effn      effective number of observations for a mixing model
   bound     numeric concentration bound for penalized quantile regression
   simulate  the Monte Carlo studies (tables12 | tables34 | ols-tail)
-  tune      data-driven sieve-dimension selection on a CSV dataset
+  tune      data-driven choice of a sieve dimension (tuning.select_sieve)
+            or an l1 penalty level (tuning.select_lambda) on a CSV dataset
 
 Configuration files are flat ``key = value`` text; values may be numbers,
 comma lists, or n:m pair lists (see parse_config).
@@ -24,9 +25,7 @@ from .experiments import (BoundParams, ExperimentConfig, TABLES12_GRID,
                           write_manifest)
 from .lattice import build_lattice
 from .mixing import BetaMixingModel, effective_n, effective_n_bounds
-from .sieves import family_designs, family_fits
-from .tuning import default_s, feasible_k, lambda_grid, sieve_grid, \
-    variance_proxy
+from .tuning import default_s, select_lambda, select_sieve
 
 
 def _parse_item(raw: str):
@@ -197,35 +196,19 @@ def _cmd_tune(args) -> int:
 
 
 def _tune_sieve(args, y, w, nbeta, s):
-    ks = tuple(range(args.kmin, args.kmax + 1))
-    grid = sieve_grid(ks)
-    proxy = variance_proxy(grid, nbeta)
-    designs = family_designs(args.basis, ks, w)
-    fits = [fit.theta for fit in family_fits(args.basis, designs, y)]
-    grams = [Q.T @ Q / y.size for Q in designs]
-    result = feasible_k(grid, fits, proxy, s, grams,
-                        multiplier=args.multiplier)
-    coefs = fits[ks.index(result.k_feasible)]
+    result, fits = select_sieve(args.basis, range(args.kmin, args.kmax + 1),
+                                w, y, nbeta, s, multiplier=args.multiplier)
+    coefs = fits[result.k_feasible - args.kmin].theta
     return result, {"basis": args.basis,
                     "coefficients": list(map(float, coefs))}
 
 
 def _tune_lambda(args, X, y, nbeta, s):
-    from .estimators import PenaltySpec, fit_penalized_qr, quantile_loss, \
-        empirical_criterion, NO_PENALTY
     if not args.lambdas:
         raise MixconcError("lambda-grid tuning needs --lambdas")
-    grid = lambda_grid(args.lambdas)
-    d = X.shape[1]
-    loss0 = empirical_criterion(quantile_loss(args.tau), NO_PENALTY, (X, y),
-                                np.zeros(d))
-    proxy = variance_proxy(grid, nbeta, penalty="l1", d=d,
-                           mean_loss_at_zero=loss0)
-    fits = [fit_penalized_qr((X, y), args.tau, PenaltySpec("l1", lam=lam)).theta
-            for lam in grid.labels]
-    result = feasible_k(grid, fits, proxy, s, [np.eye(d)] * len(grid),
-                        multiplier=args.multiplier)
-    coefs = fits[grid.labels.index(result.k_feasible)]
+    result, fits = select_lambda(X, y, args.tau, args.lambdas, nbeta, s,
+                                 multiplier=args.multiplier)
+    coefs = fits[args.lambdas.index(result.k_feasible)].theta
     return result, {"penalty": "l1", "tau": args.tau,
                     "coefficients": list(map(float, coefs))}
 
@@ -278,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--workers", type=int, default=None)
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_tune = sub.add_parser("tune", help="sieve-dimension selection on a CSV")
-    p_tune.add_argument("--data", required=True, help="CSV with columns y,w")
+    p_tune = sub.add_parser("tune", help="sieve or l1 penalty choice on a CSV")
+    p_tune.add_argument("--data", required=True, help="CSV: y,w or y,x1..xd")
     p_tune.add_argument("--basis", choices=("polynomial", "pspline"),
                         default="polynomial")
     p_tune.add_argument("--kmin", type=int, default=3)

@@ -182,21 +182,6 @@ def _block_stream(rng: np.random.Generator, keys: np.ndarray, m: int,
             stream[...] = noise
 
 
-def gen_block_gaussian(n: int, m: int, count: int, seed: int,
-                       rep: int = 0,
-                       stream_offset: int = 0) -> list[np.ndarray]:
-    """`count` independent m-block-dependent standard-Gaussian streams, each
-    from its own key (see `_block_stream`)."""
-    _check_blocks(n, m)
-    if count < 0:
-        raise DomainError("count must be >= 0")
-    out = np.empty((count, 1, n))
-    _block_stream(_generator(),
-                  spawn_keys(seed, rep, stream_offset + np.arange(count)),
-                  m, out)
-    return list(out[:, 0])
-
-
 def linear_design_stack(n: int, m: int, d: int, seed: int, reps) -> Dataset:
     """`make_linear_design` for each replication in reps, stacked: X is
     (R, n, d) and y (R, n).  The keys of all (rep, stream) pairs come from

@@ -2,8 +2,8 @@
 check, and the concentration-bound evaluators.
 
 The studies draw their data with `datagen`, fit and certify with
-`estimators` (the sieve study with `sieves.family_fits`), and choose sieve
-dimensions with `tuning`.  `_chunks` cuts a cell of sample size n into
+`estimators`, and the sieve study fits and selects with
+`tuning.select_sieve`.  `_chunks` cuts a cell of sample size n into
 chunks of at most max(1, _STACK_ROWS // n) replications, and the keys of
 a replication's substreams derive from (master_seed, global replication
 index).  A study maps the chunks of all its cells through one process
@@ -20,6 +20,7 @@ import json
 import math
 import numbers
 import operator
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -33,8 +34,8 @@ from .errors import DomainError, MixconcError
 from .estimators import ABS_HALF, SQUARED, SolverOptions, delta_p, fit_penalized
 from .lattice import _integer, admissible_sizes, build_lattice
 from .mixing import BetaMixingModel, effective_n
-from .sieves import SieveMomentOracle, family_designs, family_fits
-from .tuning import (default_s, feasible_k, ideal_k, sieve_grid,
+from .sieves import SieveMomentOracle
+from .tuning import (default_s, ideal_k, select_sieve, sieve_grid,
                      variance_proxy)
 
 TABLES12_GRID = ((50, 1), (50, 2),
@@ -72,10 +73,11 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
-        for name in ("mc_reps", "d", "workers"):
+        for name, low in (("mc_reps", 1), ("d", 1), ("workers", 1),
+                          ("master_seed", 0)):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise DomainError(f"{name} must be an integer >= 1, "
+            if not isinstance(value, (int, np.integer)) or value < low:
+                raise DomainError(f"{name} must be an integer >= {low}, "
                                   f"got {value!r}")
         for name in ("solver_tol", "test_multiplier"):
             value = getattr(self, name)
@@ -135,7 +137,8 @@ def write_csv(rows, path) -> None:
 
 
 def write_manifest(config: ExperimentConfig, path, error=None) -> None:
-    """A run's config echo and versions, and its error if it failed."""
+    """A run's config echo and versions, and its error if it failed, with
+    stale_out naming a file at config.out (a failed run writes no CSV)."""
     import scipy
     from . import __version__
     payload = {
@@ -147,6 +150,8 @@ def write_manifest(config: ExperimentConfig, path, error=None) -> None:
     }
     if error is not None:
         payload["error"] = dict(type=type(error).__name__, message=str(error))
+        if config.out and os.path.exists(config.out):
+            payload["stale_out"] = config.out
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, default=list)
 
@@ -298,19 +303,16 @@ def build_sieve_oracle(kind: str) -> SieveMomentOracle:
 
 
 def _tables34_chunk(args):
-    """Feasible dimension and its fit per replication of one stacked chunk.
-    The oracle stays in the parent, which turns the fits into r_n."""
+    """Feasible dimension and its fit per replication of one stacked chunk,
+    by `select_sieve`; the parent turns the fits into r_n with the oracle."""
     (kind, n, m, seed, reps, mult, grams, s_n) = args
-    grid = sieve_grid(SIEVE_KS)
-    proxy = variance_proxy(grid, n // m)
     data = np_design_stack(n, m, seed, range(*reps))
     kF, chosen = [], []
     for w, y in zip(data.w, data.y):
-        designs = family_designs(kind, SIEVE_KS, w)
-        fits = [fit.theta for fit in family_fits(kind, designs, y)]
-        k = feasible_k(grid, fits, proxy, s_n, grams, multiplier=mult).k_feasible
-        kF.append(k)
-        chosen.append(fits[SIEVE_KS.index(k)])
+        result, fits = select_sieve(kind, SIEVE_KS, w, y, n // m, s_n, grams,
+                                    mult)
+        kF.append(result.k_feasible)
+        chosen.append(fits[SIEVE_KS.index(result.k_feasible)].theta)
     return kF, chosen
 
 
@@ -374,7 +376,7 @@ def _whitened_design(n, mu0, d, rng, keys):
     """Whitened mu0-block design and its noise stream, from the (2, 2)
     keys of a replication's streams 0 and 1 (`spawn_keys`), drawn with
     rng.  The d covariate columns are drawn in turn from the one stream 0,
-    not one stream per column as `gen_block_gaussian` draws them."""
+    not one stream per column as `make_linear_design` draws them."""
     X, U = np.empty((n, d)), np.empty(n)
     _block_stream(rng, keys[:1], mu0, X.T[None])
     _block_stream(rng, keys[1:], mu0, U[None, None])

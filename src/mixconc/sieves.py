@@ -14,8 +14,8 @@ which is why their bias in k need not be monotone.  Only this module
 knows which family is nested.
 
 `family_fits` is the library's one least-squares fit of sieve designs:
-the tables 3-4 study, `mixconc tune`, the demo and `fit_sieve_ls` all
-get their certified `Fit`s from it.
+`tuning.select_sieve` (so the tables 3-4 study, `mixconc tune` and the
+demo) and `fit_sieve_ls` get their certified `Fit`s from it.
 """
 
 import functools

@@ -4,7 +4,8 @@ The ideal parameter minimizes the variance proxy over the grid points
 whose proxy dominates the (oracle) bias; the feasible parameter minimizes
 it over the test set, whose membership only involves pairwise distances
 between fitted parameters -- no bias knowledge.  Both rules are exact set
-computations over a finite grid.
+computations over a finite grid.  `select_sieve` and `select_lambda`
+make the whole data-driven choice for one sample, one routine per family.
 """
 
 import math
@@ -14,6 +15,9 @@ import numpy as np
 
 from .errors import (DomainError, EmptyIdealSet, EmptyTestSet, NonFinite,
                      ShapeMismatch)
+from .estimators import (NO_PENALTY, PenaltySpec, empirical_criterion,
+                         fit_penalized_qr, quantile_loss)
+from .sieves import family_designs, family_fits
 
 #: multiplier in the test-set inequality dist <= multiplier * s * V_{k'}.
 #: 4 is the displayed theoretical rule.
@@ -187,6 +191,49 @@ def feasible_k(grid: TuningGrid, fits, proxy: VarianceProxy, s: float,
         result_kwargs = {"k_ideal": ki, "proxy_ideal": proxy[idx[ki]]}
     return SelectionResult(k_feasible=best, test_set=accepted, s=s,
                            proxy_feasible=proxy[idx[best]], **result_kwargs)
+
+
+def select_sieve(kind: str, ks, w, y, nbeta: float, s: float, grams=None,
+                 multiplier: float = DEFAULT_TEST_MULTIPLIER):
+    """The feasible sieve dimension for the sample (w, y) over the
+    increasing grid ks, and the certified least-squares `Fit` of each k in
+    ks, in order (`sieves.family_fits`).
+
+    The proxy is sqrt(k / nbeta).  `grams` are the test set's matrices
+    M_k, one per k; None takes the empirical Q_k'Q_k / n of the designs.
+    """
+    grid = sieve_grid(ks)
+    proxy = variance_proxy(grid, nbeta)
+    designs = family_designs(kind, grid.labels, w)
+    fits = family_fits(kind, designs, y)
+    if grams is None:
+        grams = [Q.T @ Q / Q.shape[0] for Q in designs]
+    result = feasible_k(grid, [fit.theta for fit in fits], proxy, s, grams,
+                        multiplier)
+    return result, fits
+
+
+def select_lambda(X, y, tau: float, lams, nbeta: float, s: float,
+                  multiplier: float = DEFAULT_TEST_MULTIPLIER):
+    """The feasible l1 penalty level of the tau-quantile regression of y on
+    X over the levels lams, and the certified `Fit` of each level in lams,
+    in the order given (`estimators.fit_penalized_qr`).
+
+    The proxy is the l1 one, with the mean check loss at theta = 0, and
+    the test set's distance is Euclidean.
+    """
+    grid = lambda_grid(lams)
+    d = X.shape[1]
+    loss0 = empirical_criterion(quantile_loss(tau), NO_PENALTY, (X, y),
+                                np.zeros(d))
+    proxy = variance_proxy(grid, nbeta, penalty="l1", d=d,
+                           mean_loss_at_zero=loss0)
+    fits = [fit_penalized_qr((X, y), tau, PenaltySpec("l1", lam=float(lam)))
+            for lam in lams]
+    theta = {float(lam): fit.theta for lam, fit in zip(lams, fits)}
+    result = feasible_k(grid, [theta[lam] for lam in grid.labels], proxy, s,
+                        [np.eye(d)] * len(grid), multiplier)
+    return result, fits
 
 
 def default_s(n: int, m: int = 1) -> float:

@@ -311,6 +311,12 @@ def test_cli_simulate_bad_config_key(tmp_path, capsys, line, key):
      "test_multiplier must be finite and > 0, got -1"),
     ("tables34", "grid = 100:1\ntest_multiplier = nan", [],
      "test_multiplier must be finite and > 0, got nan"),
+    ("tables12", "grid = 50:1", ["--seed", "-1000000000"],
+     "master_seed must be an integer >= 0, got -1000000000"),
+    ("tables12", "grid = 50:1", ["--seed", "-1"],
+     "master_seed must be an integer >= 0, got -1"),
+    ("tables12", "grid = 50:1\nmaster_seed = 2.5", [],
+     "master_seed must be an integer >= 0, got 2.5"),
 ], ids=["tables12-m0", "tables34-m0", "tables12-m-neg", "tables12-d0",
         "tables12-reps0", "tables34-reps0", "ols-tail-reps0",
         "tables12-reps-neg", "tables12-chunk0", "ols-tail-chunk-float",
@@ -321,7 +327,8 @@ def test_cli_simulate_bad_config_key(tmp_path, capsys, line, key):
         "ols-tail-u-neg", "ols-tail-u-nan", "tables12-d-float",
         "tables12-tol-neg", "tables12-tol-nan", "tables12-tol0",
         "tables12-workers0", "tables34-multiplier-neg",
-        "tables34-multiplier-nan"])
+        "tables34-multiplier-nan", "tables12-seed-large-neg",
+        "tables12-seed-neg", "tables12-seed-float"])
 def test_cli_simulate_bad_grid_or_design(tmp_path, capsys, study, lines,
                                           args, message):
     cfg = tmp_path / "t.cfg"
@@ -358,6 +365,25 @@ def test_cli_failed_simulate_writes_its_manifest(tmp_path, capsys):
     assert payload["error"]["type"] == "NonConvergence"
     assert "tables12 cell (n=50, m=1)" in payload["error"]["message"]
     assert f"error: {payload['error']['message']}\n" == err
+    assert "stale_out" not in payload
+
+
+def test_cli_failed_simulate_names_an_earlier_csv_as_stale(tmp_path, capsys):
+    # a run writes rows.csv; a failed rerun to the same path keeps its bytes
+    # and its manifest says the file is from an earlier run
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text("grid = 50:1\nmc_reps = 4\n")
+    out = tmp_path / "rows.csv"
+    assert main(["simulate", "tables12", "--config", str(cfg),
+                 "--out", str(out)]) == 0
+    rows = out.read_bytes()
+    cfg.write_text("grid = 50:1\nmc_reps = 4\nsolver_tol = 1e-30\n")
+    assert main(["simulate", "tables12", "--config", str(cfg),
+                 "--out", str(out)]) == 2
+    assert out.read_bytes() == rows
+    payload = json.loads((tmp_path / "rows.csv.manifest.json").read_text())
+    assert payload["error"]["type"] == "NonConvergence"
+    assert payload["stale_out"] == str(out)
 
 
 def _np_csv(path, edit=None):

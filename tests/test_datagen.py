@@ -3,23 +3,28 @@ import math
 import numpy as np
 import pytest
 
-from mixconc import DomainError, gen_block_gaussian, make_linear_design, \
-    make_np_design
+from mixconc import DomainError, make_linear_design, make_np_design
 from mixconc.datagen import (_FEW_KEYS, STREAM_VARIANCE, linear_design_stack,
                              np_design_stack, spawn_keys)
 from mixconc.experiments import (TABLES12_GRID, TABLES34_GRID,
                                  ExperimentConfig, hash_cell)
 
 
+def streams(n, m, count, seed, rep=0):
+    """Block streams 0..count-1 of a replication: the covariate columns of
+    `make_linear_design`, column j being stream j."""
+    return make_linear_design(n, m, count, seed, rep).X.T
+
+
 def test_block_stream_m1_iid_variance():
-    (v,) = gen_block_gaussian(200_000, 1, 1, seed=0)
+    (v,) = streams(200_000, 1, 1, seed=0)
     assert v.var() == pytest.approx(STREAM_VARIANCE, rel=0.02)
     lag1 = np.corrcoef(v[:-1], v[1:])[0, 1]
     assert abs(lag1) <= 3.0 / math.sqrt(v.size)
 
 
 def test_block_stream_within_block_correlation():
-    (v,) = gen_block_gaussian(400_000, 4, 1, seed=1)
+    (v,) = streams(400_000, 4, 1, seed=1)
     pairs = v.reshape(-1, 4)
     r = np.corrcoef(pairs[:, 0], pairs[:, 3])[0, 1]
     # construction gives correlation 1 / (1 + 0.01^2)
@@ -27,28 +32,28 @@ def test_block_stream_within_block_correlation():
 
 
 def test_block_means_uncorrelated_across_blocks():
-    (v,) = gen_block_gaussian(100_000, 10, 1, seed=2)
+    (v,) = streams(100_000, 10, 1, seed=2)
     means = v.reshape(-1, 10).mean(axis=1)
     rho = np.corrcoef(means[:-1], means[1:])[0, 1]
     assert abs(rho) <= 3.0 / math.sqrt(means.size)
 
 
 def test_streams_mutually_independent():
-    a, b = gen_block_gaussian(100_000, 4, 2, seed=3)
+    a, b = streams(100_000, 4, 2, seed=3)
     assert abs(np.corrcoef(a, b)[0, 1]) <= 3.0 / math.sqrt(100_000 / 4)
 
 
 def test_block_stream_determinism_and_substreams():
-    x1 = gen_block_gaussian(1000, 4, 2, seed=9, rep=5)
-    x2 = gen_block_gaussian(1000, 4, 2, seed=9, rep=5)
+    x1 = streams(1000, 4, 2, seed=9, rep=5)
+    x2 = streams(1000, 4, 2, seed=9, rep=5)
     assert all((a == b).all() for a, b in zip(x1, x2))
-    y = gen_block_gaussian(1000, 4, 2, seed=9, rep=6)
+    y = streams(1000, 4, 2, seed=9, rep=6)
     assert not (x1[0] == y[0]).all()
 
 
 def test_block_requires_divisibility():
     with pytest.raises(DomainError):
-        gen_block_gaussian(10, 3, 1, seed=0)
+        make_linear_design(10, 3, 1, seed=0)
 
 
 def test_linear_design():
@@ -182,7 +187,7 @@ def test_np_design_stack_equals_each_replication(n, m, reps):
 
 
 def test_streams_equal_seed_sequence_draws():
-    x, u = gen_block_gaussian(30, 3, 2, seed=4, rep=6, stream_offset=2)
+    x, u = streams(30, 3, 4, seed=4, rep=6)[2:]
     for stream, got in ((2, x), (3, u)):
         rng = np.random.Generator(np.random.Philox(
             np.random.SeedSequence(4, spawn_key=(6, stream))))
@@ -214,17 +219,14 @@ def test_raw_draws_are_pinned():
     lambda: make_np_design(10, -2),
     lambda: make_np_design(10, 1, seed=-1),
     lambda: make_np_design(10, 1, rep=-1),
-    lambda: gen_block_gaussian(10, 0, 1, seed=0),
-    lambda: gen_block_gaussian(10, 1, 1, seed=-1),
-    lambda: gen_block_gaussian(10, 1, 1, seed=0, rep=-1),
-    lambda: gen_block_gaussian(10, 1, -1, seed=0),
-    lambda: gen_block_gaussian(0, 1, 1, seed=0),
+    # the count (d) and the length (n) of the block streams
+    lambda: make_linear_design(10, 1, d=-1),
+    lambda: make_linear_design(0, 1),
     lambda: spawn_keys(1.5, 0, 0),
     lambda: spawn_keys(0, [0.5], 0),
 ], ids=["linear-m0", "linear-m-neg", "linear-d0", "linear-seed", "linear-rep",
-        "np-m0", "np-m-neg", "np-seed", "np-rep", "block-m0", "block-seed",
-        "block-rep", "block-count", "block-n0", "float-seed",
-        "float-rep"])
+        "np-m0", "np-m-neg", "np-seed", "np-rep", "block-count", "block-n0",
+        "float-seed", "float-rep"])
 def test_bad_design_arguments_raise_domain_error(call):
     with pytest.raises(DomainError):
         call()

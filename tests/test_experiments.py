@@ -10,7 +10,7 @@ from mixconc import (BetaMixingModel, BoundParams, ExperimentConfig,
                      l1_envelope, make_np_design, run_ols_tail, run_tables12,
                      run_tables34, sieve_grid, variance_proxy, write_csv,
                      write_manifest)
-from mixconc import experiments
+from mixconc import experiments, tuning
 from mixconc.experiments import (SIEVE_KS, TABLES12_GRID,
                                  TABLES34_TEST_MULTIPLIER, ReportRow,
                                  _tables34_chunk,
@@ -241,7 +241,7 @@ def test_a_sieve_chunk_error_names_its_basis_cell_and_replications(
         monkeypatch):
     # a typed error of the third replication's fits
     from mixconc import SingularDesign
-    fits = experiments.family_fits
+    fits = tuning.family_fits
     calls = []
 
     def singular_third(kind, designs, y):
@@ -249,7 +249,7 @@ def test_a_sieve_chunk_error_names_its_basis_cell_and_replications(
         if len(calls) == 3:
             raise SingularDesign("rank deficient")
         return fits(kind, designs, y)
-    monkeypatch.setattr(experiments, "family_fits", singular_third)
+    monkeypatch.setattr(tuning, "family_fits", singular_third)
     monkeypatch.setattr(experiments, "_STACK_ROWS", 400)  # 4 reps at n = 100
     seed = 20240901 + 97 * hash_cell(100, 1) + 7
     with pytest.raises(SingularDesign, match=(

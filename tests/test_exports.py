@@ -23,12 +23,12 @@ EXPORTS = (
     "first_primes", "fit_ols", "fit_penalized", "fit_penalized_qr",
     "fit_sieve_ls", "gamma_bound_l1", "gamma_bound_l2p", "gauss_max_bound",
     "gauss_max_lower", "gauss_sup_lower", "gauss_sup_oracle",
-    "gen_block_gaussian", "ideal_k", "l1_envelope", "lambda_grid",
-    "make_linear_design", "make_np_design", "mu_integral", "mu_q",
-    "np_target", "q_nk", "quantile_loss", "run_ols_tail", "run_tables12",
-    "run_tables34", "sieve_grid", "subgradient_residual", "test_set",
-    "variance_proxy", "variance_term", "variance_term_fixed_point",
-    "write_csv", "write_manifest",
+    "ideal_k", "l1_envelope", "lambda_grid", "make_linear_design",
+    "make_np_design", "mu_integral", "mu_q", "np_target", "q_nk",
+    "quantile_loss", "run_ols_tail", "run_tables12", "run_tables34",
+    "select_lambda", "select_sieve", "sieve_grid", "subgradient_residual",
+    "test_set", "variance_proxy", "variance_term",
+    "variance_term_fixed_point", "write_csv", "write_manifest",
 )
 
 

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import BSpline
+from scipy.linalg import null_space
 
 from mixconc import (NO_PENALTY, SQUARED, DomainError, NonConvergence,
                      NonFinite, ShapeMismatch, SieveMomentOracle,
@@ -149,6 +152,51 @@ def test_family_fits_certify_non_prefix_polynomial_designs_or_raise():
                     family_designs("pspline", (5, 8), w)):
         with pytest.raises(NonConvergence):
             family_fits("polynomial", designs, y)
+
+
+#: the knots of the k = 8 spline basis, ends of the support included
+KNOTS_8 = np.linspace(-6.0, 6.0, 6)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(kind=st.sampled_from(["polynomial", "pspline"]),
+       m=st.sampled_from([1, 2, 5, 10]), q=st.integers(8, 60),
+       seed=st.integers(0, 2 ** 20), tied_y=st.booleans(),
+       tied_w=st.booleans(), empty=st.sampled_from([None, 0, 1, 2, 3, 4]))
+def test_family_fits_match_an_independent_lstsq_oracle(kind, m, q, seed,
+                                                       tied_y, tied_w, empty):
+    # m-block designs (the w of a block nearly coincide), responses and
+    # covariates rounded to ties (few distinct w make the polynomial
+    # design rank deficient), and one knot interval of k = 8 emptied (an
+    # end interval makes the spline design rank deficient)
+    data = make_np_design(q * m, m, seed=seed)
+    w = np.round(data.w) if tied_w else data.w
+    y = np.round(data.y) if tied_y else data.y
+    if empty is not None:
+        keep = (w <= KNOTS_8[empty]) | (w >= KNOTS_8[empty + 1])
+        w, y = w[keep], y[keep]
+    designs = family_designs(kind, range(3, 9), w)
+    if w.size < 8:
+        with pytest.raises(DomainError, match="sample size"):
+            family_fits(kind, designs, y)
+        return
+    full_rank = np.linalg.matrix_rank(designs[-1]) == 8
+    if kind == "polynomial" and not full_rank:
+        with pytest.raises(SingularDesign):
+            family_fits(kind, designs, y)
+        return
+    tol, eps = SolverOptions().tol, np.finfo(float).eps
+    for Q, fit in zip(designs, family_fits(kind, designs, y)):
+        ref = np.linalg.lstsq(Q, y, rcond=None)[0]
+        assert fit.optimality_residual <= tol
+        # two backward-stable solvers agree to about cond(Q) eps: 1e-12 on
+        # the designs of condition number up to 1e4, and 10 cond(Q) eps on
+        # the near-singular polynomial designs (condition up to ~1e9)
+        gap = np.max(np.abs(fit.theta - ref)) / np.max(np.abs(ref))
+        assert gap <= max(1e-12, 10 * np.linalg.cond(Q) * eps)
+        null = null_space(Q)      # empty unless Q is rank deficient
+        assert np.linalg.norm(null.T @ fit.theta) \
+            <= 1e-12 * np.linalg.norm(fit.theta)   # the minimum-norm fit
 
 
 #: the study's seed for the pspline cell (n, m) = (100, 1)

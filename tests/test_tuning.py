@@ -3,9 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from mixconc import (DomainError, EmptyIdealSet, EmptyTestSet, NonFinite,
-                     ShapeMismatch, TuningGrid, default_s, feasible_k,
-                     ideal_k, lambda_grid, sieve_grid, variance_proxy)
+from mixconc import (NO_PENALTY, DomainError, EmptyIdealSet, EmptyTestSet,
+                     NonFinite, PenaltySpec, ShapeMismatch, TuningGrid,
+                     build_sieve_oracle, default_s, empirical_criterion,
+                     family_designs, family_fits, feasible_k,
+                     fit_penalized_qr, ideal_k, lambda_grid,
+                     make_linear_design, make_np_design, quantile_loss,
+                     select_lambda, select_sieve, sieve_grid,
+                     variance_proxy)
 from mixconc.tuning import test_set as pairwise_test_set
 
 
@@ -223,3 +228,52 @@ def test_selection_scale_invariance():
 def test_s_helpers():
     assert default_s(1000, 1) == pytest.approx(0.5 * math.log(1000))
     assert default_s(3000, 6) == pytest.approx(0.5 * math.log(500))
+
+
+# -- the data-driven choice of one sample -------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["polynomial", "pspline"])
+def test_select_sieve_equals_a_hand_assembly(kind):
+    # the empirical grams (grams=None) and the oracle grams; the pspline
+    # sample's test set differs between the two
+    n, m, ks, mult = 300, 3, range(3, 9), 4.0
+    data = make_np_design(n, m, seed=1)
+    s = default_s(n, m)
+    grid = sieve_grid(ks)
+    proxy = variance_proxy(grid, n // m)
+    designs = family_designs(kind, ks, data.w)
+    thetas = [fit.theta for fit in family_fits(kind, designs, data.y)]
+    oracle_grams = [build_sieve_oracle(kind).moments(k)[0] for k in ks]
+    test_sets = []
+    for grams, hand_grams in ((None, [Q.T @ Q / n for Q in designs]),
+                              (oracle_grams, oracle_grams)):
+        result, fits = select_sieve(kind, ks, data.w, data.y, n // m, s,
+                                    grams, mult)
+        assert result == feasible_k(grid, thetas, proxy, s, hand_grams, mult)
+        assert all(np.array_equal(fit.theta, theta)
+                   for fit, theta in zip(fits, thetas, strict=True))
+        test_sets.append(result.test_set)
+    if kind == "pspline":
+        assert test_sets == [(8,), (7, 8)]
+
+
+def test_select_lambda_equals_a_hand_assembly():
+    # the levels are given out of order: the fits follow them, the grid
+    # and the test set run down from the largest level
+    data = make_linear_design(200, 2, 3, seed=1)
+    X, y, tau, lams, s = data.X, data.y, 0.5, (0.002, 0.2, 0.02, 0.05), 0.02
+    grid = lambda_grid(lams)
+    loss0 = empirical_criterion(quantile_loss(tau), NO_PENALTY, (X, y),
+                                np.zeros(3))
+    proxy = variance_proxy(grid, 100, penalty="l1", d=3,
+                           mean_loss_at_zero=loss0)
+    thetas = {lam: fit_penalized_qr((X, y), tau,
+                                    PenaltySpec("l1", lam=lam)).theta
+              for lam in lams}
+    result, fits = select_lambda(X, y, tau, lams, 100, s, multiplier=1.2)
+    assert result == feasible_k(grid, [thetas[lam] for lam in grid.labels],
+                                proxy, s, [np.eye(3)] * 4, 1.2)
+    assert result.test_set == (0.02, 0.002)
+    assert all(np.array_equal(fit.theta, thetas[lam])
+               for lam, fit in zip(lams, fits, strict=True))
