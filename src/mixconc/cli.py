@@ -19,9 +19,8 @@ import sys
 import numpy as np
 
 from .errors import MixconcError
-from .experiments import (BoundParams, ExperimentConfig, TABLES12_GRID,
-                          TABLES34_GRID, eval_bound, run_ols_tail,
-                          run_tables12, run_tables34, write_csv,
+from .experiments import (BoundParams, ExperimentConfig, eval_bound,
+                          run_ols_tail, run_tables12, run_tables34, write_csv,
                           write_manifest)
 from .lattice import build_lattice
 from .mixing import BetaMixingModel, effective_n, effective_n_bounds
@@ -96,11 +95,11 @@ def _cmd_bound(args) -> int:
     return 0
 
 
-def _config_from_file(args, experiment, default_grid) -> ExperimentConfig:
+def _config_from_file(args, experiment) -> ExperimentConfig:
     overrides = {}
     if args.config:
         overrides.update(parse_config(args.config))
-    cfg = ExperimentConfig(experiment=experiment, grid=default_grid)
+    cfg = ExperimentConfig(experiment=experiment)
     unknown = set(overrides) - set(cfg.__dataclass_fields__)
     if unknown:
         raise MixconcError(f"unknown config keys: {sorted(unknown)}")
@@ -131,10 +130,9 @@ def _config_from_file(args, experiment, default_grid) -> ExperimentConfig:
 
 
 def _cmd_simulate(args) -> int:
-    run, grid = {"tables12": (run_tables12, TABLES12_GRID),
-                 "tables34": (run_tables34, TABLES34_GRID),
-                 "ols-tail": (run_ols_tail, ())}[args.study]   # no grid
-    cfg = _config_from_file(args, args.study, grid)
+    run = {"tables12": run_tables12, "tables34": run_tables34,
+           "ols-tail": run_ols_tail}[args.study]
+    cfg = _config_from_file(args, args.study)
     try:
         rows = run(cfg)
     except MixconcError as exc:     # a failed run's manifest names its error

@@ -8,7 +8,8 @@ stream)) gives Philox.  `spawn_keys` derives the keys of many pairs in
 one vectorized pass of that hash, and the draws re-key one Philox per
 call, so replications and streams are independent, and for a given
 master seed a replication's draws are bit-identical in any order and in
-any stack (`linear_design_stack`, `np_design_stack`).
+any stack (`linear_design_stack`, `np_design_stack`,
+`whitened_design_stack`).
 """
 
 from dataclasses import dataclass, field
@@ -240,3 +241,25 @@ def make_np_design(n: int, m: int, seed: int = 0, rep: int = 0) -> Dataset:
     data = np_design_stack(n, m, seed, (rep,))
     data.w, data.y = data.w[0], data.y[0]
     return data
+
+
+def whitened_design_stack(n: int, m: int, d: int, seed: int,
+                          reps) -> Dataset:
+    """The least-squares tail design for each replication in reps,
+    stacked: y = X 0 + u, with X (R, n, d) whitened so that X'X / n = I
+    and the error u (R, n).  The d covariate columns are drawn in turn from
+    the one stream 0 (not one stream per column as in `make_linear_design`)
+    and u is stream 1; the keys come from one `spawn_keys` pass and X'X / n
+    is whitened by one stacked eigh.  The whitening needs n >= d."""
+    _check_blocks(n, m)
+    if not 1 <= d <= n:
+        raise DomainError(f"d must lie in [1, n], got d={d}, n={n}")
+    keys = spawn_keys(seed, np.asarray(reps)[:, None], (0, 1))
+    X, u = np.empty((len(keys), n, d)), np.empty((len(keys), n))
+    rng = _generator()
+    _block_stream(rng, keys[:, :1], m, X.transpose(0, 2, 1)[:, None])
+    _block_stream(rng, keys[:, 1:], m, u[:, None, None])
+    evals, evecs = np.linalg.eigh(X.transpose(0, 2, 1) @ X / n)
+    X = (X @ evecs * evals[:, None] ** -0.5) @ evecs.transpose(0, 2, 1)
+    return Dataset(y=u, X=X, truth=np.zeros(d),
+                   meta={"n": n, "m": m, "d": d})

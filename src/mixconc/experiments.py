@@ -1,12 +1,14 @@
 """Monte Carlo harness: the two simulation studies, the least-squares tail
 check, and the concentration-bound evaluators.
 
-The studies draw their data with `datagen`, fit and certify with
-`estimators`, and the sieve study fits and selects with
-`tuning.select_sieve`.  `_chunks` cuts a cell of sample size n into
-chunks of at most max(1, _STACK_ROWS // n) replications, and the keys of
-a replication's substreams derive from (master_seed, global replication
-index).  A study maps the chunks of all its cells through one process
+The three studies take their (n, m) cells from `_snapped_grid` (the
+default is the study's own grid), draw their data with `datagen`'s
+stacks, fit and certify with `estimators`, and the sieve study fits and
+selects with `tuning.select_sieve`.  `_chunks` cuts a cell of sample size
+n into chunks of at most max(1, _STACK_ROWS // n) replications, and the
+keys of a replication's substreams derive from (the cell's seed, global
+replication index); the tail check's cells with equal m share their
+seed.  A study maps the chunks of all its cells through one process
 pool; a chunk draws its replications as one stack and returns
 per-replication values, and each cell's statistics are computed once
 from its chunks' values joined in replication order, so a report depends
@@ -28,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexity import UniversalConstants
-from .datagen import (_block_stream, _generator, linear_design_stack,
-                      np_design_stack, np_target, spawn_keys)
+from .datagen import (linear_design_stack, np_design_stack, np_target,
+                      whitened_design_stack)
 from .errors import DomainError, MixconcError
 from .estimators import ABS_HALF, SQUARED, SolverOptions, delta_p, fit_penalized
 from .lattice import _integer, admissible_sizes, build_lattice
@@ -44,7 +46,12 @@ TABLES12_GRID = ((50, 1), (50, 2),
                  (1000, 1), (1000, 10), (1000, 20), (1000, 40), (1000, 100))
 TABLES34_GRID = ((100, 1), (300, 1), (500, 1), (1000, 1),
                  (2000, 1), (3000, 1), (3000, 6))
+OLS_TAIL_GRID = ((64, 1), (64, 4))
 SIEVE_KS = (3, 4, 5, 6, 7, 8)
+
+#: each study's default grid
+_GRIDS = {"tables12": TABLES12_GRID, "tables34": TABLES34_GRID,
+          "ols-tail": OLS_TAIL_GRID}
 
 #: rows per stream a chunk draws at most; the pivot holds a few this size
 _STACK_ROWS = 2 ** 15
@@ -58,7 +65,7 @@ TABLES34_TEST_MULTIPLIER = 1.2
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str = "tables12"
-    grid: tuple = TABLES12_GRID
+    grid: tuple | None = None          # None: the grid of `experiment`
     mc_reps: int = 2000
     master_seed: int = 20240901
     upsilon: int = 3
@@ -68,11 +75,14 @@ class ExperimentConfig:
     solver_tol: float = 1e-6
     workers: int = 1
     tail_u: tuple = (4.0, 8.0, 16.0)
-    tail_mu0: tuple = (1, 4)
-    tail_n: int = 64
     out: str | None = None
 
     def __post_init__(self):
+        if self.experiment not in _GRIDS:
+            raise DomainError(f"unknown experiment {self.experiment!r}; "
+                              f"expected one of {sorted(_GRIDS)}")
+        if self.grid is None:
+            object.__setattr__(self, "grid", _GRIDS[self.experiment])
         for name, low in (("mc_reps", 1), ("d", 1), ("workers", 1),
                           ("master_seed", 0)):
             value = getattr(self, name)
@@ -165,9 +175,11 @@ def snap_admissible(n: int, upsilon: int) -> int:
                key=lambda k: (abs(k - n), k))
 
 
-def _snapped_grid(config: ExperimentConfig) -> list[tuple[int, int]]:
+def _snapped_grid(config: ExperimentConfig, low: int,
+                  what: str) -> list[tuple[int, int]]:
     """The study's (n, m) cells with n snapped to an admissible size; each
-    entry must be an integer pair n, m >= 1 with m dividing the snapped n."""
+    entry must be an integer pair n, m >= 1 with m dividing the snapped n,
+    which must be at least low (`what` names that floor)."""
     grid = []
     for entry in config.grid:
         try:
@@ -182,6 +194,9 @@ def _snapped_grid(config: ExperimentConfig) -> list[tuple[int, int]]:
         n = snap_admissible(n, config.upsilon)
         if n % m:
             raise DomainError(f"m={m} does not divide (snapped) n={n}")
+        if n < low:
+            raise DomainError(f"cell (n={n}, m={m}): the snapped n is below "
+                              f"{what}")
         grid.append((n, m))
     return grid
 
@@ -257,11 +272,8 @@ def _mc_mean(values: np.ndarray) -> tuple[int, float, float]:
 def run_tables12(config: ExperimentConfig) -> list[ReportRow]:
     """Reproduce the location-regression tables: MC averages of the
     population criterion distance, x100, with sqrt(m)-scaled predictions."""
-    grid, cells = _snapped_grid(config), []
+    grid, cells = _snapped_grid(config, config.d, f"d={config.d}"), []
     for (n, m) in grid:
-        if n < config.d:
-            raise DomainError(f"cell (n={n}, m={m}): the snapped n is below "
-                              f"d={config.d}")
         if (n, 1) not in grid:
             raise DomainError(f"the sqrt(m) prediction at (n={n}, m={m}) "
                               f"needs the cell (n={n}, m=1) in the grid")
@@ -326,11 +338,8 @@ def run_tables34(config: ExperimentConfig,
     """
     cells, tasks = [], []
     grid = sieve_grid(SIEVE_KS)
-    sizes = _snapped_grid(config)
-    for (n, m) in sizes:
-        if n < max(SIEVE_KS):
-            raise DomainError(f"cell (n={n}, m={m}): the snapped n is below "
-                              f"the largest sieve dimension k={max(SIEVE_KS)}")
+    sizes = _snapped_grid(config, max(SIEVE_KS), "the largest sieve "
+                          f"dimension k={max(SIEVE_KS)}")
     for kind in config.basis_kinds:
         oracle = (oracles or {}).get(kind) or build_sieve_oracle(kind)
         grams = [oracle.moments(k)[0] for k in SIEVE_KS]
@@ -372,59 +381,50 @@ def run_tables34(config: ExperimentConfig,
 # least-squares toy concentration check
 
 
-def _whitened_design(n, mu0, d, rng, keys):
-    """Whitened mu0-block design and its noise stream, from the (2, 2)
-    keys of a replication's streams 0 and 1 (`spawn_keys`), drawn with
-    rng.  The d covariate columns are drawn in turn from the one stream 0,
-    not one stream per column as `make_linear_design` draws them."""
-    X, U = np.empty((n, d)), np.empty(n)
-    _block_stream(rng, keys[:1], mu0, X.T[None])
-    _block_stream(rng, keys[1:], mu0, U[None, None])
-    S = X.T @ X / n
-    evals, evecs = np.linalg.eigh(S)
-    X = X @ evecs @ np.diag(evals ** -0.5) @ evecs.T
-    return X, U
-
-
-def _tail_keys(seed, reps):
-    """The (reps, 2, 2) keys of streams 0 and 1 of replications 0..reps-1."""
-    return spawn_keys(seed, np.arange(reps)[:, None], (0, 1))
-
-
 #: fresh designs the tail check's moment oracle averages over
 TAIL_MOMENT_DESIGNS = 2000
 
 
 def ols_tail_moment_oracle(n, mu0, d, seed) -> float:
-    """E[(block sum of x_l U / sqrt(mu0))^2 / mu0] over fresh designs."""
-    total, rng, q = 0.0, _generator(), n // mu0
-    for keys in _tail_keys(seed, TAIL_MOMENT_DESIGNS):
-        X, U = _whitened_design(n, mu0, d, rng, keys)
-        block = (X * U[:, None]).reshape(q, mu0, d).sum(axis=1)  # (q, d)
-        total += float((block ** 2).sum()) / mu0
+    """E[(block sum of x_l U / sqrt(mu0))^2 / mu0] over fresh designs,
+    drawn in `_chunks` stacks; the per-design sums are added in order."""
+    total, q = 0.0, n // mu0
+    for reps in _chunks(TAIL_MOMENT_DESIGNS, n):
+        data = whitened_design_stack(n, mu0, d, seed, range(*reps))
+        block = (data.X * data.y[..., None]).reshape(-1, q, mu0, d).sum(2)
+        for value in (block ** 2).reshape(len(block), -1).sum(axis=1):
+            total += float(value) / mu0
     return total / (TAIL_MOMENT_DESIGNS * q * d)
+
+
+def _ols_tail_chunk(args):
+    """The error norm |X'u / n| of the least-squares estimate of theta = 0
+    (X'X / n = I) for each replication of one stacked chunk."""
+    (n, m, d, seed, reps) = args
+    data = whitened_design_stack(n, m, d, seed, range(*reps))
+    # matmuls, as X.T @ u and norm's dot do it per design: norm(axis=1)
+    # differs from those by an ulp on some designs
+    delta = (data.X.transpose(0, 2, 1) @ data.y[..., None])[..., 0] / n
+    return (np.sqrt((delta[:, None, :] @ delta[..., None])[:, 0, 0]),)
 
 
 def run_ols_tail(config: ExperimentConfig) -> list[ReportRow]:
     """Tail frequencies of the whitened least-squares estimator against
-    the (4d/u) sqrt(E[(Delta/sqrt(mu0))^2]) bound."""
-    rows = []
-    n, d = config.tail_n, config.d
-    build_lattice(n, 2)
+    the (4d/u) sqrt(E[(Delta/sqrt(mu0))^2]) bound, over the (n, mu0) grid."""
+    d = config.d
     for u in config.tail_u:
         if not (isinstance(u, numbers.Real) and math.isfinite(u) and u > 0):
             raise DomainError(f"tail_u must be finite and > 0, got {u!r}")
-    for mu0 in config.tail_mu0:
-        if mu0 < 1 or n % mu0:
-            raise DomainError(f"mu0={mu0} must be >= 1 and divide n={n}")
-        seed = config.master_seed + 13 * mu0
+    grid = _snapped_grid(config, d, f"d={d}")
+    seeds = [config.master_seed + 13 * mu0 for (_, mu0) in grid]
+    cells = [(f"ols-tail cell (n={n}, m={mu0}), seed {seed}",
+              [(rr, (n, mu0, d, seed, rr))
+               for rr in _chunks(config.mc_reps, n)])
+             for (n, mu0), seed in zip(grid, seeds)]
+    rows = []
+    for (n, mu0), seed, (errs,) in zip(
+            grid, seeds, _run_cells(_ols_tail_chunk, cells, config.workers)):
         Ehat = ols_tail_moment_oracle(n, mu0, d, seed + 1)
-        errs = np.empty(config.mc_reps)
-        rng = _generator()
-        for rep, keys in enumerate(_tail_keys(seed, config.mc_reps)):
-            X, U = _whitened_design(n, mu0, d, rng, keys)
-            delta_theta = X.T @ U / n
-            errs[rep] = np.linalg.norm(delta_theta)
         for u in config.tail_u:
             threshold = u * math.sqrt(d * mu0 / n)
             freq = float(np.mean(errs >= threshold))

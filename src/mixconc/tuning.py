@@ -108,9 +108,7 @@ class SelectionResult:
     k_feasible: object
     test_set: tuple
     s: float
-    k_ideal: object | None = None
     proxy_feasible: float = math.nan
-    proxy_ideal: float = math.nan
 
 
 def ideal_k(grid: TuningGrid, proxy: VarianceProxy, bias):
@@ -175,8 +173,8 @@ def test_set(grid: TuningGrid, fits, proxy: VarianceProxy, s: float,
 
 
 def feasible_k(grid: TuningGrid, fits, proxy: VarianceProxy, s: float,
-               grams, multiplier: float = DEFAULT_TEST_MULTIPLIER,
-               bias=None) -> SelectionResult:
+               grams, multiplier: float = DEFAULT_TEST_MULTIPLIER
+               ) -> SelectionResult:
     """Minimal-proxy member of the test set (the minimal label, since the
     proxy is non-decreasing along the grid)."""
     accepted = test_set(grid, fits, proxy, s, grams, multiplier)
@@ -185,12 +183,8 @@ def feasible_k(grid: TuningGrid, fits, proxy: VarianceProxy, s: float,
                            "negative")
     idx = {lab: i for i, lab in enumerate(grid.labels)}
     best = min(accepted, key=lambda lab: (proxy[idx[lab]], idx[lab]))
-    result_kwargs = {}
-    if bias is not None:
-        ki = ideal_k(grid, proxy, bias)
-        result_kwargs = {"k_ideal": ki, "proxy_ideal": proxy[idx[ki]]}
     return SelectionResult(k_feasible=best, test_set=accepted, s=s,
-                           proxy_feasible=proxy[idx[best]], **result_kwargs)
+                           proxy_feasible=proxy[idx[best]])
 
 
 def select_sieve(kind: str, ks, w, y, nbeta: float, s: float, grams=None,

@@ -325,7 +325,7 @@ def test_ols_tail_domination():
     start = time.time()
     cfg = ExperimentConfig(experiment="ols-tail", mc_reps=5000,
                            master_seed=SEED, tail_u=(4.0, 8.0, 16.0),
-                           tail_mu0=(1, 4), tail_n=64)
+                           grid=((64, 1), (64, 4)))
     rows = run_ols_tail(cfg)
     elapsed = time.time() - start
     ok = True
@@ -478,8 +478,8 @@ def test_tuning_logic_properties():
         except EmptyIdealSet:
             ki = None
         if accepted and ki is not None and ki in accepted:
-            res = feasible_k(grid, fits, proxy, s, metric, bias=bias)
-            ok &= res.proxy_feasible <= res.proxy_ideal + 1e-12
+            res = feasible_k(grid, fits, proxy, s, metric)
+            ok &= res.proxy_feasible <= proxy[grid.labels.index(ki)] + 1e-12
         s2 = s * float(rng.uniform(1.0, 3.0))
         bigger = pairwise_test_set(grid, fits, proxy, s2, metric)
         ok &= set(accepted) <= set(bigger)

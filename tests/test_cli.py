@@ -123,8 +123,7 @@ def test_cli_simulate_ols_tail_manifest(tmp_path, capsys):
     payload = json.loads((tmp_path / "tail.csv.manifest.json").read_text())
     assert payload["versions"]["mixconc"] == mixconc.__version__
     assert payload["config"]["experiment"] == "ols-tail"
-    assert payload["config"]["grid"] == []      # the tail check has no grid
-    assert payload["config"]["tail_mu0"] == [1, 4]
+    assert payload["config"]["grid"] == [[64, 1], [64, 4]]
     assert len(out.read_text().splitlines()) == 1 + 2 * 3
 
 
@@ -317,6 +316,9 @@ def test_cli_simulate_bad_config_key(tmp_path, capsys, line, key):
      "master_seed must be an integer >= 0, got -1"),
     ("tables12", "grid = 50:1\nmaster_seed = 2.5", [],
      "master_seed must be an integer >= 0, got 2.5"),
+    ("ols-tail", "grid = 2:1", [], "cell (n=2, m=1): the snapped n is below d=3"),
+    ("ols-tail", "tail_n = 64", [], "unknown config keys: ['tail_n']"),
+    ("ols-tail", "tail_mu0 = 1,4", [], "unknown config keys: ['tail_mu0']"),
 ], ids=["tables12-m0", "tables34-m0", "tables12-m-neg", "tables12-d0",
         "tables12-reps0", "tables34-reps0", "ols-tail-reps0",
         "tables12-reps-neg", "tables12-chunk0", "ols-tail-chunk-float",
@@ -328,7 +330,8 @@ def test_cli_simulate_bad_config_key(tmp_path, capsys, line, key):
         "tables12-tol-neg", "tables12-tol-nan", "tables12-tol0",
         "tables12-workers0", "tables34-multiplier-neg",
         "tables34-multiplier-nan", "tables12-seed-large-neg",
-        "tables12-seed-neg", "tables12-seed-float"])
+        "tables12-seed-neg", "tables12-seed-float", "ols-tail-n-below-d",
+        "ols-tail-tail-n", "ols-tail-tail-mu0"])
 def test_cli_simulate_bad_grid_or_design(tmp_path, capsys, study, lines,
                                           args, message):
     cfg = tmp_path / "t.cfg"

@@ -5,7 +5,8 @@ import pytest
 
 from mixconc import DomainError, make_linear_design, make_np_design
 from mixconc.datagen import (_FEW_KEYS, STREAM_VARIANCE, linear_design_stack,
-                             np_design_stack, spawn_keys)
+                             np_design_stack, spawn_keys,
+                             whitened_design_stack)
 from mixconc.experiments import (TABLES12_GRID, TABLES34_GRID,
                                  ExperimentConfig, hash_cell)
 
@@ -186,6 +187,40 @@ def test_np_design_stack_equals_each_replication(n, m, reps):
         assert np.array_equal(one.y, 2.0 * np.cos(w) + w + 0.5 * u)
 
 
+def _seed_sequence_whitened_design(n, m, d, seed, rep):
+    """The tail design drawn from SeedSequence-keyed Philox generators (the
+    d columns in turn from stream 0, the error from stream 1) and whitened
+    by the eigendecomposition of X'X / n, one replication at a time."""
+    x_rng = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(seed, spawn_key=(rep, 0))))
+    X = np.stack([np.repeat(x_rng.standard_normal(n // m), m)
+                  + 0.01 * x_rng.standard_normal(n) for _ in range(d)], axis=1)
+    evals, evecs = np.linalg.eigh(X.T @ X / n)
+    X = X @ evecs @ np.diag(evals ** -0.5) @ evecs.T
+    return X, _seed_sequence_stream(n, m, seed, rep, 1)
+
+
+@pytest.mark.parametrize("n,m,d", [(64, 1, 3), (64, 4, 3), (128, 8, 5),
+                                   (24, 24, 1), (3, 1, 3)])
+def test_whitened_design_stack_equals_each_replication(n, m, d):
+    seed, reps = 20240901 + 13 * m, range(40, 56)
+    stack = whitened_design_stack(n, m, d, seed, reps)
+    assert stack.X.shape == (16, n, d) and stack.y.shape == (16, n)
+    assert np.array_equal(stack.truth, np.zeros(d))
+    for r, rep in enumerate(reps):
+        X, u = _seed_sequence_whitened_design(n, m, d, seed, rep)
+        assert np.array_equal(stack.X[r], X)
+        assert np.array_equal(stack.y[r], u)
+
+
+@pytest.mark.parametrize("m", [1, 4, 8])
+def test_whitened_design_stack_is_whitened(m):
+    n, d = 64, 3
+    X = whitened_design_stack(n, m, d, 20240901 + 13 * m, range(100)).X
+    gram = X.transpose(0, 2, 1) @ X / n
+    assert np.abs(gram - np.eye(d)).max() <= 1e-12
+
+
 def test_streams_equal_seed_sequence_draws():
     x, u = streams(30, 3, 4, seed=4, rep=6)[2:]
     for stream, got in ((2, x), (3, u)):
@@ -224,9 +259,12 @@ def test_raw_draws_are_pinned():
     lambda: make_linear_design(0, 1),
     lambda: spawn_keys(1.5, 0, 0),
     lambda: spawn_keys(0, [0.5], 0),
+    lambda: whitened_design_stack(2, 1, 3, 0, [0]),
+    lambda: whitened_design_stack(8, 3, 1, 0, [0]),
 ], ids=["linear-m0", "linear-m-neg", "linear-d0", "linear-seed", "linear-rep",
         "np-m0", "np-m-neg", "np-seed", "np-rep", "block-count", "block-n0",
-        "float-seed", "float-rep"])
+        "float-seed", "float-rep", "whitened-n-below-d",
+        "whitened-m-not-dividing"])
 def test_bad_design_arguments_raise_domain_error(call):
     with pytest.raises(DomainError):
         call()

@@ -5,14 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from mixconc import (BetaMixingModel, BoundParams, ExperimentConfig,
-                     SieveBasis, default_s, eval_bound, feasible_k,
+from mixconc import (BetaMixingModel, BoundParams, DomainError,
+                     ExperimentConfig, SieveBasis, default_s, eval_bound, feasible_k,
                      l1_envelope, make_np_design, run_ols_tail, run_tables12,
                      run_tables34, sieve_grid, variance_proxy, write_csv,
                      write_manifest)
 from mixconc import experiments, tuning
-from mixconc.experiments import (SIEVE_KS, TABLES12_GRID,
-                                 TABLES34_TEST_MULTIPLIER, ReportRow,
+from mixconc.experiments import (OLS_TAIL_GRID, SIEVE_KS, TABLES12_GRID,
+                                 TABLES34_GRID, TABLES34_TEST_MULTIPLIER, ReportRow,
                                  _tables34_chunk,
                                  build_sieve_oracle, hash_cell,
                                  snap_admissible)
@@ -260,23 +260,58 @@ def test_a_sieve_chunk_error_names_its_basis_cell_and_replications(
 
 
 def test_experiments_uses_no_private_solver_names():
-    # the harness fits through the public estimators API: no _admm, and no
-    # underscore name of estimators
+    # the harness fits through the public estimators API and draws through
+    # the public datagen stacks: no _admm, and no underscore name of
+    # estimators or datagen
     with open(experiments.__file__) as fh:
         tree = ast.parse(fh.read())
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             names = [alias.name for alias in node.names]
             assert "_admm" not in names and node.module != "_admm"
-            if node.module == "estimators":
+            if node.module in ("estimators", "datagen"):
                 assert not [name for name in names if name.startswith("_")]
         elif isinstance(node, ast.Import):
             assert not [a.name for a in node.names if "_admm" in a.name]
 
 
+def test_default_grid_is_the_study_grid():
+    assert ExperimentConfig().grid == TABLES12_GRID
+    assert ExperimentConfig(experiment="tables34").grid == TABLES34_GRID
+    assert ExperimentConfig(experiment="ols-tail").grid == OLS_TAIL_GRID \
+        == ((64, 1), (64, 4))
+    cfg = ExperimentConfig(experiment="ols-tail", grid=((128, 2),))
+    assert cfg.grid == ((128, 2),)
+
+
+def test_unknown_experiment_raises_domain_error():
+    with pytest.raises(DomainError, match="unknown experiment 'tables56'"):
+        ExperimentConfig(experiment="tables56")
+
+
+def test_ols_tail_stacks_match_a_design_by_design_loop(monkeypatch):
+    # the stacked error norms and moment sums equal, bit for bit, the loop
+    # over single designs (stacks of one) they replaced; the oracle's
+    # designs go in chunks of 7
+    from mixconc.datagen import whitened_design_stack
+    monkeypatch.setattr(experiments, "_STACK_ROWS", 64 * 7)
+    n, m, d, seed = 64, 4, 3, 11
+    designs = [whitened_design_stack(n, m, d, seed, (rep,))
+               for rep in range(experiments.TAIL_MOMENT_DESIGNS)]
+    (errs,) = experiments._ols_tail_chunk((n, m, d, seed, (0, 30)))
+    assert errs.tolist() == [np.linalg.norm(data.X[0].T @ data.y[0] / n)
+                             for data in designs[:30]]
+    total = 0.0
+    for data in designs:
+        block = (data.X[0] * data.y[0][:, None]).reshape(n // m, m, d)
+        total += float((block.sum(axis=1) ** 2).sum()) / m
+    want = total / (experiments.TAIL_MOMENT_DESIGNS * (n // m) * d)
+    assert experiments.ols_tail_moment_oracle(n, m, d, seed) == want
+
+
 def test_ols_tail_rows():
     cfg = ExperimentConfig(experiment="ols-tail", mc_reps=400,
-                           tail_mu0=(1, 4), tail_u=(0.5, 4.0, 16.0))
+                           grid=((64, 1), (64, 4)), tail_u=(0.5, 4.0, 16.0))
     rows = run_ols_tail(cfg)
     assert len(rows) == 6
     for row in rows:

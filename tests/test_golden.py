@@ -2,8 +2,8 @@
 
 The files under `tests/golden/` hold the reports of the configurations
 below.  A study must reproduce them exactly with one worker and with two,
-at a row budget (`experiments._STACK_ROWS`) that cuts every tables 1-2
-and 3-4 cell into several chunks, so the pool has several tasks per
+at a row budget (`experiments._STACK_ROWS`) that cuts every cell of the
+three studies into several chunks, so the pool has several tasks per
 cell.  Regenerate them with `PYTHONPATH=src python tests/test_golden.py`
 only when a report is meant to change, and say why in CHANGES.md.
 """
@@ -26,12 +26,13 @@ STUDIES = {
         experiment="tables34", grid=((100, 1), (300, 1), (3000, 6)),
         mc_reps=40)),
     "ols-tail": (run_ols_tail, ExperimentConfig(
-        experiment="ols-tail", grid=(), mc_reps=200,
+        experiment="ols-tail", mc_reps=200,
         tail_u=(0.5, 1.0, 2.0))),
 }
 
 
-#: chunks of 30 reps at n = 50 down to 1 rep at n = 3000
+#: chunks of 30 reps at n = 50 (23 at the tail check's n = 64) down to 1
+#: rep at n = 3000
 STACK_ROWS = 1500
 
 

@@ -193,9 +193,9 @@ def test_feasible_vs_ideal_consistency():
             ki = ideal_k(g, proxy, bias)
         except EmptyIdealSet:
             continue
-        res = feasible_k(g, fits, proxy, s, metric, bias=bias)
+        res = feasible_k(g, fits, proxy, s, metric)
         if ki in accepted:
-            assert res.proxy_feasible <= res.proxy_ideal + 1e-12
+            assert res.proxy_feasible <= proxy[g.labels.index(ki)] + 1e-12
 
 
 def test_test_set_monotone_in_s():
